@@ -5,6 +5,7 @@ lines; the grid-backed criteria share two full evaluation-grid executions
 (workers=1 and workers=2) through module fixtures.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -35,6 +36,10 @@ from tests.conftest import EXAMPLE_WEIGHTS
 
 POPULATION_SEED = 4242
 MASTER_SEED = 99
+# sha256 of the default grid's results CSV and of its summary CSV with the
+# significance markers; a deliberate change to results updates both.
+RESULTS_SHA256 = "84ea6cede1ff62eba6943725cea8cf80d81424920e19ac4c68aa090df5b1c876"
+SUMMARY_SHA256 = "5a8b4821c691d1613899c3b7a68c83938743b5528ace9a3f3d426674151a6a99"
 ALL_MIN = (0, 0, 0, 0, 0, 0)
 
 
@@ -212,3 +217,11 @@ def test_criterion_8_statistics_oracle():
         assert paired_ttest([3.0, 1.0, 4.0], [3.0, 1.0, 4.0]) == (0.0, 1.0)
 
     _report(8, "statistics oracle", check)
+
+
+def test_golden_digests(grid_serial):
+    records, _ = grid_serial
+    summaries = summarize(records)
+    summary = summary_to_csv(summaries, mark_significance(records, summaries))
+    assert hashlib.sha256(results_to_csv(records).encode()).hexdigest() == RESULTS_SHA256
+    assert hashlib.sha256(summary.encode()).hexdigest() == SUMMARY_SHA256

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -102,6 +103,8 @@ def test_persistent_grid_runs_and_is_deterministic(small_population):
     b = run_grid(cfg)
     assert a == b
     assert len(a) == 2 * 2 * 3 * 2 * 2
+    digest = hashlib.sha256(results_to_csv(a).encode()).hexdigest()
+    assert digest == "b7c01ff0b3e5ce434618d79f885dc6d5390b3283512a85a6f748a8fe245e5e1f"
 
 
 def test_summarize_basic_arithmetic():
