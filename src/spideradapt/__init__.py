@@ -31,7 +31,6 @@ from .policies import (
     GAConfig,
     QTable,
     RLConfig,
-    fitness,
     ga_generation,
     ga_initial_population,
     ga_select,

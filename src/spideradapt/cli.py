@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .domain import enumerate_states
 from .grid import (
+    DEFAULT_TARGETS,
     GridConfig,
     ResultsFileError,
     comparisons_to_csv,
@@ -28,7 +29,7 @@ from .grid import (
     summary_to_markdown,
 )
 from .policies import GAConfig, POLICY_NAMES, RLConfig
-from .session import INITIAL_KINDS, RunConfig, run_session
+from .session import INITIAL_KINDS, RunConfig, initial_state_for, run_session
 from .subjects import (
     SubjectFileError,
     bfs_distance,
@@ -38,9 +39,6 @@ from .subjects import (
     success_states,
     stress,
 )
-
-DEFAULT_TARGETS = tuple(range(1, 10))
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse, but usage errors exit with status 1 instead of 2."""
@@ -124,12 +122,27 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
+def _typed(name: str, value, default):
+    """``value`` if its JSON type is that of ``default``; a float also takes an integer.
+
+    ``bool`` subclasses ``int``, so booleans and numbers are told apart explicitly.
+    """
+    kinds = (int, float) if type(default) is float else type(default)
+    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, kinds):
+        raise SubjectFileError(f"config {name} must be {type(default).__name__}, got {json.dumps(value)}")
+    return value
+
+
 def _sub_config(cls, data: dict):
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+    if not isinstance(data, dict):
+        raise SubjectFileError(f"config {cls.__name__} must be a JSON object, got {json.dumps(data)}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = set(data) - set(defaults)
     if unknown:
         raise SubjectFileError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return cls(**data)
+    return cls(**{
+        key: _typed(f"{cls.__name__}.{key}", value, defaults[key]) for key, value in data.items()
+    })
 
 
 def _cmd_gen_subjects(args) -> int:
@@ -174,7 +187,7 @@ def _cmd_run(args) -> int:
         iteration_cap=int(pick(args.iteration_cap, "iteration_cap", 100)),
         rl=_sub_config(RLConfig, config.get("rl", {})),
         ga=_sub_config(GAConfig, config.get("ga", {})),
-        rounded_reward=bool(config.get("rounded_reward", False)),
+        rounded_reward=_typed("rounded_reward", config.get("rounded_reward", False), False),
         workers=int(pick(args.workers, "workers", 1)),
     )
 
@@ -191,7 +204,7 @@ def _cmd_run(args) -> int:
         decile = (10 * done) // total
         if decile > last_decile:
             last_decile = decile
-            print(f"progress: {done}/{total} blocks ({10 * decile}%)", file=sys.stderr)
+            print(f"progress: {done}/{total} cells ({10 * decile}%)", file=sys.stderr)
 
     records = run_grid(cfg, progress=progress)
     Path(args.out).write_text(results_to_csv(records))
@@ -238,8 +251,6 @@ def _cmd_oracle(args) -> int:
         )
     subject = population.subjects[args.subject_id]
     wins = success_states(subject, args.target)
-    from .session import initial_state_for
-
     initial = initial_state_for(args.initial)
     print(f"subject {subject.id}, target {args.target}, initial {args.initial} {list(initial)}")
     print(f"success states: {len(wins)} of {len(enumerate_states())}")
@@ -273,7 +284,7 @@ def _cmd_trace(args) -> int:
         master_seed=args.seed,
         rl=_sub_config(RLConfig, config.get("rl", {})),
         ga=_sub_config(GAConfig, config.get("ga", {})),
-        rounded_reward=bool(config.get("rounded_reward", False)),
+        rounded_reward=_typed("rounded_reward", config.get("rounded_reward", False), False),
     )
     result = run_session(cfg, subject)
     with open(args.out, "w") as handle:

@@ -131,7 +131,7 @@ def enumerate_states() -> tuple[SpiderState, ...]:
 
 
 # Mixed-radix strides for state_index, derived from the attribute range sizes.
-_STRIDES = tuple(
+STRIDES = tuple(
     int(np.prod([MAX_VALUES[j] - MIN_VALUES[j] + 1 for j in range(i + 1, N_ATTRIBUTES)]))
     for i in range(N_ATTRIBUTES)
 )
@@ -140,7 +140,7 @@ _STRIDES = tuple(
 def state_index(state: SpiderState) -> int:
     """Position of ``state`` in ``enumerate_states()`` (lexicographic rank)."""
     _check_state(state)
-    return sum((state[i] - MIN_VALUES[i]) * _STRIDES[i] for i in range(N_ATTRIBUTES))
+    return sum((state[i] - MIN_VALUES[i]) * STRIDES[i] for i in range(N_ATTRIBUTES))
 
 
 class StateSpace:

@@ -15,19 +15,15 @@ import io
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import betainc
 
-from .policies import GAConfig, POLICY_NAMES, QTable, RLConfig
-from .session import (
-    INITIAL_KINDS,
-    RunConfig,
-    RunResult,
-    run_session,
-)
+from .policies import GAConfig, POLICY_NAMES, QTable, RL_METHODS, RLConfig
+from .session import INITIAL_KINDS, RunConfig, run_session
 from .subjects import SubjectPopulation
 
 DEFAULT_TARGETS = tuple(range(1, 10))
@@ -141,98 +137,41 @@ def _record_key(r: RunRecord) -> tuple:
     return (_method_order(r.method), _initial_order(r.initial_kind), r.target, r.subject_id, r.repeat)
 
 
-def _record_from(cfg: RunConfig, result: RunResult) -> RunRecord:
-    return RunRecord(
-        method=cfg.method,
-        initial_kind=cfg.initial_kind,
-        target=cfg.target,
-        subject_id=cfg.subject_id,
-        repeat=cfg.repeat_index,
-        success=result.success,
-        spiders_presented=result.spiders_presented,
-        iterations_used=result.iterations_used,
-    )
+def _run_cell(cell: tuple[GridConfig, str, str, int]) -> list[RunRecord]:
+    """All runs of one (method, initial state, target) cell: the grid's work unit.
 
-
-def _run_block(args: tuple) -> list[RunRecord]:
-    """All runs of one method against one subject (a parallel work unit)."""
-    method, subject, initial_kinds, targets, repeats, iteration_cap, master_seed, rl, ga, rounded = args
+    The cell covers every subject and repeat. With ``rl.persist_across_runs``
+    an RL cell seeds one Q-table from its own coordinates and threads it
+    through the runs in subject-then-repeat order, so the cell's records do
+    not depend on where or when it runs.
+    """
+    cfg, method, initial_kind, target = cell
+    table = None
+    if cfg.rl.persist_across_runs and method in RL_METHODS:
+        seed = np.random.SeedSequence([
+            cfg.master_seed, POLICY_NAMES.index(method), INITIAL_KINDS.index(initial_kind), target, 0xA11CE,
+        ])
+        table = QTable.create(method, np.random.default_rng(seed))
     records = []
-    for initial_kind in initial_kinds:
-        for target in targets:
-            for repeat in range(repeats):
-                cfg = RunConfig(
-                    method=method,
-                    subject_id=subject.id,
-                    target=target,
-                    initial_kind=initial_kind,
-                    repeat_index=repeat,
-                    iteration_cap=iteration_cap,
-                    master_seed=master_seed,
-                    rl=rl,
-                    ga=ga,
-                    rounded_reward=rounded,
-                )
-                records.append(_record_from(cfg, run_session(cfg, subject, record_sequence=False)))
-    return records
-
-
-def _block_args(cfg: GridConfig) -> list[tuple]:
-    return [
-        (
-            method,
-            subject,
-            cfg.initial_kinds,
-            cfg.targets,
-            cfg.repeats,
-            cfg.iteration_cap,
-            cfg.master_seed,
-            cfg.rl,
-            cfg.ga,
-            cfg.rounded_reward,
-        )
-        for method in cfg.methods
-        for subject in cfg.population.subjects
-    ]
-
-
-def _run_grid_persistent(cfg: GridConfig) -> list[RunRecord]:
-    """Serial grid with one Q-table carried across runs of each RL cell."""
-    from .session import _INITIAL_IDS, _METHOD_IDS  # table seeds need stable ids
-
-    records: list[RunRecord] = []
-    for method in cfg.methods:
-        if method not in ("rl_zero", "rl_random"):
-            for subject in cfg.population.subjects:
-                records.extend(_run_block((
-                    method, subject, cfg.initial_kinds, cfg.targets, cfg.repeats,
-                    cfg.iteration_cap, cfg.master_seed, cfg.rl, cfg.ga, cfg.rounded_reward,
-                )))
-            continue
-        init_mode = "zero" if method == "rl_zero" else "random"
-        for initial_kind in cfg.initial_kinds:
-            for target in cfg.targets:
-                seed = np.random.SeedSequence(
-                    [cfg.master_seed, _METHOD_IDS[method], _INITIAL_IDS[initial_kind], target, 0xA11CE]
-                )
-                table = QTable.create(init_mode, np.random.default_rng(seed))
-                for subject in cfg.population.subjects:
-                    for repeat in range(cfg.repeats):
-                        run_cfg = RunConfig(
-                            method=method,
-                            subject_id=subject.id,
-                            target=target,
-                            initial_kind=initial_kind,
-                            repeat_index=repeat,
-                            iteration_cap=cfg.iteration_cap,
-                            master_seed=cfg.master_seed,
-                            rl=cfg.rl,
-                            ga=cfg.ga,
-                            rounded_reward=cfg.rounded_reward,
-                        )
-                        result = run_session(run_cfg, subject, qtable=table, record_sequence=False)
-                        records.append(_record_from(run_cfg, result))
-    records.sort(key=_record_key)
+    for subject in cfg.population.subjects:
+        for repeat in range(cfg.repeats):
+            run_cfg = RunConfig(
+                method=method,
+                subject_id=subject.id,
+                target=target,
+                initial_kind=initial_kind,
+                repeat_index=repeat,
+                iteration_cap=cfg.iteration_cap,
+                master_seed=cfg.master_seed,
+                rl=cfg.rl,
+                ga=cfg.ga,
+                rounded_reward=cfg.rounded_reward,
+            )
+            result = run_session(run_cfg, subject, qtable=table, record_sequence=False)
+            records.append(RunRecord(
+                method, initial_kind, target, subject.id, repeat,
+                result.success, result.spiders_presented, result.iterations_used,
+            ))
     return records
 
 
@@ -243,7 +182,8 @@ def run_grid(
     """Run the whole grid and return records in canonical coordinate order.
 
     Worker count never changes the records: every run derives its rng from
-    its own coordinates, and the output is sorted before returning.
+    its own coordinates, a persistent Q-table lives inside one cell, and the
+    output is sorted before returning. ``progress`` gets (cells done, cells).
     """
     for method in cfg.methods:
         if method not in POLICY_NAMES:
@@ -252,24 +192,24 @@ def run_grid(
         raise ValueError("repeats must be >= 1")
     if cfg.workers < 1:
         raise ValueError("workers must be >= 1")
-    if cfg.rl.persist_across_runs:
-        if cfg.workers != 1:
-            raise ValueError("persistent Q-tables require workers=1 (runs share state)")
-        return _run_grid_persistent(cfg)
 
-    blocks = _block_args(cfg)
+    cells = [
+        (cfg, method, initial_kind, target)
+        for method in cfg.methods
+        for initial_kind in cfg.initial_kinds
+        for target in cfg.targets
+    ]
     records: list[RunRecord] = []
-    if cfg.workers == 1:
-        for i, block in enumerate(blocks):
-            records.extend(_run_block(block))
+    with ExitStack() as stack:
+        if cfg.workers == 1:
+            results = map(_run_cell, cells)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.workers))
+            results = pool.map(_run_cell, cells)
+        for i, cell_records in enumerate(results):
+            records.extend(cell_records)
             if progress is not None:
-                progress(i + 1, len(blocks))
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for i, block_records in enumerate(pool.map(_run_block, blocks, chunksize=8)):
-                records.extend(block_records)
-                if progress is not None:
-                    progress(i + 1, len(blocks))
+                progress(i + 1, len(cells))
     records.sort(key=_record_key)
     return records
 

@@ -6,10 +6,11 @@ agent learns online within a single session; the genetic algorithm evolves a
 small population with midpoint crossover; greedy always moves to the best
 neighbour; random search walks uniformly.
 
-The public operations work on state tuples. The session runner calls the
-index-based helpers (prefixed ``_``) with precomputed per-state fitness, but
-those share the selection and update logic exactly, so the two views cannot
-drift apart.
+Every operation works on ``domain.state_space()`` indices. Fitness comes
+from a per-state rewards table (``rewards[i]`` is the reward of state ``i``
+for one subject and target), so a policy step is only table lookups and
+index arithmetic. This module is the only implementation of each policy;
+the session runner calls these functions directly.
 """
 
 from __future__ import annotations
@@ -17,27 +18,26 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
 from .domain import (
-    ACTIONS,
     MAX_VALUES,
     MIN_VALUES,
     N_ACTIONS,
     N_ATTRIBUTES,
     N_STATES,
-    Action,
-    SpiderState,
-    is_valid_action,
-    neighbors,
+    STRIDES,
     state_space,
-    valid_actions,
 )
-from .reward_model import RewardSpec, reward
-from .subjects import VirtualSubject, stress
 
 POLICY_NAMES = ("random", "greedy", "ga", "rl_random", "rl_zero")
+RL_METHODS = ("rl_random", "rl_zero")
+
+# Midpoint crossover swaps the last N_ATTRIBUTES // 2 attributes, which are
+# the low digits of the mixed-radix index: the index modulo this stride.
+_CROSSOVER_SPLIT = STRIDES[N_ATTRIBUTES // 2 - 1]
 
 
 @dataclass
@@ -46,16 +46,15 @@ class RLConfig:
 
     epsilon is the exploration rate of the action-selection policy. The
     learning rate and discount are conventional defaults; they are exposed
-    here because sweeps over them are expected. ``init_mode`` selects the
-    table initialisation for standalone tables; sessions derive it from the
-    method name (rl_zero / rl_random). ``persist_across_runs`` keeps one
-    table alive across the runs of a grid instead of starting fresh.
+    here because sweeps over them are expected. The table initialisation
+    follows the method name (rl_zero / rl_random). ``persist_across_runs``
+    keeps one table alive across the runs of a grid cell instead of starting
+    fresh.
     """
 
     epsilon: float = 0.05
     learning_rate: float = 0.1
     discount: float = 0.9
-    init_mode: str = "zero"
     persist_across_runs: bool = False
 
     def validate(self) -> None:
@@ -65,8 +64,6 @@ class RLConfig:
             raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
         if not 0.0 <= self.discount <= 1.0:
             raise ValueError(f"discount must be in [0, 1], got {self.discount}")
-        if self.init_mode not in ("zero", "random"):
-            raise ValueError(f"init_mode must be 'zero' or 'random', got {self.init_mode!r}")
 
 
 @dataclass
@@ -118,31 +115,27 @@ class QTable:
         return cls(rng.random((N_STATES, N_ACTIONS)))
 
     @classmethod
-    def create(cls, init_mode: str, rng: np.random.Generator) -> "QTable":
-        if init_mode == "zero":
+    def create(cls, method: str, rng: np.random.Generator) -> "QTable":
+        """A fresh table for an RL method: zeros for rl_zero, uniform for rl_random."""
+        if method == "rl_zero":
             return cls.zeros()
-        if init_mode == "random":
+        if method == "rl_random":
             return cls.random(rng)
-        raise ValueError(f"unknown init_mode {init_mode!r}")
-
-
-def fitness(subject: VirtualSubject, state: SpiderState, spec: RewardSpec) -> float:
-    """Fitness of a state for a subject: the reward of its stress level."""
-    return reward(stress(subject, state), spec)
+        raise ValueError(f"no Q-table for method {method!r}; expected one of {RL_METHODS}")
 
 
 # ---------------------------------------------------------------------------
 # Q-learning
 
 
-def _select_action_id(
+def rl_select_action(
     q: np.ndarray,
     s: int,
-    valid_ids: list[int],
     epsilon: float,
     rng: np.random.Generator,
 ) -> int:
-    """Epsilon-greedy over the valid actions; argmax ties break uniformly."""
+    """Epsilon-greedy valid action id for state ``s``; argmax ties break uniformly."""
+    valid_ids = state_space().valid_action_ids[s]
     if epsilon > 0.0 and rng.random() < epsilon:
         return valid_ids[int(rng.integers(len(valid_ids)))]
     row = q[s]
@@ -160,51 +153,20 @@ def _select_action_id(
     return ties[int(rng.integers(len(ties)))]
 
 
-def _update_q(
+def rl_update(
     q: np.ndarray,
     s: int,
     aid: int,
     r: float,
     s_next: int,
-    next_valid_ids: list[int],
-    learning_rate: float,
-    discount: float,
-) -> None:
-    row = q[s_next]
-    best_next = max(row[aid2] for aid2 in next_valid_ids)
-    q[s, aid] += learning_rate * (r + discount * best_next - q[s, aid])
-
-
-def rl_select_action(
-    qtable: QTable,
-    state: SpiderState,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> Action:
-    """Pick a valid action epsilon-greedily from the Q-table."""
-    space = state_space()
-    s = space.index_of[state]
-    aid = _select_action_id(qtable.values, s, space.valid_action_ids[s], epsilon, rng)
-    return ACTIONS[aid]
-
-
-def rl_update(
-    qtable: QTable,
-    s: SpiderState,
-    a: Action,
-    r: float,
-    s_next: SpiderState,
     cfg: RLConfig,
 ) -> None:
     """One-step Q-learning update; touches exactly one table entry."""
-    if not is_valid_action(s, a):
-        raise ValueError(f"action {a!r} is not valid in state {s!r}")
     space = state_space()
-    si, sn = space.index_of[s], space.index_of[s_next]
-    _update_q(
-        qtable.values, si, a.index, r, sn, space.valid_action_ids[sn],
-        cfg.learning_rate, cfg.discount,
-    )
+    if space.next_state[s][aid] < 0:
+        raise ValueError(f"action {aid} is not valid in state {s}")
+    best_next = max(q[s_next, aid2] for aid2 in space.valid_action_ids[s_next])
+    q[s, aid] += cfg.learning_rate * (r + cfg.discount * best_next - q[s, aid])
 
 
 # ---------------------------------------------------------------------------
@@ -212,23 +174,20 @@ def rl_update(
 
 
 def ga_initial_population(
-    initial: SpiderState,
-    subject: VirtualSubject,
-    spec: RewardSpec,
+    initial: int,
+    rewards: Sequence[float],
     population_size: int = 10,
-) -> list[SpiderState]:
+) -> list[int]:
     """Seed population: the initial state plus its neighbours.
 
     Corner states yield fewer candidates than the population size and the
     population is simply smaller; the two 11-neighbour states yield one
-    candidate too many, and the weakest by fitness is dropped.
+    candidate too many, and the weakest by reward is dropped.
     """
-    candidates = [initial] + neighbors(initial)
+    candidates = [initial] + state_space().neighbor_ids[initial]
     if len(candidates) <= population_size:
         return candidates
-    ranked = sorted(range(len(candidates)),
-                    key=lambda i: fitness(subject, candidates[i], spec),
-                    reverse=True)
+    ranked = sorted(range(len(candidates)), key=lambda i: rewards[candidates[i]], reverse=True)
     keep = set(ranked[:population_size])
     return [c for i, c in enumerate(candidates) if i in keep]
 
@@ -239,20 +198,21 @@ def _pick_weighted(cum: list[float], total: float, n: int, rng: np.random.Genera
     return int(rng.integers(n))  # degenerate: every fitness at the -1 floor
 
 
-def _mutate(child: SpiderState, prob: float, rng: np.random.Generator) -> SpiderState:
+def _mutate(child: int, prob: float, rng: np.random.Generator) -> int:
     if prob > 0.0 and rng.random() < prob:
         i = int(rng.integers(N_ATTRIBUTES))
         value = int(rng.integers(MIN_VALUES[i], MAX_VALUES[i] + 1))
-        child = child[:i] + (value,) + child[i + 1:]
+        old = child // STRIDES[i] % (MAX_VALUES[i] - MIN_VALUES[i] + 1) + MIN_VALUES[i]
+        child += (value - old) * STRIDES[i]
     return child
 
 
 def ga_generation(
-    population: list[SpiderState],
+    population: list[int],
     fitnesses: list[float],
     cfg: GAConfig,
     rng: np.random.Generator,
-) -> list[SpiderState]:
+) -> list[int]:
     """Produce one generation of offspring by crossover and mutation.
 
     Parents are drawn fitness-proportionally after shifting fitness by +1
@@ -267,24 +227,24 @@ def ga_generation(
     if len(fitnesses) != len(population):
         raise ValueError("fitnesses must align with the population")
     n = len(population)
-    half = N_ATTRIBUTES // 2
     cum = list(accumulate(f + 1.0 for f in fitnesses))
     total = cum[-1]
-    offspring: list[SpiderState] = []
+    offspring: list[int] = []
     for _ in range(cfg.pairs_per_generation):
         p1 = population[_pick_weighted(cum, total, n, rng)]
         p2 = population[_pick_weighted(cum, total, n, rng)]
-        children = [p1[:half] + p2[half:], p2[:half] + p1[half:]]
+        low1, low2 = p1 % _CROSSOVER_SPLIT, p2 % _CROSSOVER_SPLIT
+        children = [p1 - low1 + low2, p2 - low2 + low1]
         for child in children[: cfg.children_per_pair]:
             offspring.append(_mutate(child, cfg.mutation_prob, rng))
     return offspring
 
 
 def ga_select(
-    pool: list[SpiderState],
+    pool: list[int],
     fitnesses: list[float],
     cfg: GAConfig,
-) -> list[SpiderState]:
+) -> list[int]:
     """Keep the best chromosomes as the next population.
 
     Ties break toward earlier pool positions (stable sort); duplicates may
@@ -303,31 +263,17 @@ def ga_select(
 # Greedy and random search
 
 
-def greedy_step(
-    current: SpiderState,
-    subject: VirtualSubject,
-    spec: RewardSpec,
-) -> SpiderState:
-    """Move to the best-fitness neighbour, even when that is downhill.
+def greedy_step(s: int, rewards: Sequence[float]) -> int:
+    """Move to the best-reward neighbour, even when that is downhill.
 
-    Ties break toward the lower-indexed action. Pure function: ranking never
-    consults any randomness.
+    Ties break toward the lower-indexed action (the first maximum in
+    canonical neighbour order). Pure function: ranking never consults any
+    randomness.
     """
-    best_state: SpiderState | None = None
-    best_fit = None
-    for nb in neighbors(current):
-        f = fitness(subject, nb, spec)
-        if best_fit is None or f > best_fit:
-            best_fit = f
-            best_state = nb
-    assert best_state is not None
-    return best_state
+    return max(state_space().neighbor_ids[s], key=rewards.__getitem__)
 
 
-def random_step(current: SpiderState, rng: np.random.Generator) -> SpiderState:
+def random_step(s: int, rng: np.random.Generator) -> int:
     """Apply a uniformly random valid action."""
-    options = valid_actions(current)
-    action = options[int(rng.integers(len(options)))]
-    values = list(current)
-    values[action.attribute_index] += action.direction
-    return tuple(values)
+    nbrs = state_space().neighbor_ids[s]
+    return nbrs[int(rng.integers(len(nbrs)))]

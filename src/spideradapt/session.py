@@ -3,9 +3,12 @@
 A session presents spiders to a subject until one lands in the target stress
 band or an iteration cap is hit. Presentations are counted uniquely: showing
 a configuration the subject has already seen is free, because its response is
-already known. Sequential methods present one new state per move (greedy
-presents every unseen neighbour while ranking them); the genetic algorithm
-presents populations batch-wise and checks for success at batch boundaries.
+already known. The engine works on state indices and per-subject response
+tables and leaves every decision to the functions in ``policies``. Each
+iteration presents one batch: a sequential move is a batch of one, greedy's
+ranking is the batch of every neighbour, and a GA generation is its
+offspring. Sequential batches stop at the first success; a GA batch is
+checked for success at its end unless ``early_stop_within_batch`` is set.
 
 Every run owns an rng stream derived from the full run coordinates, so
 results are bit-reproducible regardless of scheduling.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -23,12 +27,15 @@ from .policies import (
     GAConfig,
     POLICY_NAMES,
     QTable,
+    RL_METHODS,
     RLConfig,
-    _select_action_id,
-    _update_q,
     ga_generation,
     ga_initial_population,
     ga_select,
+    greedy_step,
+    random_step,
+    rl_select_action,
+    rl_update,
 )
 from .reward_model import RewardSpec, is_success, reward
 from .subjects import VirtualSubject, stress_table
@@ -40,9 +47,6 @@ INITIAL_STATES: dict[str, SpiderState] = {
     "avg": (1, 1, 1, 1, 0, 1),
     "max": (2, 2, 2, 2, 1, 2),
 }
-
-_METHOD_IDS = {name: i for i, name in enumerate(POLICY_NAMES)}
-_INITIAL_IDS = {name: i for i, name in enumerate(INITIAL_KINDS)}
 
 
 @dataclass
@@ -94,10 +98,10 @@ def run_seed_sequence(cfg: RunConfig) -> np.random.SeedSequence:
     return np.random.SeedSequence(
         [
             cfg.master_seed,
-            _METHOD_IDS[cfg.method],
+            POLICY_NAMES.index(cfg.method),
             cfg.subject_id,
             cfg.target,
-            _INITIAL_IDS[cfg.initial_kind],
+            INITIAL_KINDS.index(cfg.initial_kind),
             cfg.repeat_index,
         ]
     )
@@ -109,8 +113,8 @@ def _response_tables(
 ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[bool, ...]]:
     """Per-state (stress, reward, success) lookups for one subject and target.
 
-    Built from the scalar stress/reward functions so that sessions, the
-    public policy operations, and the oracles all see identical floats.
+    Built from the scalar stress/reward functions so that sessions and the
+    oracles see identical floats.
     """
     spec = RewardSpec(target, use_rounded_stress=rounded)
     stresses = stress_table(subject)
@@ -120,7 +124,7 @@ def _response_tables(
 
 
 def _validate(cfg: RunConfig, subject: VirtualSubject, qtable: QTable | None) -> None:
-    if cfg.method not in _METHOD_IDS:
+    if cfg.method not in POLICY_NAMES:
         raise ValueError(f"unknown method {cfg.method!r}; expected one of {POLICY_NAMES}")
     if cfg.initial_kind not in INITIAL_STATES:
         raise ValueError(f"unknown initial kind {cfg.initial_kind!r}")
@@ -128,7 +132,7 @@ def _validate(cfg: RunConfig, subject: VirtualSubject, qtable: QTable | None) ->
         raise ValueError(f"subject id {subject.id} does not match config subject_id {cfg.subject_id}")
     if cfg.iteration_cap < 0:
         raise ValueError("iteration_cap must be non-negative")
-    if qtable is not None and cfg.method not in ("rl_zero", "rl_random"):
+    if qtable is not None and cfg.method not in RL_METHODS:
         raise ValueError(f"a Q-table makes no sense for method {cfg.method!r}")
     cfg.rl.validate()
     cfg.ga.validate()
@@ -151,128 +155,73 @@ def run_session(
     space = state_space()
     stresses, rewards, successes = _response_tables(subject, cfg.target, cfg.rounded_reward)
     rng = np.random.default_rng(run_seed_sequence(cfg))
-
     presented = bytearray(space.n_states)
     sequence: list[PresentedSpider] = []
-    count = 0
 
-    def present(idx: int, iteration: int) -> None:
-        nonlocal count
-        presented[idx] = 1
-        count += 1
-        if record_sequence:
-            sequence.append(
-                PresentedSpider(space.states[idx], stresses[idx], rewards[idx], iteration)
-            )
-
-    def result(success: bool, iterations: int, final_idx: int) -> RunResult:
-        return RunResult(success, count, iterations, space.states[final_idx], sequence)
-
-    start = space.index_of[INITIAL_STATES[cfg.initial_kind]]
-
-    if cfg.method == "ga":
-        return _run_ga(cfg, subject, space, rewards, successes, rng, presented, present, result, start)
-
-    # Sequential methods: the subject sees the initial spider first.
-    present(start, 0)
-    if successes[start]:
-        return result(True, 0, start)
-
-    if cfg.method in ("rl_zero", "rl_random"):
-        if qtable is None:
-            qtable = QTable.create("zero" if cfg.method == "rl_zero" else "random", rng)
-        q = qtable.values
-    epsilon = cfg.rl.epsilon
-    lr, discount = cfg.rl.learning_rate, cfg.rl.discount
-    next_state = space.next_state
-    action_ids = space.valid_action_ids
-
-    s = start
-    for it in range(1, cfg.iteration_cap + 1):
-        if cfg.method == "random":
-            ids = action_ids[s]
-            aid = ids[int(rng.integers(len(ids)))]
-            t = next_state[s][aid]
-            if not presented[t]:
-                present(t, it)
-                if successes[t]:
-                    return result(True, it, t)
-            s = t
-        elif cfg.method == "greedy":
-            # Rank all neighbours; each unseen one is a new presentation and
-            # may end the run before the ranking completes.
-            best_t = -1
-            best_f = None
-            for aid in action_ids[s]:
-                t = next_state[s][aid]
-                if not presented[t]:
-                    present(t, it)
-                    if successes[t]:
-                        return result(True, it, t)
-                f = rewards[t]
-                if best_f is None or f > best_f:
-                    best_f = f
-                    best_t = t
-            s = best_t
-        else:  # rl_zero / rl_random
-            aid = _select_action_id(q, s, action_ids[s], epsilon, rng)
-            t = next_state[s][aid]
-            if not presented[t]:
-                present(t, it)
-                if successes[t]:
-                    return result(True, it, t)
-            _update_q(q, s, aid, rewards[t], t, action_ids[t], lr, discount)
-            s = t
-
-    return result(False, cfg.iteration_cap, s)
-
-
-def _run_ga(cfg, subject, space, rewards, successes, rng, presented, present, result, start):
-    """GA session: batch presentation, generation loop, elitist selection."""
-    spec = RewardSpec(cfg.target, use_rounded_stress=cfg.rounded_reward)
-    early_stop = cfg.ga.early_stop_within_batch
-
-    def present_batch(indices: list[int], iteration: int) -> int | None:
-        """Present unseen batch members; return the first success, or None.
-
-        By default the whole batch is presented before the success check, so
-        every member counts. With early stopping the check happens after
-        each individual presentation instead.
-        """
-        new: list[int] = []
-        for idx in indices:
+    def present(batch: Sequence[int], iteration: int, stop_early: bool) -> int | None:
+        """Show the unseen members of ``batch``; return the first success, or None."""
+        hit = None
+        for idx in batch:
             if presented[idx]:
                 continue
-            present(idx, iteration)
-            if early_stop and successes[idx]:
-                return idx
-            new.append(idx)
-        if not early_stop:
-            for idx in new:
-                if successes[idx]:
-                    return idx
-        return None
+            presented[idx] = 1
+            if record_sequence:
+                sequence.append(
+                    PresentedSpider(space.states[idx], stresses[idx], rewards[idx], iteration)
+                )
+            if hit is None and successes[idx]:
+                hit = idx
+                if stop_early:
+                    break
+        return hit
 
-    index_of = space.index_of
-    population = ga_initial_population(
-        INITIAL_STATES[cfg.initial_kind], subject, spec, cfg.ga.population_size
-    )
-    pop_ids = [index_of[s] for s in population]
-    hit = present_batch(pop_ids, 0)
-    if hit is not None:
-        return result(True, 0, hit)
+    def result(success: bool, iterations: int, final_idx: int) -> RunResult:
+        return RunResult(success, presented.count(1), iterations, space.states[final_idx], sequence)
 
-    for gen in range(1, cfg.iteration_cap + 1):
-        fits = [rewards[i] for i in pop_ids]
-        offspring = ga_generation(population, fits, cfg.ga, rng)
-        off_ids = [index_of[s] for s in offspring]
-        hit = present_batch(off_ids, gen)
+    start = space.index_of[INITIAL_STATES[cfg.initial_kind]]
+    method = cfg.method
+
+    if method == "ga":
+        early_stop = cfg.ga.early_stop_within_batch
+        population = ga_initial_population(start, rewards, cfg.ga.population_size)
+        hit = present(population, 0, early_stop)
         if hit is not None:
-            return result(True, gen, hit)
-        pool = population + offspring
-        pool_fits = fits + [rewards[i] for i in off_ids]
-        population = ga_select(pool, pool_fits, cfg.ga)
-        pop_ids = [index_of[s] for s in population]
+            return result(True, 0, hit)
+        for gen in range(1, cfg.iteration_cap + 1):
+            fits = [rewards[i] for i in population]
+            offspring = ga_generation(population, fits, cfg.ga, rng)
+            hit = present(offspring, gen, early_stop)
+            if hit is not None:
+                return result(True, gen, hit)
+            pool = population + offspring
+            population = ga_select(pool, fits + [rewards[i] for i in offspring], cfg.ga)
+        return result(False, cfg.iteration_cap, max(population, key=rewards.__getitem__))
 
-    best = max(range(len(pop_ids)), key=lambda i: (rewards[pop_ids[i]], -i))
-    return result(False, cfg.iteration_cap, pop_ids[best])
+    # Sequential methods: the subject sees the initial spider first.
+    if present((start,), 0, True) is not None:
+        return result(True, 0, start)
+    learning = method in RL_METHODS
+    if learning:
+        q = (qtable if qtable is not None else QTable.create(method, rng)).values
+    neighbor_ids = space.neighbor_ids
+    next_state = space.next_state
+    s = start
+    for it in range(1, cfg.iteration_cap + 1):
+        if method == "random":
+            t = random_step(s, rng)
+            batch = (t,)
+        elif method == "greedy":
+            # every unseen neighbour is presented while ranking them
+            t = greedy_step(s, rewards)
+            batch = neighbor_ids[s]
+        else:
+            aid = rl_select_action(q, s, cfg.rl.epsilon, rng)
+            t = next_state[s][aid]
+            batch = (t,)
+        hit = present(batch, it, True)
+        if hit is not None:
+            return result(True, it, hit)
+        if learning:
+            rl_update(q, s, aid, rewards[t], t, cfg.rl)
+        s = t
+    return result(False, cfg.iteration_cap, s)

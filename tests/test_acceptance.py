@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from spideradapt.domain import enumerate_states, neighbors, state_space
+from spideradapt.domain import enumerate_states, neighbors, state_index, state_space
 from spideradapt.grid import (
     GridConfig,
     mark_significance,
@@ -31,6 +31,7 @@ from spideradapt.subjects import (
     bfs_distance,
     generate_population,
     scale_coefficient,
+    stress_table,
 )
 from tests.conftest import EXAMPLE_WEIGHTS
 
@@ -150,7 +151,8 @@ def test_criterion_5_ga_corner_reproduction(population, grid_serial):
     def check():
         spec = RewardSpec(1)
         for subject in population.subjects:
-            batch = ga_initial_population(ALL_MIN, subject, spec)
+            rewards = [reward(x, spec) for x in stress_table(subject)]
+            batch = ga_initial_population(state_index(ALL_MIN), rewards)
             assert len(batch) == 7
         records, _ = grid_serial
         cell = [

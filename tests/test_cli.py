@@ -148,6 +148,26 @@ def test_run_config_rejects_unknown_keys(tmp_path, subjects_file, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"rl": {"epsilon": "0.1"}},
+        {"rounded_reward": "false"},
+        {"rl": {"init_mode": "random"}},
+    ],
+)
+def test_run_config_rejects_mistyped_and_removed_keys(tmp_path, subjects_file, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"master_seed": 3, **config}))
+    code = main(
+        ["run", "--subjects", str(subjects_file), "--out", str(tmp_path / "o.csv"), "--config", str(path)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_summarize_markdown_and_csv(tmp_path, subjects_file, capsys):
     results = _run_results(tmp_path, subjects_file)
     assert main(["summarize", "--results", str(results)]) == 0

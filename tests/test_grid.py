@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -81,16 +82,14 @@ def test_run_grid_validation(small_population):
         run_grid(GridConfig(population=small_population, master_seed=1, methods=("mcts",)))
     with pytest.raises(ValueError):
         run_grid(GridConfig(population=small_population, master_seed=1, repeats=0))
-    with pytest.raises(ValueError):
-        run_grid(GridConfig(population=small_population, master_seed=1, workers=2,
-                            rl=RLConfig(persist_across_runs=True)))
 
 
 def test_run_grid_progress_callback(small_population):
-    one = SubjectPopulation(small_population.seed, small_population.subjects[:2])
+    # the work unit is one (method, initial state, target) cell
+    one = SubjectPopulation(small_population.seed, small_population.subjects[:1])
     seen = []
     cfg = GridConfig(population=one, master_seed=1, methods=("random",),
-                     initial_kinds=("min",), targets=(1,), repeats=1)
+                     initial_kinds=("min",), targets=(1, 2), repeats=1)
     run_grid(cfg, progress=lambda done, total: seen.append((done, total)))
     assert seen == [(1, 2), (2, 2)]
 
@@ -105,6 +104,9 @@ def test_persistent_grid_runs_and_is_deterministic(small_population):
     assert len(a) == 2 * 2 * 3 * 2 * 2
     digest = hashlib.sha256(results_to_csv(a).encode()).hexdigest()
     assert digest == "b7c01ff0b3e5ce434618d79f885dc6d5390b3283512a85a6f748a8fe245e5e1f"
+    # each cell owns its table, so persistence runs at any worker count
+    parallel = run_grid(dataclasses.replace(cfg, workers=2))
+    assert results_to_csv(parallel) == results_to_csv(a)
 
 
 def test_summarize_basic_arithmetic():
