@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 from .domain import enumerate_states
 from .grid import (
-    DEFAULT_TARGETS,
     GridConfig,
     ResultsFileError,
     comparisons_to_csv,
@@ -28,10 +28,12 @@ from .grid import (
     summary_to_csv,
     summary_to_markdown,
 )
-from .policies import GAConfig, POLICY_NAMES, RLConfig
-from .session import INITIAL_KINDS, RunConfig, initial_state_for, run_session
+from .policies import POLICY_NAMES
+from .session import INITIAL_KINDS, INITIAL_STATES, run_session
 from .subjects import (
     SubjectFileError,
+    SubjectPopulation,
+    VirtualSubject,
     bfs_distance,
     generate_population,
     load_population,
@@ -101,25 +103,17 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=POLICY_NAMES, required=True)
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--initial", choices=INITIAL_KINDS, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, default=None, help="master seed (required unless in --config)")
     p.add_argument("--repeat", type=int, default=0)
-    p.add_argument("--iteration-cap", type=int, default=100)
-    p.add_argument("--config", default=None)
+    p.add_argument("--iteration-cap", type=int, default=None, help="iteration cap (default 100)")
+    p.add_argument("--config", default=None, help="the same JSON config as run; flags override it")
     p.add_argument("--out", required=True, help="JSON-lines trace path")
 
     return parser
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        config = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SubjectFileError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise SubjectFileError(f"config {path} must be a JSON object")
-    return config
+class ConfigError(ValueError):
+    """Raised when a --config file is unreadable or holds a malformed value (exit 2)."""
 
 
 def _typed(name: str, value, default):
@@ -129,20 +123,69 @@ def _typed(name: str, value, default):
     """
     kinds = (int, float) if type(default) is float else type(default)
     if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, kinds):
-        raise SubjectFileError(f"config {name} must be {type(default).__name__}, got {json.dumps(value)}")
+        raise ConfigError(f"config {name} must be {type(default).__name__}, got {json.dumps(value)}")
     return value
 
 
-def _sub_config(cls, data: dict):
+def _overlay(name: str, template, data):
+    """The dataclass ``template`` with the JSON object ``data`` laid over it.
+
+    Each value must have the JSON type of the template's value: a tuple takes
+    a list whose elements match the template's first element, and a nested
+    dataclass takes an object. Unknown keys are rejected at every level; a
+    grid's population never comes from a config.
+    """
     if not isinstance(data, dict):
-        raise SubjectFileError(f"config {cls.__name__} must be a JSON object, got {json.dumps(data)}")
-    defaults = {f.name: f.default for f in fields(cls)}
+        raise ConfigError(f"config {name or 'file'} must be a JSON object, got {json.dumps(data)}")
+    defaults = {f.name: getattr(template, f.name) for f in fields(template) if f.name != "population"}
     unknown = set(data) - set(defaults)
     if unknown:
-        raise SubjectFileError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return cls(**{
-        key: _typed(f"{cls.__name__}.{key}", value, defaults[key]) for key, value in data.items()
-    })
+        raise ConfigError(f"unknown config {name or 'top-level'} keys: {sorted(unknown)}")
+    values = {}
+    for key, value in data.items():
+        path, default = f"{name}.{key}" if name else key, defaults[key]
+        if is_dataclass(default):
+            values[key] = _overlay(path, default, value)
+        elif isinstance(default, tuple):
+            if not isinstance(value, list):
+                raise ConfigError(f"config {path} must be a list, got {json.dumps(value)}")
+            values[key] = tuple(_typed(path, v, default[0]) for v in value)
+        else:
+            values[key] = _typed(path, value, default)
+    return replace(template, **values)
+
+
+def _grid_config(path: str | None, population: SubjectPopulation, **flags) -> GridConfig:
+    """The grid of the ``--config`` file at ``path`` with the non-None ``flags`` on top.
+
+    The file's values are validated before the flags are applied, so a bad
+    value from the file is a data error (ConfigError, exit 2) while the same
+    value given as a flag stays a usage error (ValueError, exit 1).
+    """
+    data = {}
+    if path is not None:
+        try:
+            data = json.loads(Path(path).read_text())
+        except (OSError, RecursionError, ValueError) as exc:  # ValueError: undecodable text or JSON
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    cfg = _overlay("", GridConfig(population, master_seed=0), data)
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise ConfigError(f"config {path}: {exc}") from exc
+    if flags.get("master_seed") is None and "master_seed" not in data:
+        raise ValueError("--seed is required (or master_seed in --config); no implicit entropy")
+    cfg = replace(cfg, **{key: value for key, value in flags.items() if value is not None})
+    cfg.validate()
+    return cfg
+
+
+def _subject(population: SubjectPopulation, subject_id: int) -> VirtualSubject:
+    if not 0 <= subject_id < len(population.subjects):
+        raise SubjectFileError(
+            f"subject id {subject_id} not in file (population size {len(population.subjects)})"
+        )
+    return population.subjects[subject_id]
 
 
 def _cmd_gen_subjects(args) -> int:
@@ -157,44 +200,15 @@ def _cmd_gen_subjects(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args.config)
     population = load_population(args.subjects)
-
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return config.get(key, default)
-
-    master_seed = args.seed if args.seed is not None else config.get("master_seed")
-    if master_seed is None:
-        raise ValueError("--seed is required (or master_seed in --config); no implicit entropy")
-    methods = tuple(pick(args.methods, "methods", POLICY_NAMES))
-    initial_kinds = tuple(pick(args.initials, "initial_kinds", INITIAL_KINDS))
-    targets = tuple(pick(args.targets, "targets", DEFAULT_TARGETS))
-    for t in targets:
-        if not 1 <= t <= 9:
-            raise ValueError(f"targets must be in 1..9, got {t}")
-    for kind in initial_kinds:
-        if kind not in INITIAL_KINDS:
-            raise ValueError(f"unknown initial kind {kind!r}")
-    cfg = GridConfig(
-        population=population,
-        master_seed=int(master_seed),
-        methods=methods,
-        initial_kinds=initial_kinds,
-        targets=targets,
-        repeats=int(pick(args.repeats, "repeats", 10)),
-        iteration_cap=int(pick(args.iteration_cap, "iteration_cap", 100)),
-        rl=_sub_config(RLConfig, config.get("rl", {})),
-        ga=_sub_config(GAConfig, config.get("ga", {})),
-        rounded_reward=_typed("rounded_reward", config.get("rounded_reward", False), False),
-        workers=int(pick(args.workers, "workers", 1)),
+    cfg = _grid_config(
+        args.config, population, master_seed=args.seed, methods=args.methods,
+        initial_kinds=args.initials, targets=args.targets, repeats=args.repeats,
+        iteration_cap=args.iteration_cap, workers=args.workers,
     )
-
-    total_runs = len(cfg.methods) * len(population.subjects) * len(initial_kinds) * len(targets) * cfg.repeats
-    print(f"running {total_runs} sessions "
-          f"({len(cfg.methods)} methods x {len(population.subjects)} subjects x "
-          f"{len(initial_kinds)} initials x {len(targets)} targets x {cfg.repeats} repeats)",
+    axes = (len(cfg.methods), len(population.subjects), len(cfg.initial_kinds), len(cfg.targets), cfg.repeats)
+    print(f"running {math.prod(axes)} sessions "
+          "({} methods x {} subjects x {} initials x {} targets x {} repeats)".format(*axes),
           file=sys.stderr)
 
     last_decile = -1
@@ -242,16 +256,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if not 1 <= args.target <= 9:
-        raise ValueError(f"--target must be in 1..9, got {args.target}")
-    population = load_population(args.subjects)
-    if not 0 <= args.subject_id < len(population.subjects):
-        raise SubjectFileError(
-            f"subject id {args.subject_id} not in file (population size {len(population.subjects)})"
-        )
-    subject = population.subjects[args.subject_id]
+    subject = _subject(load_population(args.subjects), args.subject_id)
     wins = success_states(subject, args.target)
-    initial = initial_state_for(args.initial)
+    initial = INITIAL_STATES[args.initial]
     print(f"subject {subject.id}, target {args.target}, initial {args.initial} {list(initial)}")
     print(f"success states: {len(wins)} of {len(enumerate_states())}")
     for state in sorted(wins)[:5]:
@@ -265,27 +272,14 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    if not 1 <= args.target <= 9:
-        raise ValueError(f"--target must be in 1..9, got {args.target}")
-    config = _load_config(args.config)
     population = load_population(args.subjects)
-    if not 0 <= args.subject_id < len(population.subjects):
-        raise SubjectFileError(
-            f"subject id {args.subject_id} not in file (population size {len(population.subjects)})"
-        )
-    subject = population.subjects[args.subject_id]
-    cfg = RunConfig(
-        method=args.method,
-        subject_id=args.subject_id,
-        target=args.target,
-        initial_kind=args.initial,
-        repeat_index=args.repeat,
-        iteration_cap=args.iteration_cap,
-        master_seed=args.seed,
-        rl=_sub_config(RLConfig, config.get("rl", {})),
-        ga=_sub_config(GAConfig, config.get("ga", {})),
-        rounded_reward=_typed("rounded_reward", config.get("rounded_reward", False), False),
+    subject = _subject(population, args.subject_id)
+    # the flags make a one-cell grid, so trace reads the config exactly as run does
+    grid = _grid_config(
+        args.config, population, master_seed=args.seed, methods=(args.method,),
+        initial_kinds=(args.initial,), targets=(args.target,), iteration_cap=args.iteration_cap,
     )
+    cfg = grid.run_config(args.method, args.initial, args.target, subject.id, args.repeat)
     result = run_session(cfg, subject)
     with open(args.out, "w") as handle:
         for shown in result.presented_sequence:
@@ -322,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SubjectFileError, ResultsFileError) as exc:
+    except (ConfigError, SubjectFileError, ResultsFileError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

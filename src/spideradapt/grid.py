@@ -14,9 +14,12 @@ import csv
 import io
 import math
 import statistics
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from itertools import product
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,6 +82,26 @@ class GridConfig:
     rounded_reward: bool = False
     workers: int = 1
 
+    def run_config(self, method: str, initial_kind: str, target: int, subject_id: int, repeat: int) -> RunConfig:
+        """The configuration of one run of this grid."""
+        return RunConfig(
+            method=method, subject_id=subject_id, target=target, initial_kind=initial_kind,
+            repeat_index=repeat, iteration_cap=self.iteration_cap, master_seed=self.master_seed,
+            rl=self.rl, ga=self.ga, rounded_reward=self.rounded_reward,
+        )
+
+    def validate(self) -> None:
+        """Check the grid's axes and counts, then the run configuration of every cell."""
+        for axis in (self.methods, self.initial_kinds, self.targets):
+            if not axis or len(set(axis)) != len(axis):
+                raise ValueError(f"grid axes must be non-empty without repeats, got {axis}")
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        for method, initial_kind, target in product(self.methods, self.initial_kinds, self.targets):
+            self.run_config(method, initial_kind, target, 0, 0).validate()
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -119,22 +142,8 @@ class ComparisonResult:
     markers: dict[str, str]
 
 
-def _method_order(name: str) -> tuple[int, str]:
-    try:
-        return (POLICY_NAMES.index(name), name)
-    except ValueError:
-        return (len(POLICY_NAMES), name)
-
-
-def _initial_order(kind: str) -> tuple[int, str]:
-    try:
-        return (INITIAL_KINDS.index(kind), kind)
-    except ValueError:
-        return (len(INITIAL_KINDS), kind)
-
-
 def _record_key(r: RunRecord) -> tuple:
-    return (_method_order(r.method), _initial_order(r.initial_kind), r.target, r.subject_id, r.repeat)
+    return (POLICY_NAMES.index(r.method), INITIAL_KINDS.index(r.initial_kind), r.target, r.subject_id, r.repeat)
 
 
 def _run_cell(cell: tuple[GridConfig, str, str, int]) -> list[RunRecord]:
@@ -155,18 +164,7 @@ def _run_cell(cell: tuple[GridConfig, str, str, int]) -> list[RunRecord]:
     records = []
     for subject in cfg.population.subjects:
         for repeat in range(cfg.repeats):
-            run_cfg = RunConfig(
-                method=method,
-                subject_id=subject.id,
-                target=target,
-                initial_kind=initial_kind,
-                repeat_index=repeat,
-                iteration_cap=cfg.iteration_cap,
-                master_seed=cfg.master_seed,
-                rl=cfg.rl,
-                ga=cfg.ga,
-                rounded_reward=cfg.rounded_reward,
-            )
+            run_cfg = cfg.run_config(method, initial_kind, target, subject.id, repeat)
             result = run_session(run_cfg, subject, qtable=table, record_sequence=False)
             records.append(RunRecord(
                 method, initial_kind, target, subject.id, repeat,
@@ -184,21 +182,10 @@ def run_grid(
     Worker count never changes the records: every run derives its rng from
     its own coordinates, a persistent Q-table lives inside one cell, and the
     output is sorted before returning. ``progress`` gets (cells done, cells).
+    The whole configuration is validated before any cell runs.
     """
-    for method in cfg.methods:
-        if method not in POLICY_NAMES:
-            raise ValueError(f"unknown method {method!r}; expected one of {POLICY_NAMES}")
-    if cfg.repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    if cfg.workers < 1:
-        raise ValueError("workers must be >= 1")
-
-    cells = [
-        (cfg, method, initial_kind, target)
-        for method in cfg.methods
-        for initial_kind in cfg.initial_kinds
-        for target in cfg.targets
-    ]
+    cfg.validate()
+    cells = [(cfg, *cell) for cell in product(cfg.methods, cfg.initial_kinds, cfg.targets)]
     records: list[RunRecord] = []
     with ExitStack() as stack:
         if cfg.workers == 1:
@@ -259,9 +246,9 @@ def summarize(records: Sequence[RunRecord], aggregation: str = "pooled") -> list
         )
     summaries.sort(
         key=lambda s: (
-            _initial_order(s.initial_kind),
+            INITIAL_KINDS.index(s.initial_kind),
             CATEGORY_ORDER.index(s.stress_category),
-            _method_order(s.method),
+            POLICY_NAMES.index(s.method),
         )
     )
     return summaries
@@ -345,7 +332,7 @@ def mark_significance(
         considered = [s for s in cell_summaries if s.considered and s.mean_presented is not None]
         if not considered:
             continue
-        best = min(considered, key=lambda s: (s.mean_presented, _method_order(s.method)))
+        best = min(considered, key=lambda s: (s.mean_presented, POLICY_NAMES.index(s.method)))
         best_means = subject_means.get((initial_kind, category, best.method), {})
         p_values: dict[str, float | None] = {}
         markers: dict[str, str] = {}
@@ -414,27 +401,38 @@ class ResultsFileError(ValueError):
 
 
 def results_from_csv(text: str) -> list[RunRecord]:
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or not set(RESULT_COLUMNS) <= set(reader.fieldnames):
-        missing = set(RESULT_COLUMNS) - set(reader.fieldnames or [])
-        raise ResultsFileError(f"results CSV is missing columns: {sorted(missing)}")
+    """Parse a results CSV, rejecting any row the report could not label.
+
+    Every row must name a known method and initial state, a target in 1..9,
+    and coordinates that no other row repeats.
+    """
+    reader = csv.reader(io.StringIO(text))
     records = []
+    seen = set()
     try:
+        header = next(reader, [])
+        if missing := set(RESULT_COLUMNS) - set(header):
+            raise ValueError(f"missing columns {sorted(missing)}")
+        fields_of = itemgetter(*(header.index(name) for name in RESULT_COLUMNS))
         for row in reader:
-            records.append(
-                RunRecord(
-                    method=row["method"],
-                    initial_kind=row["initial_kind"],
-                    target=int(row["target"]),
-                    subject_id=int(row["subject_id"]),
-                    repeat=int(row["repeat"]),
-                    success={"true": True, "false": False}[row["success"]],
-                    spiders_presented=int(row["spiders_presented"]),
-                    iterations_used=int(row["iterations_used"]),
-                )
-            )
-    except (KeyError, ValueError) as exc:
-        raise ResultsFileError(f"malformed results row: {exc}") from exc
+            if not row:
+                continue
+            method, initial_kind, target, subject_id, repeat, success, presented, iterations = fields_of(row)
+            target = int(target)
+            if method not in POLICY_NAMES:
+                raise ValueError(f"unknown method {method!r}")
+            if initial_kind not in INITIAL_KINDS:
+                raise ValueError(f"unknown initial kind {initial_kind!r}")
+            if not 1 <= target <= 9:
+                raise ValueError(f"target {target} not in 1..9")
+            # records share one string per name instead of holding one per row
+            coords = (sys.intern(method), sys.intern(initial_kind), target, int(subject_id), int(repeat))
+            if coords in seen:
+                raise ValueError(f"duplicate run {coords}")
+            seen.add(coords)
+            records.append(RunRecord(*coords, {"true": True, "false": False}[success], int(presented), int(iterations)))
+    except (IndexError, KeyError, ValueError, csv.Error) as exc:
+        raise ResultsFileError(f"malformed results CSV at line {reader.line_num}: {exc}") from exc
     if not records:
         raise ResultsFileError("results CSV contains no runs")
     return records
@@ -504,13 +502,13 @@ def summary_to_markdown(
     """
     markers = _marker_lookup(comparisons)
     best_of = {(c.initial_kind, c.stress_category): c.best_method for c in (comparisons or [])}
-    methods = sorted({s.method for s in summaries}, key=_method_order)
+    methods = sorted({s.method for s in summaries}, key=POLICY_NAMES.index)
     cells: dict[tuple[str, str], dict[str, CellSummary]] = {}
     for s in summaries:
         cells.setdefault((s.initial_kind, s.stress_category), {})[s.method] = s
 
     lines = [
-        "| Initial | Stress | Metric | " + " | ".join(METHOD_LABELS.get(m, m) for m in methods) + " |",
+        "| Initial | Stress | Metric | " + " | ".join(METHOD_LABELS[m] for m in methods) + " |",
         "|" + "---|" * (3 + len(methods)),
     ]
     for (initial_kind, category), by_method in cells.items():
@@ -554,7 +552,7 @@ def comparisons_to_csv(comparisons: Sequence[ComparisonResult]) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["initial_kind", "stress_category", "best_method", "method", "p_value", "marker"])
     for c in comparisons:
-        methods = sorted(set(c.p_values) | set(c.markers), key=_method_order)
+        methods = sorted(set(c.p_values) | set(c.markers), key=POLICY_NAMES.index)
         if not methods:
             writer.writerow([c.initial_kind, c.stress_category, c.best_method, "", "", ""])
         for m in methods:

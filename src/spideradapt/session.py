@@ -64,6 +64,21 @@ class RunConfig:
     ga: GAConfig = field(default_factory=GAConfig)
     rounded_reward: bool = False
 
+    def validate(self) -> None:
+        """Check every per-run range; the one place these checks live."""
+        if self.method not in POLICY_NAMES:
+            raise ValueError(f"unknown method {self.method!r}; expected one of {POLICY_NAMES}")
+        if self.initial_kind not in INITIAL_STATES:
+            raise ValueError(f"unknown initial kind {self.initial_kind!r}; expected one of {INITIAL_KINDS}")
+        if not 1 <= self.target <= 9:
+            raise ValueError(f"target must be in 1..9, got {self.target}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
+        if self.iteration_cap < 0:
+            raise ValueError(f"iteration_cap must be non-negative, got {self.iteration_cap}")
+        self.rl.validate()
+        self.ga.validate()
+
 
 @dataclass(frozen=True)
 class PresentedSpider:
@@ -84,17 +99,8 @@ class RunResult:
     presented_sequence: list[PresentedSpider]
 
 
-def initial_state_for(kind: str) -> SpiderState:
-    try:
-        return INITIAL_STATES[kind]
-    except KeyError:
-        raise ValueError(f"unknown initial kind {kind!r}; expected one of {INITIAL_KINDS}") from None
-
-
 def run_seed_sequence(cfg: RunConfig) -> np.random.SeedSequence:
     """Derive the per-run rng stream from exactly the run coordinates."""
-    if cfg.master_seed < 0:
-        raise ValueError("master_seed must be non-negative")
     return np.random.SeedSequence(
         [
             cfg.master_seed,
@@ -123,21 +129,6 @@ def _response_tables(
     return stresses, rewards, successes
 
 
-def _validate(cfg: RunConfig, subject: VirtualSubject, qtable: QTable | None) -> None:
-    if cfg.method not in POLICY_NAMES:
-        raise ValueError(f"unknown method {cfg.method!r}; expected one of {POLICY_NAMES}")
-    if cfg.initial_kind not in INITIAL_STATES:
-        raise ValueError(f"unknown initial kind {cfg.initial_kind!r}")
-    if subject.id != cfg.subject_id:
-        raise ValueError(f"subject id {subject.id} does not match config subject_id {cfg.subject_id}")
-    if cfg.iteration_cap < 0:
-        raise ValueError("iteration_cap must be non-negative")
-    if qtable is not None and cfg.method not in RL_METHODS:
-        raise ValueError(f"a Q-table makes no sense for method {cfg.method!r}")
-    cfg.rl.validate()
-    cfg.ga.validate()
-
-
 def run_session(
     cfg: RunConfig,
     subject: VirtualSubject,
@@ -151,7 +142,11 @@ def run_session(
     ``record_sequence`` to False skips building the presentation trace, which
     large grids use to save memory; the counts are unaffected.
     """
-    _validate(cfg, subject, qtable)
+    cfg.validate()
+    if subject.id != cfg.subject_id:
+        raise ValueError(f"subject id {subject.id} does not match config subject_id {cfg.subject_id}")
+    if qtable is not None and cfg.method not in RL_METHODS:
+        raise ValueError(f"a Q-table makes no sense for method {cfg.method!r}")
     space = state_space()
     stresses, rewards, successes = _response_tables(subject, cfg.target, cfg.rounded_reward)
     rng = np.random.default_rng(run_seed_sequence(cfg))

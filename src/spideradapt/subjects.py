@@ -182,7 +182,7 @@ def load_population(path: str | Path) -> SubjectPopulation:
     """Read a subjects file back; validates ids and coefficient consistency."""
     try:
         payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:  # ValueError: undecodable text or JSON
         raise SubjectFileError(f"cannot read subjects file {path}: {exc}") from exc
     try:
         seed = int(payload["seed"])

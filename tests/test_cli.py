@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spideradapt.cli import main
 
@@ -81,6 +85,11 @@ def test_run_rejects_unknown_method(tmp_path, subjects_file, capsys):
         ]
     )
     assert code == 1
+    # a bad value given as a flag is a usage error, even where the config's is a data error
+    code = main(
+        ["run", "--subjects", str(subjects_file), "--out", str(tmp_path / "r.csv"), "--seed", "1", "--targets", "0"]
+    )
+    assert code == 1
 
 
 def test_run_missing_subjects_is_data_error(tmp_path, capsys):
@@ -146,6 +155,12 @@ def test_run_config_rejects_unknown_keys(tmp_path, subjects_file, capsys):
         ["run", "--subjects", str(subjects_file), "--out", str(tmp_path / "o.csv"), "--config", str(config)]
     )
     assert code == 2
+    for text in (b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe{"):  # too deep to parse; not UTF-8
+        config.write_bytes(text)
+        code = main(
+            ["run", "--subjects", str(subjects_file), "--out", str(tmp_path / "o.csv"), "--config", str(config)]
+        )
+        assert code == 2
 
 
 @pytest.mark.parametrize(
@@ -154,6 +169,19 @@ def test_run_config_rejects_unknown_keys(tmp_path, subjects_file, capsys):
         {"rl": {"epsilon": "0.1"}},
         {"rounded_reward": "false"},
         {"rl": {"init_mode": "random"}},
+        {"iteration_cap": None},
+        {"master_seed": [1]},
+        {"targets": ["1"]},
+        {"targets": [1.5]},
+        {"targets": 5},
+        {"repeats": "2"},
+        {"repeats": 2.7},
+        {"master_seed": 1.5},
+        {"workers": "2"},
+        {"repeat": 5},
+        {"methods": "ga"},
+        {"targets": [0]},
+        {"rl": {"epsilon": 2.0}},
     ],
 )
 def test_run_config_rejects_mistyped_and_removed_keys(tmp_path, subjects_file, capsys, config):
@@ -188,11 +216,16 @@ def test_summarize_empty_results_is_data_error(tmp_path, capsys):
         "method,initial_kind,target,subject_id,repeat,success,spiders_presented,iterations_used\n"
     )
     assert main(["summarize", "--results", str(empty)]) == 2
+    bogus = tmp_path / "bogus.csv"
+    bogus.write_text(empty.read_text() + "bogus,min,1,0,0,true,3,1\n")
+    assert main(["summarize", "--results", str(bogus)]) == 2
 
 
 def test_summarize_missing_columns_is_data_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("method,target\nrandom,1\n")
+    assert main(["summarize", "--results", str(bad)]) == 2
+    bad.write_bytes(b"\xff\xfe")  # not UTF-8
     assert main(["summarize", "--results", str(bad)]) == 2
 
 
@@ -246,6 +279,28 @@ def test_trace_emits_jsonl(tmp_path, subjects_file, capsys):
     assert str(len(lines)) in summary
 
 
+def test_trace_reads_the_run_config(tmp_path, subjects_file, capsys):
+    argv = [
+        "trace",
+        "--subjects", str(subjects_file),
+        "--subject-id", "0",
+        "--method", "rl_zero",
+        "--target", "7",
+        "--initial", "min",
+        "--out", str(tmp_path / "t.jsonl"),
+    ]
+    config = tmp_path / "config.json"
+    # master_seed and iteration_cap come from the config when their flags are absent
+    config.write_text(json.dumps({"master_seed": 4, "iteration_cap": 0}))
+    assert main(argv + ["--config", str(config)]) == 0
+    assert "iterations=0" in capsys.readouterr().out
+    config.write_text(json.dumps({"master_seed": 4, "iteration_cap": 0, "bogus_key": 1}))
+    assert main(argv + ["--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert main(argv) == 1  # no seed anywhere
+
+
 def test_trace_deterministic(tmp_path, subjects_file):
     out_a = tmp_path / "a.jsonl"
     out_b = tmp_path / "b.jsonl"
@@ -261,3 +316,60 @@ def test_trace_deterministic(tmp_path, subjects_file):
     assert main(argv + ["--out", str(out_a)]) == 0
     assert main(argv + ["--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 10_000) | st.sampled_from([2**63, 2**70])
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+# values of the right JSON type, in range or just outside it
+_NEAR_VALID = {
+    "master_seed": st.integers(-1, 2**70),
+    "methods": st.lists(st.sampled_from(["random", "greedy", "ga", "rl_zero", "mcts"]), max_size=2),
+    "initial_kinds": st.lists(st.sampled_from(["min", "avg", "max", "median"]), max_size=2),
+    "targets": st.lists(st.integers(0, 10), max_size=2),
+    "repeats": st.integers(-1, 3),
+    "iteration_cap": st.integers(-1, 200),
+    "workers": st.integers(-1, 3),
+    "rounded_reward": st.booleans(),
+    "rl": st.fixed_dictionaries({}, optional={
+        "epsilon": st.floats(-0.5, 1.5), "persist_across_runs": st.booleans(), "eps": _JUNK,
+    }),
+    "ga": st.fixed_dictionaries({}, optional={
+        "population_size": st.integers(0, 20), "children_per_pair": st.integers(0, 3), "mutation_prob": _JUNK,
+    }),
+}
+_CONFIGS = st.fixed_dictionaries({}, optional=_NEAR_VALID) | st.dictionaries(
+    st.sampled_from(list(_NEAR_VALID)) | st.text(max_size=4), _JUNK, max_size=4
+)
+
+
+@pytest.fixture(scope="module")
+def one_subject_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "subjects.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-subjects", "--n", "1", "--seed", "7", "--out", str(path)]) == 0
+    return path
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(config=_CONFIGS)
+def test_run_config_fuzz_exits_cleanly(one_subject_file, config):
+    directory = one_subject_file.parent
+    path = directory / "config.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([
+            "run", "--subjects", str(one_subject_file), "--out", str(directory / "r.csv"),
+            "--config", str(path),
+            "--methods", "greedy", "--initials", "min", "--targets", "1", "--repeats", "1", "--workers", "1",
+        ])
+    assert code in (0, 1, 2)
+    if code == 0:  # the flags fix the grid at one run, whatever the config says
+        assert len((directory / "r.csv").read_text().splitlines()) == 2
+    else:
+        text = err.getvalue()
+        assert text.startswith("error: ") and text.count("\n") == 1, text

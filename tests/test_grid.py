@@ -78,10 +78,22 @@ def test_run_grid_worker_parity(small_population):
 
 
 def test_run_grid_validation(small_population):
-    with pytest.raises(ValueError):
-        run_grid(GridConfig(population=small_population, master_seed=1, methods=("mcts",)))
-    with pytest.raises(ValueError):
-        run_grid(GridConfig(population=small_population, master_seed=1, repeats=0))
+    # every bad setting raises before any cell runs, so progress never fires
+    seen = []
+    bad = [
+        {"methods": ("mcts",)},
+        {"repeats": 0},
+        {"targets": (0,)},
+        {"initial_kinds": ("median",)},
+        {"workers": 0},
+        {"methods": ()},
+        {"targets": (1, 1)},
+    ]
+    for overrides in bad:
+        cfg = GridConfig(population=small_population, master_seed=1, **overrides)
+        with pytest.raises(ValueError):
+            run_grid(cfg, progress=lambda done, total: seen.append(done))
+    assert seen == []
 
 
 def test_run_grid_progress_callback(small_population):
@@ -300,6 +312,19 @@ def test_results_from_csv_rejects_bad_input():
             "method,initial_kind,target,subject_id,repeat,success,spiders_presented,iterations_used\n"
             "random,min,1,0,0,maybe,3,1\n"
         )
+    header = "method,initial_kind,target,subject_id,repeat,success,spiders_presented,iterations_used\n"
+    good = "random,min,1,0,0,true,3,1\n"
+    assert len(results_from_csv(header + good + "\n")) == 1  # blank lines are skipped
+    for rows in (
+        "random,min\n",  # short row
+        "random,min,1,0,0,true,3," + "1" * 200_000 + "\n",  # field over the csv module's limit
+        "bogus,min,1,0,0,true,3,1\n",  # unknown method
+        "random,median,1,0,0,true,3,1\n",  # unknown initial kind
+        "random,min,0,0,0,true,3,1\n",  # target outside 1..9
+        good + "random,min,1,0,0,false,4,2\n",  # duplicated coordinates
+    ):
+        with pytest.raises(ResultsFileError):
+            results_from_csv(header + rows)
 
 
 def test_summary_emission_formats():

@@ -42,6 +42,12 @@ def test_unknown_method_and_mismatched_subject(example_subject):
     with pytest.raises(ValueError):
         run_session(_cfg(initial_kind="median"), example_subject)
     with pytest.raises(ValueError):
+        run_session(_cfg(target=0), example_subject)
+    with pytest.raises(ValueError):
+        run_session(_cfg(iteration_cap=-1), example_subject)
+    with pytest.raises(ValueError):
+        run_session(_cfg(master_seed=-1), example_subject)
+    with pytest.raises(ValueError):
         run_session(_cfg(method="greedy"), example_subject, qtable=QTable.zeros())
 
 

@@ -187,9 +187,10 @@ def test_population_file_schema(tmp_path, small_population):
 
 def test_load_population_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("not json")
-    with pytest.raises(SubjectFileError):
-        load_population(path)
+    for text in (b"not json", b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe{"):  # garbage; too deep; not UTF-8
+        path.write_bytes(text)
+        with pytest.raises(SubjectFileError):
+            load_population(path)
     path.write_text(json.dumps({"seed": 1, "subjects": [{"id": 0, "weights": [1, 1, 1, 1, 1, 1]}]}))
     with pytest.raises(SubjectFileError):
         load_population(path)
