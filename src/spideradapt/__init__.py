@@ -8,10 +8,8 @@ subjects, with a reproducible evaluation grid and significance testing.
 from .domain import (
     ACTIONS,
     Action,
-    AttributeSpec,
     SpiderState,
     apply_action,
-    attribute_table,
     enumerate_states,
     neighbors,
     state_index,

@@ -18,7 +18,9 @@ from pathlib import Path
 from .domain import enumerate_states
 from .grid import (
     GridConfig,
+    RESULT_COLUMNS,
     ResultsFileError,
+    RunRecord,
     comparisons_to_csv,
     mark_significance,
     results_from_csv,
@@ -84,7 +86,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("summarize", help="aggregate a results CSV into the category table")
     p.add_argument("--results", required=True)
     p.add_argument("--format", choices=("csv", "markdown"), default="markdown")
-    p.add_argument("--aggregation", choices=("pooled", "per_target"), default="pooled")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("compare", help="best-method significance tests per cell")
@@ -226,9 +227,20 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _read_results(path: str) -> list[RunRecord]:
+    """The records of the results CSV at ``path``; warns on stderr when its grid is incomplete."""
+    records = results_from_csv(Path(path).read_text())
+    # the first five columns are a run's coordinates, and they never repeat, so a
+    # complete grid has a run for every combination of the values on those axes
+    expected = math.prod(len({getattr(r, axis) for r in records}) for axis in RESULT_COLUMNS[:5])
+    if len(records) < expected:
+        print(f"warning: {path} is an incomplete grid: {len(records)} of {expected} runs", file=sys.stderr)
+    return records
+
+
 def _cmd_summarize(args) -> int:
-    records = results_from_csv(Path(args.results).read_text())
-    summaries = summarize(records, aggregation=args.aggregation)
+    records = _read_results(args.results)
+    summaries = summarize(records)
     comparisons = mark_significance(records, summaries)
     text = (
         summary_to_csv(summaries, comparisons)
@@ -244,7 +256,7 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    records = results_from_csv(Path(args.results).read_text())
+    records = _read_results(args.results)
     comparisons = mark_significance(records)
     text = comparisons_to_csv(comparisons)
     if args.out is None:

@@ -34,17 +34,6 @@ IMPACT_STDS = (0.15, 0.15, 0.17, 0.16, 0.21, 0.20)
 
 
 @dataclass(frozen=True)
-class AttributeSpec:
-    """One ordinal attribute: its value range and fear-impact distribution."""
-
-    name: str
-    min_value: int
-    max_value: int
-    impact_mean: float
-    impact_std: float
-
-
-@dataclass(frozen=True)
 class Action:
     """Change one attribute by one step in either direction."""
 
@@ -61,16 +50,6 @@ class Action:
 ACTIONS: tuple[Action, ...] = tuple(
     Action(i, d) for i in range(N_ATTRIBUTES) for d in (-1, +1)
 )
-
-
-def attribute_table() -> tuple[AttributeSpec, ...]:
-    """The six attribute specs in canonical order."""
-    return tuple(
-        AttributeSpec(name, lo, hi, mean, std)
-        for name, lo, hi, mean, std in zip(
-            ATTRIBUTE_NAMES, MIN_VALUES, MAX_VALUES, IMPACT_MEANS, IMPACT_STDS
-        )
-    )
 
 
 def is_valid_state(state: SpiderState) -> bool:
@@ -170,7 +149,6 @@ class StateSpace:
             self.next_state.append(row)
             self.valid_action_ids.append(ids)
             self.neighbor_ids.append(nbrs)
-        self.state_matrix = np.array(self.states, dtype=float)
 
 
 @lru_cache(maxsize=1)

@@ -191,7 +191,8 @@ def run_grid(
         if cfg.workers == 1:
             results = map(_run_cell, cells)
         else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.workers))
+            # a fork pool starts every worker at once, so never ask for more than there is work
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(cfg.workers, len(cells))))
             results = pool.map(_run_cell, cells)
         for i, cell_records in enumerate(results):
             records.extend(cell_records)
@@ -205,15 +206,11 @@ def run_grid(
 # Aggregation
 
 
-def summarize(records: Sequence[RunRecord], aggregation: str = "pooled") -> list[CellSummary]:
+def summarize(records: Sequence[RunRecord]) -> list[CellSummary]:
     """Aggregate runs into (initial, category, method) cells.
 
-    ``pooled`` (default) computes mean/std over every successful run in the
-    cell; ``per_target`` first averages within each target and reports the
-    mean/std of those per-target means.
+    A cell's mean and std pool every successful run in it, whatever its target.
     """
-    if aggregation not in ("pooled", "per_target"):
-        raise ValueError(f"unknown aggregation {aggregation!r}")
     cells: dict[tuple[str, str, str], list[RunRecord]] = {}
     for r in records:
         cells.setdefault((r.initial_kind, category_of(r.target), r.method), []).append(r)
@@ -222,16 +219,8 @@ def summarize(records: Sequence[RunRecord], aggregation: str = "pooled") -> list
     for (initial_kind, category, method), cell_records in cells.items():
         successes = [r.spiders_presented for r in cell_records if r.success]
         accuracy = 100.0 * len(successes) / len(cell_records)
-        if aggregation == "pooled":
-            values = [float(v) for v in successes]
-        else:
-            by_target: dict[int, list[int]] = {}
-            for r in cell_records:
-                if r.success:
-                    by_target.setdefault(r.target, []).append(r.spiders_presented)
-            values = [statistics.fmean(v) for _, v in sorted(by_target.items())]
-        mean = statistics.fmean(values) if values else None
-        std = statistics.stdev(values) if len(values) >= 2 else None
+        mean = statistics.fmean(successes) if successes else None
+        std = statistics.stdev(successes) if len(successes) >= 2 else None
         summaries.append(
             CellSummary(
                 initial_kind=initial_kind,
@@ -444,7 +433,7 @@ def _fmt(value: float | None) -> str:
 
 def summary_to_csv(
     summaries: Sequence[CellSummary],
-    comparisons: Sequence[ComparisonResult] | None = None,
+    comparisons: Sequence[ComparisonResult],
 ) -> str:
     markers = _marker_lookup(comparisons)
     out = io.StringIO()
@@ -480,10 +469,8 @@ def summary_to_csv(
 
 
 def _marker_lookup(
-    comparisons: Sequence[ComparisonResult] | None,
+    comparisons: Sequence[ComparisonResult],
 ) -> dict[tuple[str, str, str], str]:
-    if not comparisons:
-        return {}
     return {
         (c.initial_kind, c.stress_category, method): marker
         for c in comparisons
@@ -493,7 +480,7 @@ def _marker_lookup(
 
 def summary_to_markdown(
     summaries: Sequence[CellSummary],
-    comparisons: Sequence[ComparisonResult] | None = None,
+    comparisons: Sequence[ComparisonResult],
 ) -> str:
     """Markdown table: one block per (initial, category), methods as columns.
 
@@ -501,7 +488,7 @@ def summary_to_markdown(
     accuracy filter show their spread in parentheses instead of a +/-.
     """
     markers = _marker_lookup(comparisons)
-    best_of = {(c.initial_kind, c.stress_category): c.best_method for c in (comparisons or [])}
+    best_of = {(c.initial_kind, c.stress_category): c.best_method for c in comparisons}
     methods = sorted({s.method for s in summaries}, key=POLICY_NAMES.index)
     cells: dict[tuple[str, str], dict[str, CellSummary]] = {}
     for s in summaries:

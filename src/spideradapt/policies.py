@@ -68,30 +68,16 @@ class RLConfig:
 
 @dataclass
 class GAConfig:
-    """Genetic algorithm parameters.
-
-    Two parent pairs are sampled per generation, each producing
-    ``children_per_pair`` offspring (2 keeps both crossover halves, 1 keeps
-    only the first). ``early_stop_within_batch`` makes the session check for
-    success after every single presentation inside a batch instead of only at
-    batch boundaries.
-    """
+    """Genetic algorithm parameters; ``ga_generation`` breeds two pairs per generation."""
 
     population_size: int = 10
     mutation_prob: float = 0.1
-    pairs_per_generation: int = 2
-    children_per_pair: int = 2
-    early_stop_within_batch: bool = False
 
     def validate(self) -> None:
         if self.population_size < 2:
             raise ValueError(f"population_size must be >= 2, got {self.population_size}")
         if not 0.0 <= self.mutation_prob <= 1.0:
             raise ValueError(f"mutation_prob must be in [0, 1], got {self.mutation_prob}")
-        if self.pairs_per_generation < 1:
-            raise ValueError("pairs_per_generation must be >= 1")
-        if self.children_per_pair not in (1, 2):
-            raise ValueError("children_per_pair must be 1 or 2")
 
 
 class QTable:
@@ -216,11 +202,12 @@ def ga_generation(
     """Produce one generation of offspring by crossover and mutation.
 
     Parents are drawn fitness-proportionally after shifting fitness by +1
-    (raw fitness lies in [-1, 1]). Each pair is crossed at the midpoint:
-    one child takes the first half of the attributes from the first parent
-    and the second half from the other, its sibling the converse. Mutation
-    re-rolls one uniformly chosen attribute to a uniformly chosen valid
-    value with probability ``mutation_prob``.
+    (raw fitness lies in [-1, 1]). Two pairs are drawn, and each is crossed
+    at the midpoint: one child takes the first half of the attributes from
+    the first parent and the second half from the other, its sibling the
+    converse; both children are kept. Mutation re-rolls one uniformly
+    chosen attribute to a uniformly chosen valid value with probability
+    ``mutation_prob``.
     """
     if not population:
         raise ValueError("population must be non-empty")
@@ -230,12 +217,11 @@ def ga_generation(
     cum = list(accumulate(f + 1.0 for f in fitnesses))
     total = cum[-1]
     offspring: list[int] = []
-    for _ in range(cfg.pairs_per_generation):
+    for _ in range(2):
         p1 = population[_pick_weighted(cum, total, n, rng)]
         p2 = population[_pick_weighted(cum, total, n, rng)]
         low1, low2 = p1 % _CROSSOVER_SPLIT, p2 % _CROSSOVER_SPLIT
-        children = [p1 - low1 + low2, p2 - low2 + low1]
-        for child in children[: cfg.children_per_pair]:
+        for child in (p1 - low1 + low2, p2 - low2 + low1):
             offspring.append(_mutate(child, cfg.mutation_prob, rng))
     return offspring
 

@@ -26,8 +26,6 @@ class RewardSpec:
     """
 
     target: int
-    min_stress: float = MIN_STRESS
-    max_stress: float = MAX_STRESS
     use_rounded_stress: bool = False
     sigma: float = field(init=False)
     alpha: float = field(init=False)
@@ -35,18 +33,16 @@ class RewardSpec:
     def __post_init__(self) -> None:
         if not 1 <= self.target <= 9:
             raise ValueError(f"target must be an integer in 1..9, got {self.target!r}")
-        if not self.min_stress < self.max_stress:
-            raise ValueError("min_stress must be below max_stress")
-        sigma = (self.max_stress - self.min_stress) / 2
-        alpha = self.max_stress if self.target < sigma else self.min_stress
+        sigma = (MAX_STRESS - MIN_STRESS) / 2
+        alpha = MAX_STRESS if self.target < sigma else MIN_STRESS
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "alpha", alpha)
 
 
 def reward(x: float, spec: RewardSpec) -> float:
     """Reward in [-1, 1] for stress ``x``: 1 at the target, -1 at ``alpha``."""
-    if not spec.min_stress <= x <= spec.max_stress:
-        raise ValueError(f"stress {x!r} outside [{spec.min_stress}, {spec.max_stress}]")
+    if not MIN_STRESS <= x <= MAX_STRESS:
+        raise ValueError(f"stress {x!r} outside [{MIN_STRESS}, {MAX_STRESS}]")
     if spec.use_rounded_stress:
         x = float(math.floor(x + 0.5))
     mu, sigma = float(spec.target), spec.sigma

@@ -8,7 +8,7 @@ tables and leaves every decision to the functions in ``policies``. Each
 iteration presents one batch: a sequential move is a batch of one, greedy's
 ranking is the batch of every neighbour, and a GA generation is its
 offspring. Sequential batches stop at the first success; a GA batch is
-checked for success at its end unless ``early_stop_within_batch`` is set.
+presented whole and checked for success at its end.
 
 Every run owns an rng stream derived from the full run coordinates, so
 results are bit-reproducible regardless of scheduling.
@@ -177,15 +177,14 @@ def run_session(
     method = cfg.method
 
     if method == "ga":
-        early_stop = cfg.ga.early_stop_within_batch
         population = ga_initial_population(start, rewards, cfg.ga.population_size)
-        hit = present(population, 0, early_stop)
+        hit = present(population, 0, False)
         if hit is not None:
             return result(True, 0, hit)
         for gen in range(1, cfg.iteration_cap + 1):
             fits = [rewards[i] for i in population]
             offspring = ga_generation(population, fits, cfg.ga, rng)
-            hit = present(offspring, gen, early_stop)
+            hit = present(offspring, gen, False)
             if hit is not None:
                 return result(True, gen, hit)
             pool = population + offspring

@@ -34,8 +34,6 @@ from .domain import (
 )
 from .reward_model import MAX_STRESS, is_success
 
-MAX_STATE: SpiderState = tuple(MAX_VALUES)
-
 
 @dataclass(frozen=True)
 class VirtualSubject:
@@ -200,8 +198,9 @@ def load_population(path: str | Path) -> SubjectPopulation:
     for i, s in enumerate(subjects):
         if s.id != i:
             raise SubjectFileError(f"subject ids must be 0..n-1, found {s.id} at position {i}")
-        if len(s.weights) != N_ATTRIBUTES or any(w < 0 for w in s.weights):
+        # NaN makes every comparison false, so finiteness is checked explicitly
+        if len(s.weights) != N_ATTRIBUTES or not all(math.isfinite(w) and w >= 0 for w in s.weights):
             raise SubjectFileError(f"subject {s.id} has invalid weights")
-        if abs(s.coefficient * _weighted_max(s.weights) - MAX_STRESS) > 1e-6:
+        if not math.isfinite(s.coefficient) or abs(s.coefficient * _weighted_max(s.weights) - MAX_STRESS) > 1e-6:
             raise SubjectFileError(f"subject {s.id} coefficient does not scale stress to 10")
     return SubjectPopulation(seed=seed, subjects=subjects)

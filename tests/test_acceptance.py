@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from spideradapt.domain import enumerate_states, neighbors, state_index, state_space
+from spideradapt.domain import enumerate_states, neighbors, state_index
 from spideradapt.grid import (
     GridConfig,
     mark_significance,
@@ -108,7 +108,7 @@ def test_criterion_3_subject_scaling():
     def check():
         start = time.perf_counter()
         big = generate_population(10_000, 2024)
-        matrix = state_space().state_matrix  # (486, 6)
+        matrix = np.array(enumerate_states(), dtype=float)  # (486, 6)
         weights = np.array([s.weights for s in big.subjects])  # (n, 6)
         coeffs = np.array([s.coefficient for s in big.subjects])
         stresses = (matrix @ weights.T) * coeffs  # (486, n)

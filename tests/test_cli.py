@@ -182,6 +182,9 @@ def test_run_config_rejects_unknown_keys(tmp_path, subjects_file, capsys):
         {"methods": "ga"},
         {"targets": [0]},
         {"rl": {"epsilon": 2.0}},
+        {"ga": {"pairs_per_generation": 2}},
+        {"ga": {"children_per_pair": 2}},
+        {"ga": {"early_stop_within_batch": False}},
     ],
 )
 def test_run_config_rejects_mistyped_and_removed_keys(tmp_path, subjects_file, capsys, config):
@@ -208,6 +211,27 @@ def test_summarize_markdown_and_csv(tmp_path, subjects_file, capsys):
     out = tmp_path / "summary.md"
     assert main(["summarize", "--results", str(results), "--out", str(out)]) == 0
     assert out.read_text().startswith("| Initial |")
+    with pytest.raises(SystemExit) as err:  # the summary always pools; the flag is gone
+        main(["summarize", "--results", str(results), "--aggregation", "pooled"])
+    assert err.value.code == 1
+
+
+def test_summarize_and_compare_warn_about_incomplete_grids(tmp_path, subjects_file, capsys):
+    results = _run_results(tmp_path, subjects_file)
+    lines = results.read_text().splitlines()
+    single = tmp_path / "greedy.csv"  # a complete grid of one method
+    single.write_text("\n".join(line for line in lines if not line.startswith("random,")) + "\n")
+    capsys.readouterr()
+    for complete in (results, single):
+        for command in ("summarize", "compare"):
+            assert main([command, "--results", str(complete)]) == 0
+            assert capsys.readouterr().err == ""
+    results.write_text("\n".join(lines[:5] + lines[6:]) + "\n")  # one run fewer
+    for command in ("summarize", "compare"):
+        assert main([command, "--results", str(results)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: ") and err.count("\n") == 1
+        assert f"{len(lines) - 2} of {len(lines) - 1} runs" in err
 
 
 def test_summarize_empty_results_is_data_error(tmp_path, capsys):
@@ -251,6 +275,24 @@ def test_oracle_report(subjects_file, capsys):
 def test_oracle_validates_ids(subjects_file, capsys):
     assert main(["oracle", "--subjects", str(subjects_file), "--subject-id", "99", "--target", "1"]) == 2
     assert main(["oracle", "--subjects", str(subjects_file), "--subject-id", "0", "--target", "12"]) == 1
+
+
+@pytest.mark.parametrize("weight, coefficient", [("NaN", "NaN"), ("Infinity", "0")])
+def test_non_finite_subjects_are_data_errors(tmp_path, capsys, weight, coefficient):
+    path = tmp_path / "subjects.json"
+    path.write_text(
+        f'{{"seed": 1, "subjects": [{{"id": 0, "weights": [{weight}, 1, 1, 1, 1, 1], "coefficient": {coefficient}}}]}}'
+    )
+    common = ["--subjects", str(path)]
+    target = ["--subject-id", "0", "--target", "1", "--initial", "min"]
+    for argv in (
+        ["run", *common, "--out", str(tmp_path / "r.csv"), "--seed", "1", "--repeats", "1"],
+        ["oracle", *common, *target],
+        ["trace", *common, *target, "--method", "greedy", "--seed", "1", "--out", str(tmp_path / "t.jsonl")],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_trace_emits_jsonl(tmp_path, subjects_file, capsys):
@@ -338,7 +380,7 @@ _NEAR_VALID = {
         "epsilon": st.floats(-0.5, 1.5), "persist_across_runs": st.booleans(), "eps": _JUNK,
     }),
     "ga": st.fixed_dictionaries({}, optional={
-        "population_size": st.integers(0, 20), "children_per_pair": st.integers(0, 3), "mutation_prob": _JUNK,
+        "population_size": st.integers(0, 20), "mutation_prob": st.floats(-0.5, 1.5) | _JUNK,
     }),
 }
 _CONFIGS = st.fixed_dictionaries({}, optional=_NEAR_VALID) | st.dictionaries(

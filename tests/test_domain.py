@@ -4,11 +4,13 @@ from hypothesis import strategies as st
 
 from spideradapt.domain import (
     ACTIONS,
+    ATTRIBUTE_NAMES,
+    IMPACT_MEANS,
+    IMPACT_STDS,
     MAX_VALUES,
     MIN_VALUES,
     Action,
     apply_action,
-    attribute_table,
     enumerate_states,
     is_valid_state,
     neighbors,
@@ -26,17 +28,15 @@ states_strategy = st.tuples(
 
 
 def test_attribute_table_values():
-    table = attribute_table()
-    assert len(table) == 6
-    assert [a.name for a in table] == [
+    assert ATTRIBUTE_NAMES == (
         "locomotion",
         "amount_of_movement",
         "closeness",
         "largeness",
         "hairiness",
         "color",
-    ]
-    assert [(a.impact_mean, a.impact_std) for a in table] == [
+    )
+    assert list(zip(IMPACT_MEANS, IMPACT_STDS)) == [
         (0.9, 0.15),
         (0.9, 0.15),
         (0.4, 0.17),
@@ -44,11 +44,11 @@ def test_attribute_table_values():
         (0.6, 0.21),
         (0.5, 0.20),
     ]
-    assert all(a.min_value == 0 for a in table)
-    assert [a.max_value for a in table] == [2, 2, 2, 2, 1, 2]
-    closeness = table[2]
-    assert closeness.impact_mean == 0.4 and closeness.impact_std == 0.17
-    assert table[4].max_value == 1  # hairiness is binary
+    assert MIN_VALUES == (0,) * 6
+    assert MAX_VALUES == (2, 2, 2, 2, 1, 2)
+    closeness = ATTRIBUTE_NAMES.index("closeness")
+    assert IMPACT_MEANS[closeness] == 0.4 and IMPACT_STDS[closeness] == 0.17
+    assert MAX_VALUES[ATTRIBUTE_NAMES.index("hairiness")] == 1  # hairiness is binary
 
 
 def test_enumerate_states_count_and_order():

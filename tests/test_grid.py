@@ -5,6 +5,7 @@ import math
 import pytest
 import scipy.stats
 
+import spideradapt.grid
 from spideradapt.grid import (
     GridConfig,
     ResultsFileError,
@@ -106,6 +107,34 @@ def test_run_grid_progress_callback(small_population):
     assert seen == [(1, 2), (2, 2)]
 
 
+def test_run_grid_asks_for_no_more_workers_than_cells(small_population, monkeypatch):
+    asked = []
+
+    class SerialPool:
+        """Records the worker count it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(spideradapt.grid, "ProcessPoolExecutor", SerialPool)
+    one = SubjectPopulation(small_population.seed, small_population.subjects[:1])
+    cfg = GridConfig(population=one, master_seed=1, methods=("random",),
+                     initial_kinds=("min",), targets=(1, 2), repeats=1)
+    records = run_grid(dataclasses.replace(cfg, workers=64))
+    assert asked == [2]
+    assert records == run_grid(cfg)  # the serial branch asks for no pool at all
+    assert asked == [2]
+
+
 def test_persistent_grid_runs_and_is_deterministic(small_population):
     two = SubjectPopulation(small_population.seed, small_population.subjects[:2])
     cfg = GridConfig(population=two, master_seed=3, methods=("rl_zero", "random"),
@@ -161,21 +190,15 @@ def test_summarize_pools_across_category_targets():
     (cell,) = summarize(records)
     assert cell.stress_category == "low"
     assert cell.mean_presented == pytest.approx(5.0)
-
-
-def test_summarize_per_target_aggregation():
+    # every run weighs the same, not every target: target 1's two runs count twice
     records = [
         _rec("random", 2, 0, target=1),
         _rec("random", 4, 1, target=1),
         _rec("random", 9, 0, target=2),
     ]
-    pooled = summarize(records)[0]
-    per_target = summarize(records, aggregation="per_target")[0]
-    assert pooled.mean_presented == pytest.approx(5.0)
-    assert per_target.mean_presented == pytest.approx((3.0 + 9.0) / 2)
-    assert per_target.std_presented == pytest.approx(math.sqrt(18.0), abs=1e-9)
-    with pytest.raises(ValueError):
-        summarize(records, aggregation="median")
+    (cell,) = summarize(records)
+    assert cell.mean_presented == pytest.approx(5.0)
+    assert cell.std_presented == pytest.approx(math.sqrt(13.0), abs=1e-9)
 
 
 def test_summarize_invariant_to_record_order(small_population):

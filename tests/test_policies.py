@@ -182,14 +182,14 @@ def test_ga_initial_population_sizes(example_subject):
 
 
 def test_ga_crossover_midpoint():
-    cfg = GAConfig(mutation_prob=0.0, pairs_per_generation=1)
+    cfg = GAConfig(mutation_prob=0.0)
     population = [MIN_I, MAX_I]
     # fitnesses force one parent each way often enough; scan until both orders seen
     rng = np.random.default_rng(2)
     seen = set()
     for _ in range(200):
         children = ga_generation(population, [0.5, 0.5], cfg, rng)
-        assert len(children) == 2
+        assert len(children) == 4
         seen.update(STATES[c] for c in children)
     assert (0, 0, 0, 2, 2, 1) not in seen  # malformed mixtures never appear
     assert {(0, 0, 0, 2, 1, 2), (2, 2, 2, 0, 0, 0)} <= seen
@@ -207,9 +207,9 @@ def test_ga_generation_output_size_and_validity(small_population):
     population = ga_initial_population(state_index((1, 1, 2, 0, 1, 2)), rewards)
     fits = [rewards[s] for s in population]
     rng = np.random.default_rng(13)
-    for cfg in (GAConfig(), GAConfig(pairs_per_generation=3), GAConfig(children_per_pair=1)):
+    for cfg in (GAConfig(), GAConfig(mutation_prob=1.0)):
         children = ga_generation(population, fits, cfg, rng)
-        assert len(children) == cfg.pairs_per_generation * cfg.children_per_pair
+        assert len(children) == 4  # two pairs, both crossover children of each
         assert all(0 <= c < len(STATES) and is_valid_state(STATES[c]) for c in children)
 
 
@@ -223,7 +223,7 @@ def test_ga_generation_alignment_errors():
 def test_ga_fitness_proportional_sampling_frequencies():
     # With shifted fitnesses (f+1) of 0.5, 1.0, 2.5 the pick shares are
     # 1/8, 2/8, 5/8; check empirical frequencies at a loose 3-sigma level.
-    cfg = GAConfig(mutation_prob=0.0, pairs_per_generation=1, children_per_pair=2)
+    cfg = GAConfig(mutation_prob=0.0)
     population = _ids([ALL_MIN, (0, 0, 0, 0, 0, 1), ALL_MAX])
     fits = [-0.5, 0.0, 1.5]
     rng = np.random.default_rng(21)
@@ -231,7 +231,7 @@ def test_ga_fitness_proportional_sampling_frequencies():
     draws = 4000
     for _ in range(draws):
         children = ga_generation(population, fits, cfg, rng)
-        # child A is first-half parent1 + second-half parent2: recover parent1
+        # the first pair's child A is first-half parent1 + second-half parent2: recover parent1
         counts[STATES[children[0]][:3]] += 1
     shares = {ALL_MIN[:3]: 1 / 8}
     total = sum(counts.values())
@@ -247,11 +247,11 @@ def test_ga_fitness_proportional_sampling_frequencies():
 
 
 def test_ga_degenerate_fitness_falls_back_to_uniform():
-    cfg = GAConfig(mutation_prob=0.0, pairs_per_generation=1)
+    cfg = GAConfig(mutation_prob=0.0)
     population = [MIN_I, MAX_I]
     rng = np.random.default_rng(8)
     children = ga_generation(population, [-1.0, -1.0], cfg, rng)
-    assert len(children) == 2
+    assert len(children) == 4
     assert all(0 <= c < len(STATES) and is_valid_state(STATES[c]) for c in children)
 
 
@@ -353,12 +353,13 @@ class _ParentsInOrder:
 def test_ga_index_crossover_and_mutation_match_tuple_splices(p1, p2, seed):
     splices = [p1[:3] + p2[3:], p2[:3] + p1[3:]]
     parents = _ids([p1, p2])
-    cfg = GAConfig(mutation_prob=0.0, pairs_per_generation=1)
+    # the first pair's two children; the second pair's parents come from the real generator
+    cfg = GAConfig(mutation_prob=0.0)
     children = ga_generation(parents, [0.0, 0.0], cfg, _ParentsInOrder(seed))
-    assert children == _ids(splices)
+    assert children[:2] == _ids(splices)
 
-    cfg = GAConfig(mutation_prob=1.0, pairs_per_generation=1)
+    cfg = GAConfig(mutation_prob=1.0)
     children = ga_generation(parents, [0.0, 0.0], cfg, _ParentsInOrder(seed))
-    for child, splice in zip(children, splices):
+    for child, splice in zip(children[:2], splices):
         assert 0 <= child < len(STATES)
         assert sum(a != b for a, b in zip(STATES[child], splice)) <= 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spideradapt.domain import neighbors, state_space
-from spideradapt.policies import GAConfig, QTable, RLConfig
+from spideradapt.policies import QTable, RLConfig
 from spideradapt.reward_model import RewardSpec, is_success, reward
 from spideradapt.session import (
     INITIAL_STATES,
@@ -132,17 +132,6 @@ def test_ga_corner_first_batch_is_seven(example_subject):
     batch = [ALL_MIN] + neighbors(ALL_MIN)
     first_win = next(s for s in batch if is_success(stress(example_subject, s), 1))
     assert result.final_state == first_win
-
-
-def test_ga_batch_counting_vs_early_stop(example_subject):
-    batch = run_session(_cfg(method="ga", target=1), example_subject)
-    early = run_session(
-        _cfg(method="ga", target=1, ga=GAConfig(early_stop_within_batch=True)),
-        example_subject,
-    )
-    assert early.success and batch.success
-    assert early.spiders_presented <= batch.spiders_presented
-    assert early.presented_sequence[-1].state == early.final_state
 
 
 def test_greedy_session_moves_match_greedy_step():

@@ -207,6 +207,15 @@ def test_load_population_rejects_garbage(tmp_path):
     )
     with pytest.raises(SubjectFileError):
         load_population(path)
+    # non-finite values pass the range checks unless rejected explicitly
+    for text in (
+        '{"seed": 1, "subjects": [{"id": 0, "weights": [NaN, 1, 1, 1, 1, 1], "coefficient": NaN}]}',
+        '{"seed": 1, "subjects": [{"id": 0, "weights": [Infinity, 1, 1, 1, 1, 1], "coefficient": 0}]}',
+        '{"seed": 1, "subjects": [{"id": 0, "weights": [1, 1, 1, 1, 1, 1], "coefficient": NaN}]}',
+    ):
+        path.write_text(text)
+        with pytest.raises(SubjectFileError):
+            load_population(path)
 
 
 def test_success_band_membership_matches_predicate(example_subject):
