@@ -2,7 +2,8 @@
 
 All randomness flows from explicit seeds; there is no wall-clock or OS
 entropy anywhere, so every subcommand produces identical bytes when re-run
-with the same inputs. Exit codes: 0 success, 1 usage error, 2 data error.
+with the same inputs. The clock only times ``run``'s progress lines on
+stderr. Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -212,14 +214,20 @@ def _cmd_run(args) -> int:
           "({} methods x {} subjects x {} initials x {} targets x {} repeats)".format(*axes),
           file=sys.stderr)
 
+    # run_grid reports cells; every cell runs each subject's repeats
+    runs_per_cell = len(population.subjects) * cfg.repeats
     last_decile = -1
+    start = time.perf_counter()
 
     def progress(done: int, total: int) -> None:
         nonlocal last_decile
         decile = (10 * done) // total
         if decile > last_decile:
             last_decile = decile
-            print(f"progress: {done}/{total} cells ({10 * decile}%)", file=sys.stderr)
+            elapsed = max(time.perf_counter() - start, 1e-9)
+            print(f"progress: {done * runs_per_cell}/{total * runs_per_cell} runs ({10 * decile}%), "
+                  f"{done * runs_per_cell / elapsed:.0f} runs/s, eta {elapsed * (total - done) / done:.0f}s",
+                  file=sys.stderr)
 
     records = run_grid(cfg, progress=progress)
     Path(args.out).write_text(results_to_csv(records))

@@ -11,13 +11,20 @@ from a per-state rewards table (``rewards[i]`` is the reward of state ``i``
 for one subject and target), so a policy step is only table lookups and
 index arithmetic. This module is the only implementation of each policy;
 the session runner calls these functions directly.
+
+Policies draw nothing themselves: each step takes the uniforms in [0, 1)
+that the fixed draw protocol hands it (``SLOTS_PER_ITERATION`` per
+iteration), so a step is a pure function of its inputs. A choice among
+``n`` options is ``int(u * n)``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +41,11 @@ from .domain import (
 
 POLICY_NAMES = ("random", "greedy", "ga", "rl_random", "rl_zero")
 RL_METHODS = ("rl_random", "rl_zero")
+
+# Uniforms each method reads per iteration: random its move; rl_* the
+# explore test, then the choice; ga, per parent pair, parent 1, parent 2,
+# then the mutate test, attribute and value of each of the two children.
+SLOTS_PER_ITERATION = {"random": 1, "greedy": 0, "ga": 16, "rl_random": 2, "rl_zero": 2}
 
 # Midpoint crossover swaps the last N_ATTRIBUTES // 2 attributes, which are
 # the low digits of the mixed-radix index: the index modulo this stride.
@@ -90,6 +102,8 @@ class QTable:
     def __init__(self, values: np.ndarray) -> None:
         if values.shape != (N_STATES, N_ACTIONS):
             raise ValueError(f"Q-table must be {N_STATES}x{N_ACTIONS}, got {values.shape}")
+        if values.dtype != np.float64 or not values.flags.c_contiguous:
+            raise ValueError("Q-table values must be a C-contiguous float64 array")
         self.values = values
 
     @classmethod
@@ -109,50 +123,65 @@ class QTable:
             return cls.random(rng)
         raise ValueError(f"no Q-table for method {method!r}; expected one of {RL_METHODS}")
 
+    def flat(self) -> memoryview:
+        """``values`` as one flat run of Python floats, entry (s, a) at ``s * N_ACTIONS + a``.
+
+        Reads and writes go straight to ``values``; the RL functions take this view.
+        """
+        return memoryview(self.values).cast("B").cast("d")
+
 
 # ---------------------------------------------------------------------------
 # Q-learning
 
 
+@lru_cache(maxsize=1)
+def _valid_entries() -> list[itemgetter]:
+    """Per state, a getter of its valid actions' entries, in order, from a flat table."""
+    return [
+        itemgetter(*[s * N_ACTIONS + aid for aid in ids])
+        for s, ids in enumerate(state_space().valid_action_ids)
+    ]
+
+
 def rl_select_action(
-    q: np.ndarray,
+    q: Sequence[float],
     s: int,
     epsilon: float,
-    rng: np.random.Generator,
+    u_explore: float,
+    u_choice: float,
 ) -> int:
-    """Epsilon-greedy valid action id for state ``s``; argmax ties break uniformly."""
+    """Epsilon-greedy valid action id for state ``s`` of the flat table ``q``.
+
+    It explores when ``u_explore < epsilon`` and then picks the valid action
+    ``u_choice`` selects; otherwise ``u_choice`` breaks argmax ties.
+    """
     valid_ids = state_space().valid_action_ids[s]
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return valid_ids[int(rng.integers(len(valid_ids)))]
-    row = q[s]
-    best = None
-    ties: list[int] = []
-    for aid in valid_ids:
-        v = row[aid]
-        if best is None or v > best:
-            best = v
-            ties = [aid]
-        elif v == best:
-            ties.append(aid)
-    if len(ties) == 1:
-        return ties[0]
-    return ties[int(rng.integers(len(ties)))]
+    if u_explore < epsilon:
+        return valid_ids[int(u_choice * len(valid_ids))]
+    values = _valid_entries()[s](q)
+    best = max(values)
+    n_best = values.count(best)
+    if n_best == 1:
+        return valid_ids[values.index(best)]
+    ties = valid_ids if n_best == len(values) else [aid for aid, v in zip(valid_ids, values) if v == best]
+    return ties[int(u_choice * len(ties))]
 
 
 def rl_update(
-    q: np.ndarray,
+    q: Sequence[float],
     s: int,
     aid: int,
     r: float,
     s_next: int,
     cfg: RLConfig,
 ) -> None:
-    """One-step Q-learning update; touches exactly one table entry."""
-    space = state_space()
-    if space.next_state[s][aid] < 0:
+    """One-step Q-learning update of the flat table ``q``; touches exactly one entry."""
+    if state_space().next_state[s][aid] < 0:
         raise ValueError(f"action {aid} is not valid in state {s}")
-    best_next = max(q[s_next, aid2] for aid2 in space.valid_action_ids[s_next])
-    q[s, aid] += cfg.learning_rate * (r + cfg.discount * best_next - q[s, aid])
+    best_next = max(_valid_entries()[s_next](q))
+    i = s * N_ACTIONS + aid
+    q[i] += cfg.learning_rate * (r + cfg.discount * best_next - q[i])
 
 
 # ---------------------------------------------------------------------------
@@ -178,26 +207,17 @@ def ga_initial_population(
     return [c for i, c in enumerate(candidates) if i in keep]
 
 
-def _pick_weighted(cum: list[float], total: float, n: int, rng: np.random.Generator) -> int:
-    if total > 0.0:
-        return min(bisect_right(cum, rng.random() * total), n - 1)
-    return int(rng.integers(n))  # degenerate: every fitness at the -1 floor
-
-
-def _mutate(child: int, prob: float, rng: np.random.Generator) -> int:
-    if prob > 0.0 and rng.random() < prob:
-        i = int(rng.integers(N_ATTRIBUTES))
-        value = int(rng.integers(MIN_VALUES[i], MAX_VALUES[i] + 1))
-        old = child // STRIDES[i] % (MAX_VALUES[i] - MIN_VALUES[i] + 1) + MIN_VALUES[i]
-        child += (value - old) * STRIDES[i]
-    return child
+def _mutate(child: int, u_attribute: float, u_value: float) -> int:
+    i = int(u_attribute * N_ATTRIBUTES)
+    size = MAX_VALUES[i] - MIN_VALUES[i] + 1
+    return child + (int(u_value * size) - child // STRIDES[i] % size) * STRIDES[i]
 
 
 def ga_generation(
     population: list[int],
     fitnesses: list[float],
     cfg: GAConfig,
-    rng: np.random.Generator,
+    u: Sequence[float],
 ) -> list[int]:
     """Produce one generation of offspring by crossover and mutation.
 
@@ -207,23 +227,31 @@ def ga_generation(
     the first parent and the second half from the other, its sibling the
     converse; both children are kept. Mutation re-rolls one uniformly
     chosen attribute to a uniformly chosen valid value with probability
-    ``mutation_prob``.
+    ``mutation_prob``. ``u`` holds the generation's 16 uniforms, 8 per pair
+    in the order parent 1, parent 2, then the mutate test, attribute and
+    value of the first child and of the second.
     """
     if not population:
         raise ValueError("population must be non-empty")
     if len(fitnesses) != len(population):
         raise ValueError("fitnesses must align with the population")
+    if len(u) != SLOTS_PER_ITERATION["ga"]:
+        raise ValueError(f"a generation takes {SLOTS_PER_ITERATION['ga']} uniforms, got {len(u)}")
     n = len(population)
-    cum = list(accumulate(f + 1.0 for f in fitnesses))
+    cum = list(accumulate(map((1.0).__add__, fitnesses)))
     total = cum[-1]
-    offspring: list[int] = []
-    for _ in range(2):
-        p1 = population[_pick_weighted(cum, total, n, rng)]
-        p2 = population[_pick_weighted(cum, total, n, rng)]
-        low1, low2 = p1 % _CROSSOVER_SPLIT, p2 % _CROSSOVER_SPLIT
-        for child in (p1 - low1 + low2, p2 - low2 + low1):
-            offspring.append(_mutate(child, cfg.mutation_prob, rng))
-    return offspring
+    picks = (u[0], u[1], u[8], u[9])
+    if total > 0.0:
+        a, b, c, d = [population[min(bisect_right(cum, x * total), n - 1)] for x in picks]
+    else:  # degenerate: every fitness at the -1 floor
+        a, b, c, d = [population[int(x * n)] for x in picks]
+    la, lb, lc, ld = a % _CROSSOVER_SPLIT, b % _CROSSOVER_SPLIT, c % _CROSSOVER_SPLIT, d % _CROSSOVER_SPLIT
+    children = (a - la + lb, b - lb + la, c - lc + ld, d - ld + lc)
+    prob = cfg.mutation_prob
+    return [
+        _mutate(child, u[m + 1], u[m + 2]) if u[m] < prob else child
+        for child, m in zip(children, (2, 5, 10, 13))
+    ]
 
 
 def ga_select(
@@ -240,9 +268,8 @@ def ga_select(
         raise ValueError("selection pool must be non-empty")
     if len(fitnesses) != len(pool):
         raise ValueError("fitnesses must align with the pool")
-    ranked = sorted(range(len(pool)), key=lambda i: -fitnesses[i])
-    keep = sorted(ranked[: cfg.population_size])
-    return [pool[i] for i in keep]
+    ranked = sorted(range(len(pool)), key=fitnesses.__getitem__, reverse=True)
+    return [pool[i] for i in sorted(ranked[: cfg.population_size])]
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +286,7 @@ def greedy_step(s: int, rewards: Sequence[float]) -> int:
     return max(state_space().neighbor_ids[s], key=rewards.__getitem__)
 
 
-def random_step(s: int, rng: np.random.Generator) -> int:
-    """Apply a uniformly random valid action."""
+def random_step(s: int, u: float) -> int:
+    """Apply the valid action that the uniform ``u`` selects."""
     nbrs = state_space().neighbor_ids[s]
-    return nbrs[int(rng.integers(len(nbrs)))]
+    return nbrs[int(u * len(nbrs))]

@@ -11,14 +11,20 @@ offspring. Sequential batches stop at the first success; a GA batch is
 presented whole and checked for success at its end.
 
 Every run owns an rng stream derived from the full run coordinates, so
-results are bit-reproducible regardless of scheduling.
+results are bit-reproducible regardless of scheduling. The stream is read
+by a fixed draw protocol: a fresh ``rl_random`` table takes the first
+5,832 uniforms, and after that iteration ``i >= 1`` owns the next ``k``
+uniforms, ``[k(i-1), k*i)``, with ``k = SLOTS_PER_ITERATION[method]``,
+whether the policy reads them or not. Greedy draws nothing and opens no
+stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from itertools import repeat
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +35,7 @@ from .policies import (
     QTable,
     RL_METHODS,
     RLConfig,
+    SLOTS_PER_ITERATION,
     ga_generation,
     ga_initial_population,
     ga_select,
@@ -113,6 +120,24 @@ def run_seed_sequence(cfg: RunConfig) -> np.random.SeedSequence:
     )
 
 
+# Iterations whose uniforms one draw covers: bounded, so memory does not grow
+# with the cap, and big enough that most runs draw once or twice.
+_CHUNK_ITERATIONS = 32
+
+
+def _slots(rng: np.random.Generator, k: int) -> Iterator[list[float]]:
+    """Each iteration's ``k`` uniforms, in order, from what ``rng`` has left.
+
+    PCG64 doubles concatenate, so drawing in chunks yields the same values
+    as one up-front draw.
+    """
+    size = k * _CHUNK_ITERATIONS
+    while True:
+        chunk = rng.random(size).tolist()
+        for i in range(0, size, k):
+            yield chunk[i : i + k]
+
+
 @lru_cache(maxsize=4096)
 def _response_tables(
     subject: VirtualSubject, target: int, rounded: bool
@@ -149,7 +174,9 @@ def run_session(
         raise ValueError(f"a Q-table makes no sense for method {cfg.method!r}")
     space = state_space()
     stresses, rewards, successes = _response_tables(subject, cfg.target, cfg.rounded_reward)
-    rng = np.random.default_rng(run_seed_sequence(cfg))
+    method = cfg.method
+    k = SLOTS_PER_ITERATION[method]
+    rng = np.random.default_rng(run_seed_sequence(cfg)) if k else None
     presented = bytearray(space.n_states)
     sequence: list[PresentedSpider] = []
 
@@ -174,42 +201,45 @@ def run_session(
         return RunResult(success, presented.count(1), iterations, space.states[final_idx], sequence)
 
     start = space.index_of[INITIAL_STATES[cfg.initial_kind]]
-    method = cfg.method
+    iterations = range(1, cfg.iteration_cap + 1)
 
     if method == "ga":
         population = ga_initial_population(start, rewards, cfg.ga.population_size)
         hit = present(population, 0, False)
         if hit is not None:
             return result(True, 0, hit)
-        for gen in range(1, cfg.iteration_cap + 1):
-            fits = [rewards[i] for i in population]
-            offspring = ga_generation(population, fits, cfg.ga, rng)
+        fitness = rewards.__getitem__
+        fits = list(map(fitness, population))
+        for gen, u in zip(iterations, _slots(rng, k)):
+            offspring = ga_generation(population, fits, cfg.ga, u)
             hit = present(offspring, gen, False)
             if hit is not None:
                 return result(True, gen, hit)
-            pool = population + offspring
-            population = ga_select(pool, fits + [rewards[i] for i in offspring], cfg.ga)
-        return result(False, cfg.iteration_cap, max(population, key=rewards.__getitem__))
+            population = ga_select(population + offspring, fits + list(map(fitness, offspring)), cfg.ga)
+            fits = list(map(fitness, population))
+        return result(False, cfg.iteration_cap, max(population, key=fitness))
 
     # Sequential methods: the subject sees the initial spider first.
     if present((start,), 0, True) is not None:
         return result(True, 0, start)
     learning = method in RL_METHODS
     if learning:
-        q = (qtable if qtable is not None else QTable.create(method, rng)).values
+        # a fresh rl_random table takes its uniforms before the first iteration's
+        q = (qtable if qtable is not None else QTable.create(method, rng)).flat()
+        epsilon = cfg.rl.epsilon
     neighbor_ids = space.neighbor_ids
     next_state = space.next_state
     s = start
-    for it in range(1, cfg.iteration_cap + 1):
+    for it, u in zip(iterations, _slots(rng, k) if k else repeat(())):
         if method == "random":
-            t = random_step(s, rng)
+            t = random_step(s, u[0])
             batch = (t,)
         elif method == "greedy":
             # every unseen neighbour is presented while ranking them
             t = greedy_step(s, rewards)
             batch = neighbor_ids[s]
         else:
-            aid = rl_select_action(q, s, cfg.rl.epsilon, rng)
+            aid = rl_select_action(q, s, epsilon, u[0], u[1])
             t = next_state[s][aid]
             batch = (t,)
         hit = present(batch, it, True)

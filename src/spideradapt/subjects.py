@@ -201,6 +201,9 @@ def load_population(path: str | Path) -> SubjectPopulation:
         # NaN makes every comparison false, so finiteness is checked explicitly
         if len(s.weights) != N_ATTRIBUTES or not all(math.isfinite(w) and w >= 0 for w in s.weights):
             raise SubjectFileError(f"subject {s.id} has invalid weights")
-        if not math.isfinite(s.coefficient) or abs(s.coefficient * _weighted_max(s.weights) - MAX_STRESS) > 1e-6:
-            raise SubjectFileError(f"subject {s.id} coefficient does not scale stress to 10")
+        # the all-max state's stress, bit for bit, is the subject's largest; rewards
+        # reject any stress above 10, and a NaN fails the comparison
+        top = s.coefficient * _weighted_max(s.weights)
+        if not MAX_STRESS - 1e-6 <= top <= MAX_STRESS:
+            raise SubjectFileError(f"subject {s.id} coefficient scales the largest stress to {top!r}, not 10")
     return SubjectPopulation(seed=seed, subjects=subjects)

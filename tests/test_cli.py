@@ -1,12 +1,20 @@
 import contextlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import spideradapt
 from spideradapt.cli import main
+from spideradapt.grid import GridConfig, results_to_csv, run_grid
+from spideradapt.subjects import _weighted_max, load_population
 
 
 @pytest.fixture()
@@ -253,6 +261,42 @@ def test_summarize_missing_columns_is_data_error(tmp_path):
     assert main(["summarize", "--results", str(bad)]) == 2
 
 
+_PROGRESS = re.compile(r"progress: (\d+)/(\d+) runs \((\d+)%\), (\d+) runs/s, eta (\d+)s")
+
+
+def test_run_progress_reports_runs_rate_and_eta(tmp_path, subjects_file, capsys):
+    out = tmp_path / "results.csv"
+    argv = ["run", "--subjects", str(subjects_file), "--out", str(out), "--seed", "3",
+            "--methods", "random,greedy", "--targets", "1,2,3,4,5", "--repeats", "2"]
+    assert main(argv) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "running 300 sessions (2 methods x 5 subjects x 3 initials x 5 targets x 2 repeats)"
+    lines = [_PROGRESS.fullmatch(line) for line in err[1:]]
+    assert lines and all(lines)
+    done, total, percent, rate, eta = zip(*[[int(g) for g in m.groups()] for m in lines])
+    # 30 cells of 5 subjects x 2 repeats: one line per decile, counted in runs
+    assert percent == tuple(range(0, 101, 10))
+    assert all(d % 10 == 0 for d in done) and list(done) == sorted(set(done))
+    assert set(total) == {300} and done[-1] == 300 and eta[-1] == 0
+    assert all(r > 0 for r in rate)
+    # progress goes to stderr only: the results are the grid's bytes
+    cfg = GridConfig(load_population(subjects_file), master_seed=3, methods=("random", "greedy"),
+                     targets=(1, 2, 3, 4, 5), repeats=2)
+    assert out.read_text() == results_to_csv(run_grid(cfg))
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(spideradapt.__file__).resolve().parent.parent)}
+
+    def run(*flags):
+        return subprocess.run([sys.executable, "-m", "spideradapt", *flags], capture_output=True, text=True,
+                              env=env, cwd=tmp_path, timeout=60)
+
+    shown = run("--help")
+    assert shown.returncode == 0 and "gen-subjects" in shown.stdout
+    assert run("run", "--bogus-flag").returncode == 1
+
+
 def test_compare_outputs_pvalues(tmp_path, subjects_file, capsys):
     results = _run_results(tmp_path, subjects_file)
     capsys.readouterr()  # drop the run command's progress output
@@ -293,6 +337,30 @@ def test_non_finite_subjects_are_data_errors(tmp_path, capsys, weight, coefficie
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_subjects_above_stress_ten_are_data_errors(tmp_path, capsys):
+    # within a millionth of 10, but above it: the all-max spider's stress would
+    # fall outside the reward's range
+    weights = [1.0] * 6
+    coefficient = 10 / _weighted_max(tuple(weights)) * (1 + 5e-8)
+    path = tmp_path / "subjects.json"
+    path.write_text(json.dumps({"seed": 1, "subjects": [{"id": 0, "weights": weights, "coefficient": coefficient}]}))
+    common = ["--subjects", str(path)]
+    target = ["--subject-id", "0", "--target", "9", "--initial", "max"]
+    for argv in (
+        ["run", *common, "--out", str(tmp_path / "r.csv"), "--methods", "greedy", "--initials", "max",
+         "--targets", "9", "--seed", "1"],
+        ["oracle", *common, *target],
+        ["trace", *common, *target, "--method", "greedy", "--seed", "1", "--out", str(tmp_path / "t.jsonl")],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    # scale_coefficient never rounds above 10, so generated files still load
+    out = tmp_path / "generated.json"
+    assert main(["gen-subjects", "--n", "500", "--seed", "7", "--out", str(out)]) == 0
+    assert len(load_population(out).subjects) == 500
 
 
 def test_trace_emits_jsonl(tmp_path, subjects_file, capsys):

@@ -144,7 +144,7 @@ def test_persistent_grid_runs_and_is_deterministic(small_population):
     assert a == b
     assert len(a) == 2 * 2 * 3 * 2 * 2
     digest = hashlib.sha256(results_to_csv(a).encode()).hexdigest()
-    assert digest == "b7c01ff0b3e5ce434618d79f885dc6d5390b3283512a85a6f748a8fe245e5e1f"
+    assert digest == "6d77e219fc86676495959634d9d14bef34dd610378ed22f8f42c7f0a5038a2d8"
     # each cell owns its table, so persistence runs at any worker count
     parallel = run_grid(dataclasses.replace(cfg, workers=2))
     assert results_to_csv(parallel) == results_to_csv(a)

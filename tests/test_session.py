@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from spideradapt.domain import neighbors, state_space
-from spideradapt.policies import QTable, RLConfig
+from spideradapt.domain import apply_action, neighbors, state_index, state_space, valid_actions
+from spideradapt.policies import GAConfig, QTable, RLConfig
 from spideradapt.reward_model import RewardSpec, is_success, reward
 from spideradapt.session import (
     INITIAL_STATES,
@@ -13,6 +13,7 @@ from spideradapt.session import (
 from spideradapt.subjects import VirtualSubject, bfs_distance, scale_coefficient, stress
 
 ALL_MIN = (0, 0, 0, 0, 0, 0)
+ALL_MAX = (2, 2, 2, 2, 1, 2)
 
 
 def _cfg(**overrides) -> RunConfig:
@@ -225,3 +226,136 @@ def test_rounded_reward_flag_changes_rewards(example_subject):
     grid = {reward_fn(float(v), spec) for v in range(0, 11)}
     assert all(p.reward in grid for p in rounded.presented_sequence)
     assert plain.success and rounded.success
+
+
+# The fixed draw protocol, rebuilt from the stream and the domain's tuple-level
+# functions without the policies module: iteration i >= 1 owns uniforms
+# [k(i-1), k*i) after a fresh rl_random table's 486 * 12.
+
+
+def _stream(cfg, n):
+    return np.random.default_rng(run_seed_sequence(cfg)).random(n).tolist()
+
+
+def _shown(result, iteration=None):
+    return [(p.state, p.iteration) for p in result.presented_sequence
+            if iteration is None or p.iteration == iteration]
+
+
+def _rebuild_sequential(cfg, subject, choose):
+    """Presented (state, iteration) pairs of a sequential run whose move is ``choose(state, i)``."""
+    state = INITIAL_STATES[cfg.initial_kind]
+    shown = [(state, 0)]
+    if is_success(stress(subject, state), cfg.target):
+        return shown
+    for i in range(1, cfg.iteration_cap + 1):
+        state = choose(state, i)
+        if state not in [seen for seen, _ in shown]:
+            shown.append((state, i))
+            if is_success(stress(subject, state), cfg.target):
+                break
+    return shown
+
+
+def test_random_run_follows_the_draw_protocol(small_population):
+    subject = small_population.subjects[4]
+    cfg = _cfg(method="random", subject_id=4, target=9)
+    u = _stream(cfg, cfg.iteration_cap)  # k = 1: the move
+
+    def choose(state, i):
+        nbrs = neighbors(state)
+        return nbrs[int(u[i - 1] * len(nbrs))]
+
+    expected = _rebuild_sequential(cfg, subject, choose)
+    assert len(expected) > 5
+    assert _shown(run_session(cfg, subject)) == expected
+
+
+@pytest.mark.parametrize("method, epsilon", [("rl_zero", 0.05), ("rl_zero", 0.5), ("rl_random", 0.05)])
+def test_rl_run_follows_the_draw_protocol(small_population, method, epsilon):
+    subject = small_population.subjects[5]
+    cfg = _cfg(method=method, subject_id=5, target=8, rl=RLConfig(epsilon=epsilon))
+    table = 486 * 12 if method == "rl_random" else 0
+    stream = _stream(cfg, table + 2 * cfg.iteration_cap)
+    q = np.array(stream[:table]).reshape(486, 12) if table else np.zeros((486, 12))
+    u = stream[table:]  # k = 2: the explore test, then the choice
+    spec = RewardSpec(cfg.target)
+    explored = []
+
+    def choose(state, i):
+        s, actions = state_index(state), valid_actions(state)
+        u_explore, u_choice = u[2 * i - 2], u[2 * i - 1]
+        explored.append(u_explore < epsilon)
+        if explored[-1]:
+            action = actions[int(u_choice * len(actions))]
+        else:
+            best = max(q[s, a.index] for a in actions)
+            ties = [a for a in actions if q[s, a.index] == best]
+            action = ties[int(u_choice * len(ties))]
+        nxt = apply_action(state, action)
+        best_next = max(q[state_index(nxt), a.index] for a in valid_actions(nxt))
+        r = reward(stress(subject, nxt), spec)
+        q[s, action.index] += cfg.rl.learning_rate * (r + cfg.rl.discount * best_next - q[s, action.index])
+        return nxt
+
+    expected = _rebuild_sequential(cfg, subject, choose)
+    assert len(expected) > 5 and any(explored)
+    assert _shown(run_session(cfg, subject)) == expected
+
+
+@pytest.mark.parametrize("mutation_prob", [0.1, 1.0])
+def test_ga_first_generation_follows_the_draw_protocol(small_population, mutation_prob):
+    population = [ALL_MIN] + neighbors(ALL_MIN)  # a corner: 7 candidates, no trimming
+    u_mutation = []
+    new_children = 0
+    for subject in small_population.subjects:
+        cfg = _cfg(method="ga", subject_id=subject.id, target=6, ga=GAConfig(mutation_prob=mutation_prob))
+        if any(is_success(stress(subject, p), cfg.target) for p in population):
+            continue
+        spec = RewardSpec(cfg.target)
+        cum = np.cumsum([reward(stress(subject, p), spec) + 1.0 for p in population]).tolist()
+        u = _stream(cfg, 16)  # k = 16: per pair, parent 1, parent 2, then (test, attribute, value) per child
+
+        def parent(x):
+            return population[min(sum(c <= x * cum[-1] for c in cum), len(population) - 1)]
+
+        def mutate(child, test, attribute, value):
+            child = list(child)
+            u_mutation.append(test < mutation_prob)
+            if u_mutation[-1]:
+                i = int(attribute * 6)
+                child[i] = int(value * (ALL_MAX[i] + 1))
+            return tuple(child)
+
+        children = []
+        for b in (0, 8):
+            p1, p2 = parent(u[b]), parent(u[b + 1])
+            children.append(mutate(p1[:3] + p2[3:], *u[b + 2 : b + 5]))
+            children.append(mutate(p2[:3] + p1[3:], *u[b + 5 : b + 8]))
+        unseen = []
+        for child in children:
+            if child not in population and child not in unseen:
+                unseen.append(child)
+        new_children += len(unseen)
+        assert _shown(run_session(cfg, subject), 1) == [(c, 1) for c in unseen]
+    assert new_children >= 5 and any(u_mutation)
+
+
+def test_slot_positions_do_not_depend_on_the_cap(small_population):
+    # The stream is drawn in bounded chunks, so an enormous cap costs no
+    # memory and a run that succeeds early reads the same uniforms.
+    checked = set()
+    for subject in small_population.subjects:
+        for method in ("random", "greedy", "ga", "rl_random", "rl_zero"):
+            for target in (1, 5, 9):
+                cfg = _cfg(method=method, subject_id=subject.id, target=target, initial_kind="avg")
+                result = run_session(cfg, subject)
+                if not result.success or (method, result.iterations_used > 32) in checked:
+                    continue
+                checked.add((method, result.iterations_used > 32))
+                huge = _cfg(method=method, subject_id=subject.id, target=target, initial_kind="avg",
+                            iteration_cap=10**12)
+                assert run_session(huge, subject) == result
+    # every method, and every drawing method past its first chunk of 32 iterations
+    assert {m for m, _ in checked} == {"random", "greedy", "ga", "rl_random", "rl_zero"}
+    assert {m for m, long in checked if long} >= {"random", "rl_random", "rl_zero"}
