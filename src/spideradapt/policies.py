@@ -188,23 +188,14 @@ def rl_update(
 # Genetic algorithm
 
 
-def ga_initial_population(
-    initial: int,
-    rewards: Sequence[float],
-    population_size: int = 10,
-) -> list[int]:
+def ga_initial_population(initial: int, rewards: Sequence[float], population_size: int) -> list[int]:
     """Seed population: the initial state plus its neighbours.
 
     Corner states yield fewer candidates than the population size and the
     population is simply smaller; the two 11-neighbour states yield one
-    candidate too many, and the weakest by reward is dropped.
+    candidate too many, and ``ga_select`` drops the weakest by reward.
     """
-    candidates = [initial] + state_space().neighbor_ids[initial]
-    if len(candidates) <= population_size:
-        return candidates
-    ranked = sorted(range(len(candidates)), key=lambda i: rewards[candidates[i]], reverse=True)
-    keep = set(ranked[:population_size])
-    return [c for i, c in enumerate(candidates) if i in keep]
+    return ga_select([initial] + state_space().neighbor_ids[initial], rewards, population_size)
 
 
 def _mutate(child: int, u_attribute: float, u_value: float) -> int:
@@ -215,17 +206,17 @@ def _mutate(child: int, u_attribute: float, u_value: float) -> int:
 
 def ga_generation(
     population: list[int],
-    fitnesses: list[float],
+    rewards: Sequence[float],
     cfg: GAConfig,
     u: Sequence[float],
 ) -> list[int]:
     """Produce one generation of offspring by crossover and mutation.
 
-    Parents are drawn fitness-proportionally after shifting fitness by +1
-    (raw fitness lies in [-1, 1]). Two pairs are drawn, and each is crossed
-    at the midpoint: one child takes the first half of the attributes from
-    the first parent and the second half from the other, its sibling the
-    converse; both children are kept. Mutation re-rolls one uniformly
+    Parents are drawn fitness-proportionally after shifting each member's
+    reward by +1 (rewards lie in [-1, 1]). Two pairs are drawn, and each is
+    crossed at the midpoint: one child takes the first half of the
+    attributes from the first parent and the second half from the other,
+    its sibling the converse; both children are kept. Mutation re-rolls one uniformly
     chosen attribute to a uniformly chosen valid value with probability
     ``mutation_prob``. ``u`` holds the generation's 16 uniforms, 8 per pair
     in the order parent 1, parent 2, then the mutate test, attribute and
@@ -233,17 +224,15 @@ def ga_generation(
     """
     if not population:
         raise ValueError("population must be non-empty")
-    if len(fitnesses) != len(population):
-        raise ValueError("fitnesses must align with the population")
     if len(u) != SLOTS_PER_ITERATION["ga"]:
         raise ValueError(f"a generation takes {SLOTS_PER_ITERATION['ga']} uniforms, got {len(u)}")
     n = len(population)
-    cum = list(accumulate(map((1.0).__add__, fitnesses)))
+    cum = list(accumulate([rewards[p] + 1.0 for p in population]))
     total = cum[-1]
     picks = (u[0], u[1], u[8], u[9])
     if total > 0.0:
         a, b, c, d = [population[min(bisect_right(cum, x * total), n - 1)] for x in picks]
-    else:  # degenerate: every fitness at the -1 floor
+    else:  # degenerate: every reward at the -1 floor
         a, b, c, d = [population[int(x * n)] for x in picks]
     la, lb, lc, ld = a % _CROSSOVER_SPLIT, b % _CROSSOVER_SPLIT, c % _CROSSOVER_SPLIT, d % _CROSSOVER_SPLIT
     children = (a - la + lb, b - lb + la, c - lc + ld, d - ld + lc)
@@ -254,22 +243,16 @@ def ga_generation(
     ]
 
 
-def ga_select(
-    pool: list[int],
-    fitnesses: list[float],
-    cfg: GAConfig,
-) -> list[int]:
-    """Keep the best chromosomes as the next population.
+def ga_select(pool: list[int], rewards: Sequence[float], population_size: int) -> list[int]:
+    """Keep the ``population_size`` best chromosomes by reward, in pool order.
 
     Ties break toward earlier pool positions (stable sort); duplicates may
     survive together.
     """
     if not pool:
         raise ValueError("selection pool must be non-empty")
-    if len(fitnesses) != len(pool):
-        raise ValueError("fitnesses must align with the pool")
-    ranked = sorted(range(len(pool)), key=fitnesses.__getitem__, reverse=True)
-    return [pool[i] for i in sorted(ranked[: cfg.population_size])]
+    ranked = sorted(range(len(pool)), key=list(map(rewards.__getitem__, pool)).__getitem__, reverse=True)
+    return [pool[i] for i in sorted(ranked[:population_size])]
 
 
 # ---------------------------------------------------------------------------

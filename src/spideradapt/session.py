@@ -79,6 +79,10 @@ class RunConfig:
             raise ValueError(f"unknown initial kind {self.initial_kind!r}; expected one of {INITIAL_KINDS}")
         if not 1 <= self.target <= 9:
             raise ValueError(f"target must be in 1..9, got {self.target}")
+        if self.subject_id < 0:
+            raise ValueError(f"subject_id must be non-negative, got {self.subject_id}")
+        if self.repeat_index < 0:
+            raise ValueError(f"repeat_index must be non-negative, got {self.repeat_index}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         if self.iteration_cap < 0:
@@ -208,16 +212,13 @@ def run_session(
         hit = present(population, 0, False)
         if hit is not None:
             return result(True, 0, hit)
-        fitness = rewards.__getitem__
-        fits = list(map(fitness, population))
         for gen, u in zip(iterations, _slots(rng, k)):
-            offspring = ga_generation(population, fits, cfg.ga, u)
+            offspring = ga_generation(population, rewards, cfg.ga, u)
             hit = present(offspring, gen, False)
             if hit is not None:
                 return result(True, gen, hit)
-            population = ga_select(population + offspring, fits + list(map(fitness, offspring)), cfg.ga)
-            fits = list(map(fitness, population))
-        return result(False, cfg.iteration_cap, max(population, key=fitness))
+            population = ga_select(population + offspring, rewards, cfg.ga.population_size)
+        return result(False, cfg.iteration_cap, max(population, key=rewards.__getitem__))
 
     # Sequential methods: the subject sees the initial spider first.
     if present((start,), 0, True) is not None:

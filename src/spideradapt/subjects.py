@@ -195,6 +195,8 @@ def load_population(path: str | Path) -> SubjectPopulation:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SubjectFileError(f"malformed subjects file {path}: {exc}") from exc
+    if not subjects:
+        raise SubjectFileError(f"subjects file {path} holds no subjects")
     for i, s in enumerate(subjects):
         if s.id != i:
             raise SubjectFileError(f"subject ids must be 0..n-1, found {s.id} at position {i}")

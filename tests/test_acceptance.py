@@ -23,7 +23,7 @@ from spideradapt.grid import (
     summary_to_csv,
     summary_to_markdown,
 )
-from spideradapt.policies import ga_initial_population
+from spideradapt.policies import GAConfig, ga_initial_population
 from spideradapt.reward_model import RewardSpec, reward
 from spideradapt.session import INITIAL_STATES
 from spideradapt.subjects import (
@@ -152,7 +152,7 @@ def test_criterion_5_ga_corner_reproduction(population, grid_serial):
         spec = RewardSpec(1)
         for subject in population.subjects:
             rewards = [reward(x, spec) for x in stress_table(subject)]
-            batch = ga_initial_population(state_index(ALL_MIN), rewards)
+            batch = ga_initial_population(state_index(ALL_MIN), rewards, GAConfig().population_size)
             assert len(batch) == 7
         records, _ = grid_serial
         cell = [

@@ -363,6 +363,36 @@ def test_subjects_above_stress_ten_are_data_errors(tmp_path, capsys):
     assert len(load_population(out).subjects) == 500
 
 
+def test_empty_subjects_file_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "subjects.json"
+    path.write_text('{"seed": 1, "subjects": []}')
+    common = ["--subjects", str(path)]
+    target = ["--subject-id", "0", "--target", "1", "--initial", "min"]
+    results = tmp_path / "r.csv"
+    for argv in (
+        ["run", *common, "--out", str(results), "--seed", "1", "--repeats", "1"],
+        ["oracle", *common, *target],
+        ["trace", *common, *target, "--method", "greedy", "--seed", "1", "--out", str(tmp_path / "t.jsonl")],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "progress" not in captured.out
+    assert not results.exists()
+
+
+@pytest.mark.parametrize("method", ["greedy", "random"])
+def test_trace_rejects_a_negative_repeat(tmp_path, subjects_file, capsys, method):
+    # greedy opens no stream, so only the run config's check can catch it
+    argv = [
+        "trace", "--subjects", str(subjects_file), "--subject-id", "0", "--method", method,
+        "--target", "2", "--initial", "min", "--seed", "9", "--repeat", "-1",
+        "--out", str(tmp_path / "t.jsonl"),
+    ]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: repeat_index must be non-negative, got -1\n"
+
+
 def test_trace_emits_jsonl(tmp_path, subjects_file, capsys):
     out = tmp_path / "trace.jsonl"
     code = main(

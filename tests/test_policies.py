@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spideradapt.domain import (
     ACTIONS,
+    N_STATES,
     Action,
     enumerate_states,
     is_valid_state,
@@ -44,6 +45,14 @@ def _rewards(subject, spec):
 
 def _ids(states):
     return [state_index(s) for s in states]
+
+
+def _table(entries, default=0.0):
+    """A rewards table holding ``default`` except at the given {state index: reward} entries."""
+    table = [default] * N_STATES
+    for i, r in entries.items():
+        table[i] = r
+    return table
 
 
 def test_qtable_shapes_and_modes():
@@ -201,18 +210,30 @@ def test_rl_update_rejects_invalid_action():
 
 def test_ga_initial_population_sizes(example_subject):
     rewards = _rewards(example_subject, RewardSpec(1))
-    corner = ga_initial_population(MIN_I, rewards)
+    corner = ga_initial_population(MIN_I, rewards, 10)
     assert len(corner) == 7
     assert corner[0] == MIN_I
     assert set(corner) == {MIN_I, *_ids(neighbors(ALL_MIN))}
 
-    eleven = ga_initial_population(ELEVEN_I, rewards)
+    eleven = ga_initial_population(ELEVEN_I, rewards, 10)
     assert len(eleven) == 10  # 12 candidates trimmed to the best ten
     candidates = {ELEVEN_I, *_ids(neighbors(ELEVEN))}
     assert set(eleven) <= candidates
     dropped = candidates - set(eleven)
     kept_worst = min(rewards[s] for s in eleven)
     assert all(rewards[s] <= kept_worst for s in dropped)
+
+
+def test_ga_initial_population_ties_keep_candidate_order():
+    # 12 candidates, the initial state first and then its neighbours in
+    # canonical order; tied candidates survive by position
+    nbrs = _ids(neighbors(ELEVEN))
+    assert len(nbrs) == 11
+    assert ga_initial_population(ELEVEN_I, _table({}), 10) == [ELEVEN_I] + nbrs[:9]
+    assert ga_initial_population(ELEVEN_I, _table({ELEVEN_I: -1.0}), 10) == nbrs[:10]
+    assert ga_initial_population(ELEVEN_I, _table({nbrs[0]: -0.5, nbrs[5]: -0.5}), 10) == (
+        [ELEVEN_I] + nbrs[1:5] + nbrs[6:]
+    )
 
 
 def _u(picks, mutations=((0.99, 0.0, 0.0),) * 4):
@@ -224,15 +245,16 @@ def _u(picks, mutations=((0.99, 0.0, 0.0),) * 4):
 def test_ga_crossover_midpoint():
     cfg = GAConfig(mutation_prob=0.0)
     population = [MIN_I, MAX_I]
-    # shifted fitnesses 1.5 and 1.5: a pick below 0.5 takes the first parent,
+    rewards = _table({MIN_I: 0.5, MAX_I: 0.5})
+    # shifted rewards 1.5 and 1.5: a pick below 0.5 takes the first parent,
     # one from 0.5 up the second, so pick uniforms 0.25 and 0.75 fix the order
-    children = ga_generation(population, [0.5, 0.5], cfg, _u((0.25, 0.75, 0.75, 0.25)))
+    children = ga_generation(population, rewards, cfg, _u((0.25, 0.75, 0.75, 0.25)))
     assert [STATES[c] for c in children] == [
         (0, 0, 0, 2, 1, 2), (2, 2, 2, 0, 0, 0), (2, 2, 2, 0, 0, 0), (0, 0, 0, 2, 1, 2),
     ]
     seen = set()
     for picks in product(_grid(4), repeat=4):
-        children = ga_generation(population, [0.5, 0.5], cfg, _u(picks))
+        children = ga_generation(population, rewards, cfg, _u(picks))
         assert len(children) == 4
         seen.update(STATES[c] for c in children)
     assert (0, 0, 0, 2, 2, 1) not in seen  # malformed mixtures never appear
@@ -243,43 +265,40 @@ def test_ga_identical_parents_reproduce_without_mutation():
     cfg = GAConfig(mutation_prob=0.0)
     for picks in product((0.0, 0.5, np.nextafter(1.0, 0.0)), repeat=4):
         mutations = ((0.0, 0.5, 0.5),) * 4  # a zero test uniform still never mutates at prob 0
-        assert ga_generation([ELEVEN_I], [1.0], cfg, _u(picks, mutations)) == [ELEVEN_I] * 4
+        assert ga_generation([ELEVEN_I], _table({ELEVEN_I: 1.0}), cfg, _u(picks, mutations)) == [ELEVEN_I] * 4
 
 
 def test_ga_generation_output_size_and_validity(small_population):
     rewards = _rewards(small_population.subjects[0], RewardSpec(5))
-    population = ga_initial_population(state_index((1, 1, 2, 0, 1, 2)), rewards)
-    fits = [rewards[s] for s in population]
+    population = ga_initial_population(state_index((1, 1, 2, 0, 1, 2)), rewards, 10)
     rng = np.random.default_rng(13)
     for cfg in (GAConfig(), GAConfig(mutation_prob=1.0)):
         for _ in range(200):
-            children = ga_generation(population, fits, cfg, rng.random(16).tolist())
+            children = ga_generation(population, rewards, cfg, rng.random(16).tolist())
             assert len(children) == 4  # two pairs, both crossover children of each
             assert all(0 <= c < len(STATES) and is_valid_state(STATES[c]) for c in children)
 
 
 def test_ga_generation_alignment_errors():
-    u = [0.5] * 16
+    rewards = _table({MIN_I: 0.1})
     with pytest.raises(ValueError):
-        ga_generation([], [], GAConfig(), u)
-    with pytest.raises(ValueError):
-        ga_generation([MIN_I], [0.1, 0.2], GAConfig(), u)
+        ga_generation([], rewards, GAConfig(), [0.5] * 16)
     for wrong in ([0.5] * 15, [0.5] * 17):
         with pytest.raises(ValueError):
-            ga_generation([MIN_I], [0.1], GAConfig(), wrong)
+            ga_generation([MIN_I], rewards, GAConfig(), wrong)
 
 
 def test_ga_fitness_proportional_sampling_frequencies():
-    # Shifted fitnesses (f+1) of 0.5, 1.0, 2.5 make the cumulative weights
-    # 0.5, 1.5, 4.0: the pick shares are 1/8, 2/8, 5/8, and a pick uniform on a
-    # cumulative boundary (u * 4.0 equal to 0.5 or 1.5) selects the next parent.
+    # Shifted rewards (r+1) of 0.25, 0.5, 1.25 make the cumulative weights
+    # 0.25, 0.75, 2.0: the pick shares are 1/8, 2/8, 5/8, and a pick uniform on a
+    # cumulative boundary (u * 2.0 equal to 0.25 or 0.75) selects the next parent.
     cfg = GAConfig(mutation_prob=0.0)
     parents = [ALL_MIN, (1, 0, 0, 0, 0, 0), ALL_MAX]  # distinct halves identify each parent
     population = _ids(parents)
-    fits = [-0.5, 0.0, 1.5]
+    rewards = _table(dict(zip(population, (-0.75, -0.5, 0.25))))
 
     def first_parent(u):
-        children = ga_generation(population, fits, cfg, _u((u, 0.0, 0.0, 0.0)))
+        children = ga_generation(population, rewards, cfg, _u((u, 0.0, 0.0, 0.0)))
         # the first pair's first child is first-half parent 1 + second-half parent 2
         return next(p for p in parents if p[:3] == STATES[children[0]][:3])
 
@@ -292,7 +311,7 @@ def test_ga_fitness_proportional_sampling_frequencies():
     counts = Counter(first_parent(u) for u in _grid(800))
     assert counts == {parents[0]: 100, parents[1]: 200, parents[2]: 500}
     # every pick slot follows the same rule: the second parent's halves show in the children
-    children = ga_generation(population, fits, cfg, _u((0.0, 1 / 8, 3 / 8, 0.0)))
+    children = ga_generation(population, rewards, cfg, _u((0.0, 1 / 8, 3 / 8, 0.0)))
     assert [STATES[c] for c in children] == [
         ALL_MIN, (1, 0, 0, 0, 0, 0), (2, 2, 2, 0, 0, 0), (0, 0, 0, 2, 1, 2),
     ]
@@ -301,9 +320,10 @@ def test_ga_fitness_proportional_sampling_frequencies():
 def test_ga_degenerate_fitness_falls_back_to_uniform():
     cfg = GAConfig(mutation_prob=0.0)
     population = [MIN_I, MAX_I]
-    # every fitness at the -1 floor: the picks are int(u * n), so the two
+    # every reward at the -1 floor: the picks are int(u * n), so the two
     # equal halves of [0, 1) take one parent each
-    children = ga_generation(population, [-1.0, -1.0], cfg, _u((0.25, 0.75, np.nextafter(0.5, 0.0), 0.5)))
+    floor = _table({}, default=-1.0)
+    children = ga_generation(population, floor, cfg, _u((0.25, 0.75, np.nextafter(0.5, 0.0), 0.5)))
     assert len(children) == 4
     assert all(0 <= c < len(STATES) and is_valid_state(STATES[c]) for c in children)
     assert [STATES[c] for c in children] == [
@@ -322,34 +342,51 @@ def test_ga_mutation_slots():
         (np.nextafter(0.5, 0.0), 4.5 / 6, 0.75),  # binary hairiness 0 -> 1
         (0.25, 0.0, 0.0),  # locomotion 1 -> 0
     )
-    children = ga_generation([ELEVEN_I], [0.0], cfg, _u((0.5,) * 4, mutations))
+    children = ga_generation([ELEVEN_I], _table({}), cfg, _u((0.5,) * 4, mutations))
     assert [STATES[c] for c in children] == [
         (1, 1, 1, 2, 0, 1), ELEVEN, (1, 1, 1, 1, 1, 1), (0, 1, 1, 1, 0, 1),
     ]
     # a re-roll may land on the attribute's current value
-    same = ga_generation([ELEVEN_I], [0.0], cfg, _u((0.5,) * 4, ((0.0, 0.0, 0.5),) * 4))
+    same = ga_generation([ELEVEN_I], _table({}), cfg, _u((0.5,) * 4, ((0.0, 0.0, 0.5),) * 4))
     assert same == [ELEVEN_I] * 4
 
 
 def test_ga_select_rules():
+    rising = [i / N_STATES for i in range(N_STATES)]
     pool7 = _ids(STATES[:7])
-    assert ga_select(pool7, [0.1 * i for i in range(7)], GAConfig()) == pool7
+    assert ga_select(pool7, rising, 10) == pool7
     pool14 = _ids(STATES[:14])
-    fits = [float(i) for i in range(14)]
-    best10 = ga_select(pool14, fits, GAConfig())
+    best10 = ga_select(pool14, rising, 10)
     assert best10 == pool14[4:]
-    # all-equal fitness keeps the first ten in pool order
-    tied = ga_select(pool14, [1.0] * 14, GAConfig())
+    # all-equal rewards keep the first ten in pool order
+    tied = ga_select(pool14, _table({}), 10)
     assert tied == pool14[:10]
-    assert ga_select(pool14, fits, GAConfig(population_size=3)) == pool14[-3:]
+    assert ga_select(pool14, rising, 3) == pool14[-3:]
+    # survivors come back in pool order, not rank order
+    assert ga_select([11, 0, 13, 12], rising, 3) == [11, 13, 12]
     with pytest.raises(ValueError):
-        ga_select([], [], GAConfig())
+        ga_select([], rising, 10)
 
 
 def test_ga_select_permits_duplicates():
     pool = [MIN_I] * 12
-    kept = ga_select(pool, [0.0] * 12, GAConfig())
+    kept = ga_select(pool, _table({}), 10)
     assert kept == [MIN_I] * 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-10, 10).map(lambda k: k / 10), min_size=24, max_size=24),
+    st.lists(st.integers(0, 23), min_size=1, max_size=30),
+    st.integers(1, 16),
+)
+def test_ga_select_matches_brute_force(rewards, pool, population_size):
+    # Rewards rounded to 0.1 over 24 states make ties and duplicate pool
+    # members common. Reference: rank by (-reward, position), keep the first
+    # population_size, return them in pool order.
+    ranked = sorted(range(len(pool)), key=lambda i: (-rewards[pool[i]], i))
+    expected = [pool[i] for i in sorted(ranked[:population_size])]
+    assert ga_select(pool, rewards, population_size) == expected
 
 
 def test_greedy_step_monotone_toward_target(example_subject):
@@ -409,11 +446,11 @@ def test_ga_index_crossover_and_mutation_match_tuple_splices(p1, p2, rest):
     # the other 14 slots are arbitrary
     u = [0.25, 0.75] + rest[2:]
     cfg = GAConfig(mutation_prob=0.0)
-    children = ga_generation(parents, [0.0, 0.0], cfg, u)
+    children = ga_generation(parents, _table({}), cfg, u)
     assert children[:2] == _ids(splices)
 
     cfg = GAConfig(mutation_prob=1.0)
-    children = ga_generation(parents, [0.0, 0.0], cfg, u)
+    children = ga_generation(parents, _table({}), cfg, u)
     for child, splice, m in zip(children[:2], splices, (2, 5)):
         assert 0 <= child < len(STATES)
         assert sum(a != b for a, b in zip(STATES[child], splice)) <= 1

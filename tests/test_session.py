@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,12 @@ def test_unknown_method_and_mismatched_subject(example_subject):
         run_session(_cfg(iteration_cap=-1), example_subject)
     with pytest.raises(ValueError):
         run_session(_cfg(master_seed=-1), example_subject)
+    # greedy opens no stream, so the check cannot be left to the seeding
+    for method in ("greedy", "random"):
+        with pytest.raises(ValueError, match="repeat_index"):
+            run_session(_cfg(method=method, repeat_index=-1), example_subject)
+    with pytest.raises(ValueError, match="subject_id"):
+        run_session(_cfg(subject_id=-1), replace(example_subject, id=-1))
     with pytest.raises(ValueError):
         run_session(_cfg(method="greedy"), example_subject, qtable=QTable.zeros())
 
