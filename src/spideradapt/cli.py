@@ -184,7 +184,9 @@ def _grid_config(path: str | None, population: SubjectPopulation, **flags) -> Gr
 
 
 def _subject(population: SubjectPopulation, subject_id: int) -> VirtualSubject:
-    if not 0 <= subject_id < len(population.subjects):
+    if subject_id < 0:  # a usage error whatever the file holds
+        raise ValueError(f"subject_id must be non-negative, got {subject_id}")
+    if subject_id >= len(population.subjects):
         raise SubjectFileError(
             f"subject id {subject_id} not in file (population size {len(population.subjects)})"
         )

@@ -216,11 +216,11 @@ def ga_generation(
     reward by +1 (rewards lie in [-1, 1]). Two pairs are drawn, and each is
     crossed at the midpoint: one child takes the first half of the
     attributes from the first parent and the second half from the other,
-    its sibling the converse; both children are kept. Mutation re-rolls one uniformly
-    chosen attribute to a uniformly chosen valid value with probability
-    ``mutation_prob``. ``u`` holds the generation's 16 uniforms, 8 per pair
-    in the order parent 1, parent 2, then the mutate test, attribute and
-    value of the first child and of the second.
+    its sibling the converse; both children are kept. Mutation re-rolls one
+    uniformly chosen attribute to a uniformly chosen valid value with
+    probability ``mutation_prob``. ``u`` holds the generation's 16 uniforms,
+    8 per pair in the order parent 1, parent 2, then the mutate test,
+    attribute and value of the first child and of the second.
     """
     if not population:
         raise ValueError("population must be non-empty")

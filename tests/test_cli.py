@@ -318,6 +318,7 @@ def test_oracle_report(subjects_file, capsys):
 
 def test_oracle_validates_ids(subjects_file, capsys):
     assert main(["oracle", "--subjects", str(subjects_file), "--subject-id", "99", "--target", "1"]) == 2
+    assert main(["oracle", "--subjects", str(subjects_file), "--subject-id", "-1", "--target", "1"]) == 1
     assert main(["oracle", "--subjects", str(subjects_file), "--subject-id", "0", "--target", "12"]) == 1
 
 
@@ -382,15 +383,16 @@ def test_empty_subjects_file_is_a_data_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("method", ["greedy", "random"])
-def test_trace_rejects_a_negative_repeat(tmp_path, subjects_file, capsys, method):
-    # greedy opens no stream, so only the run config's check can catch it
+def test_trace_rejects_negative_coordinates(tmp_path, subjects_file, capsys, method):
+    # greedy opens no stream, so only the run config's check can catch a negative repeat
     argv = [
-        "trace", "--subjects", str(subjects_file), "--subject-id", "0", "--method", method,
-        "--target", "2", "--initial", "min", "--seed", "9", "--repeat", "-1",
-        "--out", str(tmp_path / "t.jsonl"),
+        "trace", "--subjects", str(subjects_file), "--method", method,
+        "--target", "2", "--initial", "min", "--seed", "9", "--out", str(tmp_path / "t.jsonl"),
     ]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == "error: repeat_index must be non-negative, got -1\n"
+    for coordinate, name in ((["--subject-id", "0", "--repeat", "-1"], "repeat_index"),
+                             (["--subject-id", "-1"], "subject_id")):
+        assert main(argv + coordinate) == 1
+        assert capsys.readouterr().err == f"error: {name} must be non-negative, got -1\n"
 
 
 def test_trace_emits_jsonl(tmp_path, subjects_file, capsys):
