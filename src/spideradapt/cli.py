@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 from .domain import enumerate_states
@@ -248,33 +248,26 @@ def _read_results(path: str) -> list[RunRecord]:
     return records
 
 
+def _emit(text: str, out: str | None, what: str) -> int:
+    """Write ``text`` to the ``--out`` path, or to stdout when there is none."""
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        Path(out).write_text(text)
+        print(f"wrote {what} to {out}")
+    return 0
+
+
 def _cmd_summarize(args) -> int:
     records = _read_results(args.results)
     summaries = summarize(records)
     comparisons = mark_significance(records, summaries)
-    text = (
-        summary_to_csv(summaries, comparisons)
-        if args.format == "csv"
-        else summary_to_markdown(summaries, comparisons)
-    )
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
-        print(f"wrote summary to {args.out}")
-    return 0
+    render = summary_to_csv if args.format == "csv" else summary_to_markdown
+    return _emit(render(summaries, comparisons), args.out, "summary")
 
 
 def _cmd_compare(args) -> int:
-    records = _read_results(args.results)
-    comparisons = mark_significance(records)
-    text = comparisons_to_csv(comparisons)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
-        print(f"wrote comparisons to {args.out}")
-    return 0
+    return _emit(comparisons_to_csv(mark_significance(_read_results(args.results))), args.out, "comparisons")
 
 
 def _cmd_oracle(args) -> int:
@@ -305,17 +298,7 @@ def _cmd_trace(args) -> int:
     result = run_session(cfg, subject)
     with open(args.out, "w") as handle:
         for shown in result.presented_sequence:
-            handle.write(
-                json.dumps(
-                    {
-                        "state": list(shown.state),
-                        "stress": shown.stress,
-                        "reward": shown.reward,
-                        "iteration": shown.iteration,
-                    }
-                )
-                + "\n"
-            )
+            handle.write(json.dumps(asdict(shown)) + "\n")
     print(
         f"success={'true' if result.success else 'false'} "
         f"spiders_presented={result.spiders_presented} iterations={result.iterations_used}"
@@ -338,10 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, SubjectFileError, ResultsFileError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, SubjectFileError, ResultsFileError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -20,7 +20,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import product
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import betainc
@@ -129,6 +129,8 @@ class CellSummary:
     accuracy_percent: float
     n_success: int
     considered: bool
+    # each subject's mean over its successful runs: the t-tests' pairing unit
+    subject_means: dict[int, float] = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -209,28 +211,32 @@ def run_grid(
 def summarize(records: Sequence[RunRecord]) -> list[CellSummary]:
     """Aggregate runs into (initial, category, method) cells.
 
-    A cell's mean and std pool every successful run in it, whatever its target.
+    A cell's mean and std pool every successful run in it, whatever its
+    target; ``subject_means`` keeps the mean of each subject's successes.
     """
-    cells: dict[tuple[str, str, str], list[RunRecord]] = {}
+    runs: dict[tuple[str, str, str], int] = {}
+    successes: dict[tuple[str, str, str], dict[int, list[int]]] = {}
     for r in records:
-        cells.setdefault((r.initial_kind, category_of(r.target), r.method), []).append(r)
+        cell = (r.initial_kind, category_of(r.target), r.method)
+        runs[cell] = runs.get(cell, 0) + 1
+        by_subject = successes.setdefault(cell, {})
+        if r.success:
+            by_subject.setdefault(r.subject_id, []).append(r.spiders_presented)
 
     summaries = []
-    for (initial_kind, category, method), cell_records in cells.items():
-        successes = [r.spiders_presented for r in cell_records if r.success]
-        accuracy = 100.0 * len(successes) / len(cell_records)
-        mean = statistics.fmean(successes) if successes else None
-        std = statistics.stdev(successes) if len(successes) >= 2 else None
+    for cell, by_subject in successes.items():
+        # fmean sums with fsum and stdev with exact fractions, so grouping by subject changes no bit
+        pooled = [n for counts in by_subject.values() for n in counts]
+        accuracy = 100.0 * len(pooled) / runs[cell]
         summaries.append(
             CellSummary(
-                initial_kind=initial_kind,
-                stress_category=category,
-                method=method,
-                mean_presented=mean,
-                std_presented=std,
+                *cell,
+                mean_presented=statistics.fmean(pooled) if pooled else None,
+                std_presented=statistics.stdev(pooled) if len(pooled) >= 2 else None,
                 accuracy_percent=accuracy,
-                n_success=len(successes),
+                n_success=len(pooled),
                 considered=accuracy >= ACCURACY_THRESHOLD,
+                subject_means={sid: statistics.fmean(counts) for sid, counts in by_subject.items()},
             )
         )
     summaries.sort(
@@ -280,20 +286,13 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     return t, p
 
 
-def _per_subject_means(
-    records: Sequence[RunRecord],
-) -> dict[tuple[str, str, str], dict[int, float]]:
-    """Per-subject mean presentation count over successful runs, per cell."""
-    raw: dict[tuple[str, str, str], dict[int, list[int]]] = {}
-    for r in records:
-        if not r.success:
-            continue
-        cell = (r.initial_kind, category_of(r.target), r.method)
-        raw.setdefault(cell, {}).setdefault(r.subject_id, []).append(r.spiders_presented)
-    return {
-        cell: {sid: statistics.fmean(vals) for sid, vals in per_subject.items()}
-        for cell, per_subject in raw.items()
-    }
+def _paired_p(a_means: dict[int, float], b_means: dict[int, float]) -> float | None:
+    """p of the paired t-test over the subjects both sides cover; None where it is undefined."""
+    shared = sorted(a_means.keys() & b_means.keys())
+    try:
+        return paired_ttest([a_means[sid] for sid in shared], [b_means[sid] for sid in shared])[1]
+    except ValueError:  # fewer than two shared subjects, or a constant nonzero difference
+        return None
 
 
 def mark_significance(
@@ -302,60 +301,29 @@ def mark_significance(
 ) -> list[ComparisonResult]:
     """Find each cell's best considered method and test the others against it.
 
-    The pairing unit is the per-subject mean over successful runs; subjects
-    without a success under either method drop out pairwise. The best method
-    earns ``**`` when significantly better than every other considered
-    method, otherwise ``*`` marks it and every considered method that is not
-    significantly different. Cells with no considered method are skipped.
+    The pairing unit is each summary's ``subject_means``; subjects without a
+    success under either method drop out pairwise. ``records`` is read only
+    when no summaries are given. The best method earns ``**`` when
+    significantly better than every other considered method, otherwise ``*``
+    marks it and every considered method that is not significantly
+    different. Cells with no considered method are skipped.
     """
     if summaries is None:
         summaries = summarize(records)
-    subject_means = _per_subject_means(records)
-
-    comparisons = []
     cells: dict[tuple[str, str], list[CellSummary]] = {}
     for s in summaries:
-        cells.setdefault((s.initial_kind, s.stress_category), []).append(s)
+        if s.considered:
+            cells.setdefault((s.initial_kind, s.stress_category), []).append(s)
 
-    for (initial_kind, category), cell_summaries in cells.items():
-        considered = [s for s in cell_summaries if s.considered and s.mean_presented is not None]
-        if not considered:
-            continue
+    comparisons = []
+    for (initial_kind, category), considered in cells.items():
         best = min(considered, key=lambda s: (s.mean_presented, POLICY_NAMES.index(s.method)))
-        best_means = subject_means.get((initial_kind, category, best.method), {})
-        p_values: dict[str, float | None] = {}
-        markers: dict[str, str] = {}
-        others = [s for s in considered if s.method != best.method]
-        if not others:
-            comparisons.append(ComparisonResult(initial_kind, category, best.method, {}, {}))
-            continue
-        for s in others:
-            other_means = subject_means.get((initial_kind, category, s.method), {})
-            shared = sorted(best_means.keys() & other_means.keys())
-            if len(shared) < 2:
-                p_values[s.method] = None
-                continue
-            try:
-                _, p = paired_ttest(
-                    [best_means[sid] for sid in shared],
-                    [other_means[sid] for sid in shared],
-                )
-            except ValueError:
-                p_values[s.method] = None
-                continue
-            p_values[s.method] = p
-
-        def significant(method: str) -> bool:
-            p = p_values.get(method)
-            return p is not None and p < SIGNIFICANCE_LEVEL
-
-        if all(significant(s.method) for s in others):
-            markers[best.method] = "**"
+        p_values = {s.method: _paired_p(best.subject_means, s.subject_means) for s in considered if s is not best}
+        weak = [m for m, p in p_values.items() if p is None or p >= SIGNIFICANCE_LEVEL]
+        if weak:
+            markers = dict.fromkeys([best.method, *weak], "*")
         else:
-            markers[best.method] = "*"
-            for s in others:
-                if not significant(s.method):
-                    markers[s.method] = "*"
+            markers = {best.method: "**"} if p_values else {}
         comparisons.append(ComparisonResult(initial_kind, category, best.method, p_values, markers))
     return comparisons
 
@@ -364,25 +332,21 @@ def mark_significance(
 # Emission
 
 
-def results_to_csv(records: Sequence[RunRecord]) -> str:
-    """Results CSV, canonically ordered so identical grids give identical bytes."""
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(RESULT_COLUMNS)
-    for r in sorted(records, key=_record_key):
-        writer.writerow(
-            [
-                r.method,
-                r.initial_kind,
-                r.target,
-                r.subject_id,
-                r.repeat,
-                "true" if r.success else "false",
-                r.spiders_presented,
-                r.iterations_used,
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
+
+
+def results_to_csv(records: Sequence[RunRecord]) -> str:
+    """Results CSV, canonically ordered so identical grids give identical bytes."""
+    return _csv(RESULT_COLUMNS, (
+        (r.method, r.initial_kind, r.target, r.subject_id, r.repeat,
+         "true" if r.success else "false", r.spiders_presented, r.iterations_used)
+        for r in sorted(records, key=_record_key)
+    ))
 
 
 class ResultsFileError(ValueError):
@@ -393,7 +357,7 @@ def results_from_csv(text: str) -> list[RunRecord]:
     """Parse a results CSV, rejecting any row the report could not label.
 
     Every row must name a known method and initial state, a target in 1..9,
-    and coordinates that no other row repeats.
+    non-negative numbers and coordinates that no other row repeats.
     """
     reader = csv.reader(io.StringIO(text))
     records = []
@@ -407,19 +371,22 @@ def results_from_csv(text: str) -> list[RunRecord]:
             if not row:
                 continue
             method, initial_kind, target, subject_id, repeat, success, presented, iterations = fields_of(row)
-            target = int(target)
+            target, subject_id, repeat = int(target), int(subject_id), int(repeat)
+            presented, iterations = int(presented), int(iterations)
             if method not in POLICY_NAMES:
                 raise ValueError(f"unknown method {method!r}")
             if initial_kind not in INITIAL_KINDS:
                 raise ValueError(f"unknown initial kind {initial_kind!r}")
             if not 1 <= target <= 9:
                 raise ValueError(f"target {target} not in 1..9")
+            if subject_id < 0 or repeat < 0 or presented < 0 or iterations < 0:
+                raise ValueError("subject_id, repeat, spiders_presented and iterations_used must be non-negative")
             # records share one string per name instead of holding one per row
-            coords = (sys.intern(method), sys.intern(initial_kind), target, int(subject_id), int(repeat))
+            coords = (sys.intern(method), sys.intern(initial_kind), target, subject_id, repeat)
             if coords in seen:
                 raise ValueError(f"duplicate run {coords}")
             seen.add(coords)
-            records.append(RunRecord(*coords, {"true": True, "false": False}[success], int(presented), int(iterations)))
+            records.append(RunRecord(*coords, {"true": True, "false": False}[success], presented, iterations))
     except (IndexError, KeyError, ValueError, csv.Error) as exc:
         raise ResultsFileError(f"malformed results CSV at line {reader.line_num}: {exc}") from exc
     if not records:
@@ -427,8 +394,8 @@ def results_from_csv(text: str) -> list[RunRecord]:
     return records
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.6f}"
+def _fmt(value: float | None, spec: str = ".6f") -> str:
+    return "" if value is None else format(value, spec)
 
 
 def summary_to_csv(
@@ -436,36 +403,16 @@ def summary_to_csv(
     comparisons: Sequence[ComparisonResult],
 ) -> str:
     markers = _marker_lookup(comparisons)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        [
-            "initial_kind",
-            "stress_category",
-            "method",
-            "mean_presented",
-            "std_presented",
-            "accuracy_percent",
-            "n_success",
-            "considered",
-            "marker",
-        ]
+    return _csv(
+        ("initial_kind", "stress_category", "method", "mean_presented", "std_presented",
+         "accuracy_percent", "n_success", "considered", "marker"),
+        (
+            (s.initial_kind, s.stress_category, s.method, _fmt(s.mean_presented), _fmt(s.std_presented),
+             _fmt(s.accuracy_percent), s.n_success, "true" if s.considered else "false",
+             markers.get((s.initial_kind, s.stress_category, s.method), ""))
+            for s in summaries
+        ),
     )
-    for s in summaries:
-        writer.writerow(
-            [
-                s.initial_kind,
-                s.stress_category,
-                s.method,
-                _fmt(s.mean_presented),
-                _fmt(s.std_presented),
-                f"{s.accuracy_percent:.6f}",
-                s.n_success,
-                "true" if s.considered else "false",
-                markers.get((s.initial_kind, s.stress_category, s.method), ""),
-            ]
-        )
-    return out.getvalue()
 
 
 def _marker_lookup(
@@ -535,23 +482,13 @@ def summary_to_markdown(
 
 
 def comparisons_to_csv(comparisons: Sequence[ComparisonResult]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["initial_kind", "stress_category", "best_method", "method", "p_value", "marker"])
-    for c in comparisons:
-        methods = sorted(set(c.p_values) | set(c.markers), key=POLICY_NAMES.index)
-        if not methods:
-            writer.writerow([c.initial_kind, c.stress_category, c.best_method, "", "", ""])
-        for m in methods:
-            p = c.p_values.get(m)
-            writer.writerow(
-                [
-                    c.initial_kind,
-                    c.stress_category,
-                    c.best_method,
-                    m,
-                    "" if p is None else f"{p:.6g}",
-                    c.markers.get(m, ""),
-                ]
-            )
-    return out.getvalue()
+    return _csv(
+        ("initial_kind", "stress_category", "best_method", "method", "p_value", "marker"),
+        (
+            (c.initial_kind, c.stress_category, c.best_method, m,
+             _fmt(c.p_values.get(m), ".6g"), c.markers.get(m, ""))
+            for c in comparisons
+            # a best method with no rival still gets a row, with the other columns empty
+            for m in sorted(c.p_values.keys() | c.markers.keys(), key=POLICY_NAMES.index) or [""]
+        ),
+    )

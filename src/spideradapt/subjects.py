@@ -176,24 +176,36 @@ class SubjectFileError(ValueError):
     """Raised when a subjects file is malformed or internally inconsistent."""
 
 
+def _of_type(value, kinds: tuple[type, ...], name: str):
+    """``value`` if its JSON type is one of ``kinds``; a JSON boolean is never a number."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, got {json.dumps(value)}")
+    return value
+
+
 def load_population(path: str | Path) -> SubjectPopulation:
-    """Read a subjects file back; validates ids and coefficient consistency."""
+    """Read a subjects file back; validates JSON types, ids and coefficient consistency.
+
+    The seed and ids are JSON integers, the coefficient a JSON number and the
+    weights a JSON list of numbers; nothing is coerced.
+    """
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, RecursionError, ValueError) as exc:  # ValueError: undecodable text or JSON
         raise SubjectFileError(f"cannot read subjects file {path}: {exc}") from exc
     try:
-        seed = int(payload["seed"])
-        entries = payload["subjects"]
+        seed = _of_type(payload["seed"], (int,), "seed")
         subjects = tuple(
             VirtualSubject(
-                id=int(e["id"]),
-                weights=tuple(float(w) for w in e["weights"]),
-                coefficient=float(e["coefficient"]),
+                id=_of_type(e["id"], (int,), "id"),
+                weights=tuple(
+                    float(_of_type(w, (int, float), "weight")) for w in _of_type(e["weights"], (list,), "weights")
+                ),
+                coefficient=float(_of_type(e["coefficient"], (int, float), "coefficient")),
             )
-            for e in entries
+            for e in _of_type(payload["subjects"], (list,), "subjects")
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int too big for a float
         raise SubjectFileError(f"malformed subjects file {path}: {exc}") from exc
     if not subjects:
         raise SubjectFileError(f"subjects file {path} holds no subjects")

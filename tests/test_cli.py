@@ -382,6 +382,28 @@ def test_empty_subjects_file_is_a_data_error(tmp_path, capsys):
     assert not results.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("id", 0.7), ("id", True), ("id", "0"), ("seed", 1.9), ("weights", ["0.7", 1, 1, 1, 1, 1]),
+    ("weights", {"0": 1, "1": 1, "2": 1, "3": 1, "4": 1, "5": 1}), ("coefficient", True),
+])
+def test_mistyped_subjects_are_data_errors(tmp_path, capsys, field, value):
+    subject = {"id": 0, "weights": [1] * 6, "coefficient": 10 / _weighted_max((1.0,) * 6)}
+    payload = {"seed": 1, "subjects": [subject]}
+    (payload if field == "seed" else subject)[field] = value
+    path = tmp_path / "subjects.json"
+    path.write_text(json.dumps(payload))
+    common = ["--subjects", str(path)]
+    target = ["--subject-id", "0", "--target", "1", "--initial", "min"]
+    for argv in (
+        ["run", *common, "--out", str(tmp_path / "r.csv"), "--seed", "1", "--repeats", "1"],
+        ["oracle", *common, *target],
+        ["trace", *common, *target, "--method", "greedy", "--seed", "1", "--out", str(tmp_path / "t.jsonl")],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("method", ["greedy", "random"])
 def test_trace_rejects_negative_coordinates(tmp_path, subjects_file, capsys, method):
     # greedy opens no stream, so only the run config's check can catch a negative repeat

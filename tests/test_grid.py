@@ -1,12 +1,19 @@
 import dataclasses
 import hashlib
+import itertools
 import math
+import statistics
 
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spideradapt.grid
 from spideradapt.grid import (
+    CATEGORY_ORDER,
+    CellSummary,
+    ComparisonResult,
     GridConfig,
     ResultsFileError,
     RunRecord,
@@ -22,7 +29,8 @@ from spideradapt.grid import (
     summary_to_csv,
     summary_to_markdown,
 )
-from spideradapt.policies import RLConfig
+from spideradapt.policies import POLICY_NAMES, RLConfig
+from spideradapt.session import INITIAL_KINDS
 from spideradapt.subjects import SubjectPopulation
 
 # Frozen oracle for differences (1, 2, 3, 4, 5), computed independently.
@@ -313,6 +321,93 @@ def test_mark_significance_skips_unconsidered_cells():
     assert mark_significance(records) == []
 
 
+def _reference_report(records):
+    """Summaries and comparisons rebuilt from the records alone, by the documented rules."""
+    cells = {}
+    for r in records:
+        cells.setdefault((r.initial_kind, category_of(r.target), r.method), []).append(r)
+    summaries = {}
+    for cell, runs in cells.items():
+        counts = [r.spiders_presented for r in runs if r.success]
+        by_subject = {}
+        for r in runs:
+            if r.success:
+                by_subject.setdefault(r.subject_id, []).append(r.spiders_presented)
+        accuracy = 100.0 * len(counts) / len(runs)
+        summaries[cell] = CellSummary(
+            *cell,
+            mean_presented=statistics.fmean(counts) if counts else None,
+            std_presented=statistics.stdev(counts) if len(counts) >= 2 else None,
+            accuracy_percent=accuracy,
+            n_success=len(counts),
+            considered=accuracy >= 75.0,
+            subject_means={sid: statistics.fmean(v) for sid, v in by_subject.items()},
+        )
+    order = sorted(summaries, key=lambda c: (INITIAL_KINDS.index(c[0]), CATEGORY_ORDER.index(c[1]),
+                                             POLICY_NAMES.index(c[2])))
+    comparisons = []
+    for initial_kind, category in dict.fromkeys(c[:2] for c in order):
+        considered = [summaries[c] for c in order if c[:2] == (initial_kind, category) and summaries[c].considered]
+        if not considered:
+            continue
+        best = min(considered, key=lambda s: (s.mean_presented, POLICY_NAMES.index(s.method)))
+        p_values = {}
+        for s in considered:
+            if s.method == best.method:
+                continue
+            shared = sorted(set(best.subject_means) & set(s.subject_means))
+            try:
+                p_values[s.method] = paired_ttest([best.subject_means[i] for i in shared],
+                                                  [s.subject_means[i] for i in shared])[1]
+            except ValueError:
+                p_values[s.method] = None
+        tied = [m for m, p in p_values.items() if not (p is not None and p < 0.05)]
+        markers = {}
+        if p_values and not tied:
+            markers[best.method] = "**"
+        elif tied:
+            markers = {best.method: "*", **{m: "*" for m in tied}}
+        comparisons.append(ComparisonResult(initial_kind, category, best.method, p_values, markers))
+    return [summaries[c] for c in order], comparisons
+
+
+@st.composite
+def _report_records(draw):
+    """A shuffled, possibly incomplete grid with few subjects and small counts.
+
+    Each method adds its own offset to counts of 1 or 2, so some pairs
+    differ consistently and some tie; up to five subjects give constant
+    nonzero differences and cells with fewer than two shared subjects; a
+    failure in five runs puts some cells below the accuracy threshold.
+    """
+    methods = draw(st.lists(st.sampled_from(POLICY_NAMES), min_size=1, max_size=4, unique=True))
+    offset = {m: draw(st.integers(0, 2)) for m in methods}
+    axes = (
+        methods,
+        draw(st.lists(st.sampled_from(INITIAL_KINDS), min_size=1, max_size=2, unique=True)),
+        draw(st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True)),
+        range(draw(st.integers(1, 5))),
+        range(draw(st.integers(1, 2))),
+    )
+    outcome = st.tuples(st.sampled_from(["win", "win", "win", "fail", "missing"]), st.integers(1, 2))
+    records = []
+    for coords in itertools.product(*axes):
+        kind, count = draw(outcome)
+        if kind != "missing":
+            records.append(RunRecord(*coords, kind == "win", offset[coords[0]] + count, 0))
+    return draw(st.permutations(records))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_report_records())
+def test_report_matches_reference(records):
+    summaries, comparisons = _reference_report(records)
+    assert summarize(records) == summaries
+    assert mark_significance(records) == comparisons
+    assert mark_significance(records, summarize(records)) == comparisons
+    assert all("subject_means" not in repr(s) for s in summaries)
+
+
 def test_results_csv_round_trip(small_population):
     cfg = GridConfig(population=small_population, master_seed=2,
                      methods=("random",), repeats=1)
@@ -348,6 +443,15 @@ def test_results_from_csv_rejects_bad_input():
     ):
         with pytest.raises(ResultsFileError):
             results_from_csv(header + rows)
+    # no run writes a negative number, so the row is refused by its line number
+    for row in (
+        "random,min,2,-1,0,true,3,1\n",  # negative subject_id
+        "random,min,2,0,-1,true,3,1\n",  # negative repeat
+        "random,min,2,0,0,true,-3,1\n",  # negative spiders_presented
+        "random,min,2,0,0,true,3,-1\n",  # negative iterations_used
+    ):
+        with pytest.raises(ResultsFileError, match="at line 3: .* must be non-negative"):
+            results_from_csv(header + good + row)
 
 
 def test_summary_emission_formats():

@@ -216,6 +216,36 @@ def test_load_population_rejects_garbage(tmp_path):
         path.write_text(text)
         with pytest.raises(SubjectFileError):
             load_population(path)
+    # JSON types are checked, never coerced
+    weights = [0.7, 0.1, 0.2, 0.3, 0.4, 0.5]
+    good = {"id": 0, "weights": weights, "coefficient": scale_coefficient(tuple(weights))}
+    for payload in (
+        {"seed": 1.9, "subjects": [good]},
+        {"seed": True, "subjects": [good]},
+        {"seed": 1, "subjects": {"0": good}},
+        *({"seed": 1, "subjects": [{**good, "id": bad}]} for bad in (0.7, True, "0")),
+        {"seed": 1, "subjects": [{**good, "weights": ["0.7", *weights[1:]]}]},
+        {"seed": 1, "subjects": [{**good, "weights": [True, *weights[1:]]}]},
+        {"seed": 1, "subjects": [{**good, "weights": [10**400, *weights[1:]]}]},  # no float holds it
+        {"seed": 1, "subjects": [{**good, "weights": weights[:5]}]},
+        {"seed": 1, "subjects": [{**good, "coefficient": True}]},
+        {"seed": 1, "subjects": [{**good, "coefficient": str(good["coefficient"])}]},
+    ):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SubjectFileError):
+            load_population(path)
+    # a weights object would iterate as its keys 0..5; this coefficient fits those keys
+    keys = {str(i): w for i, w in enumerate(weights)}
+    path.write_text(json.dumps({"seed": 1, "subjects": [
+        {"id": 0, "weights": keys, "coefficient": scale_coefficient(tuple(float(k) for k in keys))}
+    ]}))
+    with pytest.raises(SubjectFileError, match="weights must be list"):
+        load_population(path)
+    # integer weights and coefficients are JSON numbers too
+    path.write_text(json.dumps({"seed": 1, "subjects": [
+        {"id": 0, "weights": [1, 1, 1, 1, 1, 1], "coefficient": scale_coefficient((1.0,) * 6)}
+    ]}))
+    assert load_population(path).subjects[0].weights == (1.0,) * 6
 
 
 def test_success_band_membership_matches_predicate(example_subject):
