@@ -211,15 +211,9 @@ def _cmd_run(args) -> int:
         initial_kinds=args.initials, targets=args.targets, repeats=args.repeats,
         iteration_cap=args.iteration_cap, workers=args.workers,
     )
-    axes = (len(cfg.methods), len(population.subjects), len(cfg.initial_kinds), len(cfg.targets), cfg.repeats)
-    print(f"running {math.prod(axes)} sessions "
-          "({} methods x {} subjects x {} initials x {} targets x {} repeats)".format(*axes),
-          file=sys.stderr)
-
     # run_grid reports cells; every cell runs each subject's repeats
     runs_per_cell = len(population.subjects) * cfg.repeats
     last_decile = -1
-    start = time.perf_counter()
 
     def progress(done: int, total: int) -> None:
         nonlocal last_decile
@@ -231,8 +225,15 @@ def _cmd_run(args) -> int:
                   f"{done * runs_per_cell / elapsed:.0f} runs/s, eta {elapsed * (total - done) / done:.0f}s",
                   file=sys.stderr)
 
-    records = run_grid(cfg, progress=progress)
-    Path(args.out).write_text(results_to_csv(records))
+    # an unwritable --out fails here, before any session runs
+    with open(args.out, "w") as out:
+        axes = (len(cfg.methods), len(population.subjects), len(cfg.initial_kinds), len(cfg.targets), cfg.repeats)
+        print(f"running {math.prod(axes)} sessions "
+              "({} methods x {} subjects x {} initials x {} targets x {} repeats)".format(*axes),
+              file=sys.stderr)
+        start = time.perf_counter()
+        records = run_grid(cfg, progress=progress)
+        out.write(results_to_csv(records))
     print(f"wrote {len(records)} runs to {args.out}")
     return 0
 

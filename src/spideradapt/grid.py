@@ -22,14 +22,15 @@ from itertools import product
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
 from scipy.special import betainc
 
-from .policies import GAConfig, POLICY_NAMES, QTable, RL_METHODS, RLConfig
+from .domain import N_STATES
+from .policies import GAConfig, POLICY_NAMES, RLConfig
+from .reward_model import TARGETS
 from .session import INITIAL_KINDS, RunConfig, run_session
 from .subjects import SubjectPopulation
 
-DEFAULT_TARGETS = tuple(range(1, 10))
+DEFAULT_TARGETS = tuple(TARGETS)
 STRESS_CATEGORIES: dict[str, tuple[int, ...]] = {
     "low": (1, 2, 3),
     "moderate": (4, 5, 6),
@@ -151,23 +152,14 @@ def _record_key(r: RunRecord) -> tuple:
 def _run_cell(cell: tuple[GridConfig, str, str, int]) -> list[RunRecord]:
     """All runs of one (method, initial state, target) cell: the grid's work unit.
 
-    The cell covers every subject and repeat. With ``rl.persist_across_runs``
-    an RL cell seeds one Q-table from its own coordinates and threads it
-    through the runs in subject-then-repeat order, so the cell's records do
-    not depend on where or when it runs.
+    The cell covers every subject and repeat.
     """
     cfg, method, initial_kind, target = cell
-    table = None
-    if cfg.rl.persist_across_runs and method in RL_METHODS:
-        seed = np.random.SeedSequence([
-            cfg.master_seed, POLICY_NAMES.index(method), INITIAL_KINDS.index(initial_kind), target, 0xA11CE,
-        ])
-        table = QTable.create(method, np.random.default_rng(seed))
     records = []
     for subject in cfg.population.subjects:
         for repeat in range(cfg.repeats):
             run_cfg = cfg.run_config(method, initial_kind, target, subject.id, repeat)
-            result = run_session(run_cfg, subject, qtable=table, record_sequence=False)
+            result = run_session(run_cfg, subject, record_sequence=False)
             records.append(RunRecord(
                 method, initial_kind, target, subject.id, repeat,
                 result.success, result.spiders_presented, result.iterations_used,
@@ -182,9 +174,9 @@ def run_grid(
     """Run the whole grid and return records in canonical coordinate order.
 
     Worker count never changes the records: every run derives its rng from
-    its own coordinates, a persistent Q-table lives inside one cell, and the
-    output is sorted before returning. ``progress`` gets (cells done, cells).
-    The whole configuration is validated before any cell runs.
+    its own coordinates, and the output is sorted before returning.
+    ``progress`` gets (cells done, cells). The whole configuration is
+    validated before any cell runs.
     """
     cfg.validate()
     cells = [(cfg, *cell) for cell in product(cfg.methods, cfg.initial_kinds, cfg.targets)]
@@ -357,7 +349,8 @@ def results_from_csv(text: str) -> list[RunRecord]:
     """Parse a results CSV, rejecting any row the report could not label.
 
     Every row must name a known method and initial state, a target in 1..9,
-    non-negative numbers and coordinates that no other row repeats.
+    non-negative numbers, between 1 and ``N_STATES`` spiders presented and
+    coordinates that no other row repeats.
     """
     reader = csv.reader(io.StringIO(text))
     records = []
@@ -377,10 +370,12 @@ def results_from_csv(text: str) -> list[RunRecord]:
                 raise ValueError(f"unknown method {method!r}")
             if initial_kind not in INITIAL_KINDS:
                 raise ValueError(f"unknown initial kind {initial_kind!r}")
-            if not 1 <= target <= 9:
+            if target not in TARGETS:
                 raise ValueError(f"target {target} not in 1..9")
             if subject_id < 0 or repeat < 0 or presented < 0 or iterations < 0:
                 raise ValueError("subject_id, repeat, spiders_presented and iterations_used must be non-negative")
+            if not 1 <= presented <= N_STATES:  # a run shows its start, and never a spider twice
+                raise ValueError(f"spiders_presented {presented} not in 1..{N_STATES}")
             # records share one string per name instead of holding one per row
             coords = (sys.intern(method), sys.intern(initial_kind), target, subject_id, repeat)
             if coords in seen:

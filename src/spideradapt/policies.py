@@ -59,15 +59,12 @@ class RLConfig:
     epsilon is the exploration rate of the action-selection policy. The
     learning rate and discount are conventional defaults; they are exposed
     here because sweeps over them are expected. The table initialisation
-    follows the method name (rl_zero / rl_random). ``persist_across_runs``
-    keeps one table alive across the runs of a grid cell instead of starting
-    fresh.
+    follows the method name (rl_zero / rl_random).
     """
 
     epsilon: float = 0.05
     learning_rate: float = 0.1
     discount: float = 0.9
-    persist_across_runs: bool = False
 
     def validate(self) -> None:
         if not 0.0 <= self.epsilon <= 1.0:

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 MIN_STRESS = 0.0
 MAX_STRESS = 10.0
+# the integer stress levels a session can aim for
+TARGETS = range(1, 10)
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,7 @@ class RewardSpec:
     alpha: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.target <= 9:
+        if self.target not in TARGETS:
             raise ValueError(f"target must be an integer in 1..9, got {self.target!r}")
         sigma = (MAX_STRESS - MIN_STRESS) / 2
         alpha = MAX_STRESS if self.target < sigma else MIN_STRESS

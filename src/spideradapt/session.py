@@ -10,11 +10,12 @@ ranking is the batch of every neighbour, and a GA generation is its
 offspring. Sequential batches stop at the first success; a GA batch is
 presented whole and checked for success at its end.
 
-Every run owns an rng stream derived from the full run coordinates, so
-results are bit-reproducible regardless of scheduling. The stream is read
-by a fixed draw protocol: a fresh ``rl_random`` table takes the first
-5,832 uniforms, and after that iteration ``i >= 1`` owns the next ``k``
-uniforms, ``[k(i-1), k*i)``, with ``k = SLOTS_PER_ITERATION[method]``,
+Every run owns an rng stream derived from the full run coordinates, and
+an RL run builds its own fresh Q-table, so a run depends on nothing but its
+coordinates and results are bit-reproducible regardless of scheduling. The
+stream is read by a fixed draw protocol: an ``rl_random`` table takes the
+first 5,832 uniforms, and after that iteration ``i >= 1`` owns the next
+``k`` uniforms, ``[k(i-1), k*i)``, with ``k = SLOTS_PER_ITERATION[method]``,
 whether the policy reads them or not. Greedy draws nothing and opens no
 stream.
 """
@@ -44,7 +45,7 @@ from .policies import (
     rl_select_action,
     rl_update,
 )
-from .reward_model import RewardSpec, is_success, reward
+from .reward_model import TARGETS, RewardSpec, is_success, reward
 from .subjects import VirtualSubject, stress_table
 
 INITIAL_KINDS = ("min", "avg", "max")
@@ -77,7 +78,7 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {POLICY_NAMES}")
         if self.initial_kind not in INITIAL_STATES:
             raise ValueError(f"unknown initial kind {self.initial_kind!r}; expected one of {INITIAL_KINDS}")
-        if not 1 <= self.target <= 9:
+        if self.target not in TARGETS:
             raise ValueError(f"target must be in 1..9, got {self.target}")
         if self.subject_id < 0:
             raise ValueError(f"subject_id must be non-negative, got {self.subject_id}")
@@ -161,21 +162,16 @@ def _response_tables(
 def run_session(
     cfg: RunConfig,
     subject: VirtualSubject,
-    qtable: QTable | None = None,
     record_sequence: bool = True,
 ) -> RunResult:
     """Execute one adaptation run and report what the subject was shown.
 
-    ``qtable`` lets a caller thread one learning table through several runs
-    (persistence experiments); by default every run starts fresh. Setting
-    ``record_sequence`` to False skips building the presentation trace, which
-    large grids use to save memory; the counts are unaffected.
+    Setting ``record_sequence`` to False skips building the presentation
+    trace, which large grids use to save memory; the counts are unaffected.
     """
     cfg.validate()
     if subject.id != cfg.subject_id:
         raise ValueError(f"subject id {subject.id} does not match config subject_id {cfg.subject_id}")
-    if qtable is not None and cfg.method not in RL_METHODS:
-        raise ValueError(f"a Q-table makes no sense for method {cfg.method!r}")
     space = state_space()
     stresses, rewards, successes = _response_tables(subject, cfg.target, cfg.rounded_reward)
     method = cfg.method
@@ -225,8 +221,8 @@ def run_session(
         return result(True, 0, start)
     learning = method in RL_METHODS
     if learning:
-        # a fresh rl_random table takes its uniforms before the first iteration's
-        q = (qtable if qtable is not None else QTable.create(method, rng)).flat()
+        # an rl_random table takes its uniforms before the first iteration's
+        q = QTable.create(method, rng).flat()
         epsilon = cfg.rl.epsilon
     neighbor_ids = space.neighbor_ids
     next_state = space.next_state

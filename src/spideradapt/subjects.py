@@ -32,7 +32,7 @@ from .domain import (
     is_valid_state,
     state_space,
 )
-from .reward_model import MAX_STRESS, is_success
+from .reward_model import MAX_STRESS, TARGETS, is_success
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def stress_table(subject: VirtualSubject) -> tuple[float, ...]:
 
 def success_states(subject: VirtualSubject, target: int) -> set[SpiderState]:
     """All states whose stress rounds to ``target`` (brute-force enumeration)."""
-    if not 1 <= target <= 9:
+    if target not in TARGETS:
         raise ValueError(f"target must be in 1..9, got {target!r}")
     return {s for s in enumerate_states() if is_success(stress(subject, s), target)}
 

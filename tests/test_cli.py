@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import spideradapt
 from spideradapt.cli import main
 from spideradapt.grid import GridConfig, results_to_csv, run_grid
+from spideradapt.policies import GAConfig, RLConfig
 from spideradapt.subjects import _weighted_max, load_population
 
 
@@ -107,6 +109,15 @@ def test_run_missing_subjects_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_run_checks_out_before_any_session(tmp_path, subjects_file, capsys):
+    out = tmp_path / "missing" / "r.csv"
+    code = main(["run", "--subjects", str(subjects_file), "--out", str(out), "--seed", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "progress:" not in err
+
+
 def test_run_reproducible_bytes(tmp_path, subjects_file):
     a = _run_results(tmp_path / "a" if (tmp_path / "a").mkdir() is None else tmp_path, subjects_file)
     first = a.read_bytes()
@@ -193,6 +204,7 @@ def test_run_config_rejects_unknown_keys(tmp_path, subjects_file, capsys):
         {"ga": {"pairs_per_generation": 2}},
         {"ga": {"children_per_pair": 2}},
         {"ga": {"early_stop_within_batch": False}},
+        {"rl": {"persist_across_runs": True}},
     ],
 )
 def test_run_config_rejects_mistyped_and_removed_keys(tmp_path, subjects_file, capsys, config):
@@ -205,6 +217,16 @@ def test_run_config_rejects_mistyped_and_removed_keys(tmp_path, subjects_file, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_readme_documents_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"The accepted top-level keys are (.*?), e\.g\.:\s*```json\n(.*?)```", readme, re.S)
+    keys, example = sentence.groups()
+    assert set(re.findall(r"`(\w+)`", keys)) == {f.name for f in fields(GridConfig)} - {"population"}
+    example = json.loads(example)
+    assert set(example["rl"]) == {f.name for f in fields(RLConfig)}
+    assert set(example["ga"]) == {f.name for f in fields(GAConfig)}
 
 
 def test_summarize_markdown_and_csv(tmp_path, subjects_file, capsys):
@@ -499,7 +521,7 @@ _NEAR_VALID = {
     "workers": st.integers(-1, 3),
     "rounded_reward": st.booleans(),
     "rl": st.fixed_dictionaries({}, optional={
-        "epsilon": st.floats(-0.5, 1.5), "persist_across_runs": st.booleans(), "eps": _JUNK,
+        "epsilon": st.floats(-0.5, 1.5), "eps": _JUNK,
     }),
     "ga": st.fixed_dictionaries({}, optional={
         "population_size": st.integers(0, 20), "mutation_prob": st.floats(-0.5, 1.5) | _JUNK,

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import itertools
 import math
 import statistics
@@ -29,7 +28,7 @@ from spideradapt.grid import (
     summary_to_csv,
     summary_to_markdown,
 )
-from spideradapt.policies import POLICY_NAMES, RLConfig
+from spideradapt.policies import POLICY_NAMES
 from spideradapt.session import INITIAL_KINDS
 from spideradapt.subjects import SubjectPopulation
 
@@ -141,21 +140,6 @@ def test_run_grid_asks_for_no_more_workers_than_cells(small_population, monkeypa
     assert asked == [2]
     assert records == run_grid(cfg)  # the serial branch asks for no pool at all
     assert asked == [2]
-
-
-def test_persistent_grid_runs_and_is_deterministic(small_population):
-    two = SubjectPopulation(small_population.seed, small_population.subjects[:2])
-    cfg = GridConfig(population=two, master_seed=3, methods=("rl_zero", "random"),
-                     targets=(1, 5), repeats=2, rl=RLConfig(persist_across_runs=True))
-    a = run_grid(cfg)
-    b = run_grid(cfg)
-    assert a == b
-    assert len(a) == 2 * 2 * 3 * 2 * 2
-    digest = hashlib.sha256(results_to_csv(a).encode()).hexdigest()
-    assert digest == "6d77e219fc86676495959634d9d14bef34dd610378ed22f8f42c7f0a5038a2d8"
-    # each cell owns its table, so persistence runs at any worker count
-    parallel = run_grid(dataclasses.replace(cfg, workers=2))
-    assert results_to_csv(parallel) == results_to_csv(a)
 
 
 def test_summarize_basic_arithmetic():
@@ -443,6 +427,10 @@ def test_results_from_csv_rejects_bad_input():
     ):
         with pytest.raises(ResultsFileError):
             results_from_csv(header + rows)
+    # every run shows its initial spider and there are 486 states to show
+    for row in ("random,min,2,0,0,true,0,1\n", "random,min,2,0,0,false,487,100\n"):
+        with pytest.raises(ResultsFileError, match="at line 3: spiders_presented .* not in 1..486"):
+            results_from_csv(header + good + row)
     # no run writes a negative number, so the row is refused by its line number
     for row in (
         "random,min,2,-1,0,true,3,1\n",  # negative subject_id

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spideradapt.domain import apply_action, neighbors, state_index, state_space, valid_actions
-from spideradapt.policies import GAConfig, QTable, RLConfig
+from spideradapt.policies import GAConfig, RLConfig
 from spideradapt.reward_model import RewardSpec, is_success, reward
 from spideradapt.session import (
     INITIAL_STATES,
@@ -56,8 +56,6 @@ def test_unknown_method_and_mismatched_subject(example_subject):
             run_session(_cfg(method=method, repeat_index=-1), example_subject)
     with pytest.raises(ValueError, match="subject_id"):
         run_session(_cfg(subject_id=-1), replace(example_subject, id=-1))
-    with pytest.raises(ValueError):
-        run_session(_cfg(method="greedy"), example_subject, qtable=QTable.zeros())
 
 
 def test_runs_are_bit_reproducible(small_population):
@@ -200,13 +198,6 @@ def test_record_sequence_off_keeps_counts(example_subject):
         full.iterations_used,
         full.final_state,
     )
-
-
-def test_external_qtable_is_updated(example_subject):
-    table = QTable.zeros()
-    cfg = _cfg(method="rl_zero", target=7)
-    run_session(cfg, example_subject, qtable=table)
-    assert table.values.any()  # learning wrote into the shared table
 
 
 def test_epsilon_zero_is_deterministic(example_subject):
