@@ -27,7 +27,6 @@ from .grid import (
 )
 from .policies import (
     GAConfig,
-    QTable,
     RLConfig,
     ga_generation,
     ga_initial_population,

@@ -66,7 +66,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="spideradapt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-subjects", parents=[], help="sample a virtual subject population")
+    p = sub.add_parser("gen-subjects", help="sample a virtual subject population")
     p.add_argument("--n", type=int, default=100, help="population size (default 100)")
     p.add_argument("--seed", type=int, required=True, help="population seed (required)")
     p.add_argument("--out", required=True, help="output subjects JSON path")

@@ -8,10 +8,9 @@ enumerable and indexable, which the adaptation policies and oracles rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 SpiderState = tuple[int, ...]
 
@@ -111,7 +110,7 @@ def enumerate_states() -> tuple[SpiderState, ...]:
 
 # Mixed-radix strides for state_index, derived from the attribute range sizes.
 STRIDES = tuple(
-    int(np.prod([MAX_VALUES[j] - MIN_VALUES[j] + 1 for j in range(i + 1, N_ATTRIBUTES)]))
+    math.prod(MAX_VALUES[j] - MIN_VALUES[j] + 1 for j in range(i + 1, N_ATTRIBUTES))
     for i in range(N_ATTRIBUTES)
 )
 

@@ -179,7 +179,8 @@ def run_grid(
     validated before any cell runs.
     """
     cfg.validate()
-    cells = [(cfg, *cell) for cell in product(cfg.methods, cfg.initial_kinds, cfg.targets)]
+    # target-major, so each (subject, target) response table is reused before the LRU cache evicts it
+    cells = [(cfg, m, i, t) for t, m, i in product(cfg.targets, cfg.methods, cfg.initial_kinds)]
     records: list[RunRecord] = []
     with ExitStack() as stack:
         if cfg.workers == 1:

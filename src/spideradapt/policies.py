@@ -12,10 +12,12 @@ for one subject and target), so a policy step is only table lookups and
 index arithmetic. This module is the only implementation of each policy;
 the session runner calls these functions directly.
 
-Policies draw nothing themselves: each step takes the uniforms in [0, 1)
-that the fixed draw protocol hands it (``SLOTS_PER_ITERATION`` per
-iteration), so a step is a pure function of its inputs. A choice among
-``n`` options is ``int(u * n)``.
+Policies draw nothing: each step takes the uniforms in [0, 1) that the
+fixed draw protocol hands it (``SLOTS_PER_ITERATION`` per iteration), so a
+step is a pure function of its inputs. A choice among ``n`` options is
+``int(u * n)``. The Q-learning functions take a flat table of
+``N_STATES * N_ACTIONS`` floats, entry (s, a) at ``s * N_ACTIONS + a``,
+which the session builds and, for ``rl_random``, draws.
 """
 
 from __future__ import annotations
@@ -27,14 +29,11 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Sequence
 
-import numpy as np
-
 from .domain import (
     MAX_VALUES,
     MIN_VALUES,
     N_ACTIONS,
     N_ATTRIBUTES,
-    N_STATES,
     STRIDES,
     state_space,
 )
@@ -87,45 +86,6 @@ class GAConfig:
             raise ValueError(f"population_size must be >= 2, got {self.population_size}")
         if not 0.0 <= self.mutation_prob <= 1.0:
             raise ValueError(f"mutation_prob must be in [0, 1], got {self.mutation_prob}")
-
-
-class QTable:
-    """Dense (state, nominal action) value table.
-
-    Entries for boundary-masked actions exist but are never read or written;
-    selection and updates only ever touch valid action ids.
-    """
-
-    def __init__(self, values: np.ndarray) -> None:
-        if values.shape != (N_STATES, N_ACTIONS):
-            raise ValueError(f"Q-table must be {N_STATES}x{N_ACTIONS}, got {values.shape}")
-        if values.dtype != np.float64 or not values.flags.c_contiguous:
-            raise ValueError("Q-table values must be a C-contiguous float64 array")
-        self.values = values
-
-    @classmethod
-    def zeros(cls) -> "QTable":
-        return cls(np.zeros((N_STATES, N_ACTIONS)))
-
-    @classmethod
-    def random(cls, rng: np.random.Generator) -> "QTable":
-        return cls(rng.random((N_STATES, N_ACTIONS)))
-
-    @classmethod
-    def create(cls, method: str, rng: np.random.Generator) -> "QTable":
-        """A fresh table for an RL method: zeros for rl_zero, uniform for rl_random."""
-        if method == "rl_zero":
-            return cls.zeros()
-        if method == "rl_random":
-            return cls.random(rng)
-        raise ValueError(f"no Q-table for method {method!r}; expected one of {RL_METHODS}")
-
-    def flat(self) -> memoryview:
-        """``values`` as one flat run of Python floats, entry (s, a) at ``s * N_ACTIONS + a``.
-
-        Reads and writes go straight to ``values``; the RL functions take this view.
-        """
-        return memoryview(self.values).cast("B").cast("d")
 
 
 # ---------------------------------------------------------------------------

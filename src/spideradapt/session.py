@@ -12,12 +12,13 @@ presented whole and checked for success at its end.
 
 Every run owns an rng stream derived from the full run coordinates, and
 an RL run builds its own fresh Q-table, so a run depends on nothing but its
-coordinates and results are bit-reproducible regardless of scheduling. The
-stream is read by a fixed draw protocol: an ``rl_random`` table takes the
-first 5,832 uniforms, and after that iteration ``i >= 1`` owns the next
-``k`` uniforms, ``[k(i-1), k*i)``, with ``k = SLOTS_PER_ITERATION[method]``,
-whether the policy reads them or not. Greedy draws nothing and opens no
-stream.
+coordinates and results are bit-reproducible regardless of scheduling.
+The session draws every uniform and the policies draw none. The stream is
+read by a fixed draw protocol: an ``rl_random`` table takes the first
+5,832 uniforms, row-major over (state, action), and after that iteration
+``i >= 1`` owns the next ``k`` uniforms, ``[k(i-1), k*i)``, with
+``k = SLOTS_PER_ITERATION[method]``, whether the policy reads them or not.
+Greedy draws nothing and opens no stream.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .domain import SpiderState, state_space
+from .domain import N_ACTIONS, N_STATES, SpiderState, state_space
 from .policies import (
     GAConfig,
     POLICY_NAMES,
-    QTable,
     RL_METHODS,
     RLConfig,
     SLOTS_PER_ITERATION,
@@ -221,8 +221,10 @@ def run_session(
         return result(True, 0, start)
     learning = method in RL_METHODS
     if learning:
-        # an rl_random table takes its uniforms before the first iteration's
-        q = QTable.create(method, rng).flat()
+        # a flat table, entry (s, a) at s * N_ACTIONS + a; an rl_random one
+        # takes its uniforms before the first iteration's
+        size = N_STATES * N_ACTIONS
+        q = memoryview(rng.random(size) if method == "rl_random" else np.zeros(size))
         epsilon = cfg.rl.epsilon
     neighbor_ids = space.neighbor_ids
     next_state = space.next_state

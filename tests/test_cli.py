@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -16,7 +17,7 @@ import spideradapt
 from spideradapt.cli import main
 from spideradapt.grid import GridConfig, results_to_csv, run_grid
 from spideradapt.policies import GAConfig, RLConfig
-from spideradapt.subjects import _weighted_max, load_population
+from spideradapt.subjects import _weighted_max, generate_population, load_population
 
 
 @pytest.fixture()
@@ -227,6 +228,19 @@ def test_readme_documents_every_config_key():
     example = json.loads(example)
     assert set(example["rl"]) == {f.name for f in fields(RLConfig)}
     assert set(example["ga"]) == {f.name for f in fields(GAConfig)}
+
+
+def test_readme_library_examples_import_public_names_and_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module == "spideradapt":
+                assert [a.name for a in node.names if not hasattr(spideradapt, a.name)] == []
+    # the first example runs the 135,000-run default grid, so only its imports are checked
+    exec(blocks[1], {"population": generate_population(1, seed=4242)})
+    assert re.fullmatch(r"\((\d, ){5}\d\)\n", capsys.readouterr().out)
 
 
 def test_summarize_markdown_and_csv(tmp_path, subjects_file, capsys):

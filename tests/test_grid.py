@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import statistics
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spideradapt.grid
+import spideradapt.session
 from spideradapt.grid import (
     CATEGORY_ORDER,
     CellSummary,
@@ -112,6 +114,17 @@ def test_run_grid_progress_callback(small_population):
                      initial_kinds=("min",), targets=(1, 2), repeats=1)
     run_grid(cfg, progress=lambda done, total: seen.append((done, total)))
     assert seen == [(1, 2), (2, 2)]
+
+
+def test_run_grid_builds_each_response_table_once(small_population, monkeypatch):
+    # cells run target-major, so a cache smaller than the grid's
+    # (subject, target) keys still builds each table only once
+    cache = functools.lru_cache(maxsize=8)(spideradapt.session._response_tables.__wrapped__)
+    monkeypatch.setattr(spideradapt.session, "_response_tables", cache)
+    one = SubjectPopulation(small_population.seed, small_population.subjects[:1])
+    run_grid(GridConfig(population=one, master_seed=1, methods=("greedy",),
+                        initial_kinds=("min", "max"), repeats=1))
+    assert cache.cache_info().misses == 9
 
 
 def test_run_grid_asks_for_no_more_workers_than_cells(small_population, monkeypatch):

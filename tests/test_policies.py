@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spideradapt.domain import (
     ACTIONS,
+    N_ACTIONS,
     N_STATES,
     Action,
     enumerate_states,
@@ -18,7 +19,6 @@ from spideradapt.domain import (
 )
 from spideradapt.policies import (
     GAConfig,
-    QTable,
     RLConfig,
     ga_generation,
     ga_initial_population,
@@ -55,31 +55,10 @@ def _table(entries, default=0.0):
     return table
 
 
-def test_qtable_shapes_and_modes():
-    zero = QTable.zeros()
-    assert zero.values.shape == (486, 12)
-    assert not zero.values.any()
-    rand = QTable.random(np.random.default_rng(3))
-    assert ((0.0 <= rand.values) & (rand.values < 1.0)).all()
-    assert rand.values.std() > 0
-    with pytest.raises(ValueError):
-        QTable(np.zeros((10, 12)))
-    with pytest.raises(ValueError):
-        QTable.create("sideways", np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        QTable(np.zeros((486, 12), dtype=int))
-    with pytest.raises(ValueError):
-        QTable(np.zeros((12, 486)).T)  # right shape, not C-contiguous
-
-
-def test_qtable_flat_view_reads_and_writes_the_table():
-    table = QTable.random(np.random.default_rng(3))
-    flat = table.flat()
-    assert len(flat) == 486 * 12
-    assert flat[5 * 12 + 7] == table.values[5, 7]
-    assert type(flat[0]) is float
-    flat[5 * 12 + 7] = 2.5
-    assert table.values[5, 7] == 2.5
+def _qtable(rng=None):
+    """A Q-table of zeros, or of ``rng``'s uniforms, and its flat view as the session passes it."""
+    values = np.zeros((N_STATES, N_ACTIONS)) if rng is None else rng.random((N_STATES, N_ACTIONS))
+    return values, memoryview(values.reshape(-1))
 
 
 def test_config_validation():
@@ -101,73 +80,73 @@ def _grid(n):
 
 
 def test_rl_select_epsilon_one_is_uniform():
-    table = QTable.zeros()
-    table.values[0, 1] = 5.0  # a dominant entry that must not matter
+    values, q = _qtable()
+    values[0, 1] = 5.0  # a dominant entry that must not matter
     legal = [a.index for a in valid_actions(ALL_MIN)]
     # epsilon 1 explores whatever the explore test reads; each equal-width
     # choice bin selects one valid action, so every action is picked exactly once
     for u_explore in (0.0, 0.5, np.nextafter(1.0, 0.0)):
-        picks = [rl_select_action(table.flat(), MIN_I, 1.0, u_explore, u) for u in _grid(len(legal))]
+        picks = [rl_select_action(q, MIN_I, 1.0, u_explore, u) for u in _grid(len(legal))]
         assert picks == legal
 
 
 def test_rl_select_explores_below_epsilon_only():
-    table = QTable.zeros()
+    values, q = _qtable()
     best = valid_actions(ALL_MIN)[3].index
-    table.values[0, best] = 1.0
+    values[0, best] = 1.0
     first = valid_actions(ALL_MIN)[0].index
-    assert rl_select_action(table.flat(), MIN_I, 0.3, 0.29, 0.0) == first
-    assert rl_select_action(table.flat(), MIN_I, 0.3, 0.3, 0.0) == best
+    assert rl_select_action(q, MIN_I, 0.3, 0.29, 0.0) == first
+    assert rl_select_action(q, MIN_I, 0.3, 0.3, 0.0) == best
 
 
 def test_rl_select_greedy_unique_argmax():
-    table = QTable.zeros()
+    values, q = _qtable()
     best = valid_actions(ALL_MIN)[3]
-    table.values[0, best.index] = 1.0
+    values[0, best.index] = 1.0
     for u_explore, u_choice in product((0.0, 0.5), _grid(50)):
-        assert rl_select_action(table.flat(), MIN_I, 0.0, u_explore, u_choice) == best.index
+        assert rl_select_action(q, MIN_I, 0.0, u_explore, u_choice) == best.index
 
 
 def test_rl_select_all_zero_ties_are_uniform():
-    table = QTable.zeros()
+    _, q = _qtable()
     legal = [a.index for a in valid_actions(ALL_MIN)]
     # every valid action ties at zero; the choice uniform breaks the tie, so
     # each equal-width bin picks one action and every action wins exactly once
-    picks = [rl_select_action(table.flat(), MIN_I, 0.0, 0.5, u) for u in _grid(len(legal))]
+    picks = [rl_select_action(q, MIN_I, 0.0, 0.5, u) for u in _grid(len(legal))]
     assert picks == legal
 
 
 def test_rl_select_argmax_ties_break_by_the_choice_uniform():
-    table = QTable.zeros()
+    values, q = _qtable()
     legal = [a.index for a in valid_actions(ELEVEN)]
     tied = (legal[2], legal[7])
     for aid in tied:
-        table.values[ELEVEN_I, aid] = 0.5
-    table.values[ELEVEN_I, legal[4]] = 0.25
-    assert rl_select_action(table.flat(), ELEVEN_I, 0.0, 0.5, 0.0) == tied[0]
-    assert rl_select_action(table.flat(), ELEVEN_I, 0.0, 0.5, np.nextafter(0.5, 0.0)) == tied[0]
-    assert rl_select_action(table.flat(), ELEVEN_I, 0.0, 0.5, 0.5) == tied[1]
-    assert rl_select_action(table.flat(), ELEVEN_I, 0.0, 0.5, np.nextafter(1.0, 0.0)) == tied[1]
+        values[ELEVEN_I, aid] = 0.5
+    values[ELEVEN_I, legal[4]] = 0.25
+    assert rl_select_action(q, ELEVEN_I, 0.0, 0.5, 0.0) == tied[0]
+    assert rl_select_action(q, ELEVEN_I, 0.0, 0.5, np.nextafter(0.5, 0.0)) == tied[0]
+    assert rl_select_action(q, ELEVEN_I, 0.0, 0.5, 0.5) == tied[1]
+    assert rl_select_action(q, ELEVEN_I, 0.0, 0.5, np.nextafter(1.0, 0.0)) == tied[1]
 
 
 def test_rl_select_only_valid_actions():
-    table = QTable.zeros()
+    values, q = _qtable()
     # make every masked action look attractive
-    table.values[:, :] = 0.0
+    values[:, :] = 0.0
     for aid in range(12):
-        table.values[0, aid] = 100.0 if Action(aid // 2, -1 if aid % 2 == 0 else 1).direction < 0 else 0.0
+        values[0, aid] = 100.0 if Action(aid // 2, -1 if aid % 2 == 0 else 1).direction < 0 else 0.0
     for u_choice in _grid(20):
-        action = ACTIONS[rl_select_action(table.flat(), MIN_I, 0.0, 0.5, u_choice)]
+        action = ACTIONS[rl_select_action(q, MIN_I, 0.0, 0.5, u_choice)]
         assert action.direction == +1  # decrements are masked at the minimum
 
 
 def test_rl_update_hand_computed():
-    table = QTable.zeros()
+    values, q = _qtable()
     cfg = RLConfig(learning_rate=0.1, discount=0.9)
     a = valid_actions(ALL_MIN)[0]
     s_next = (1, 0, 0, 0, 0, 0)
-    rl_update(table.flat(), MIN_I, a.index, 1.0, state_index(s_next), cfg)
-    assert table.values[0, a.index] == pytest.approx(0.1)
+    rl_update(q, MIN_I, a.index, 1.0, state_index(s_next), cfg)
+    assert values[0, a.index] == pytest.approx(0.1)
 
 
 def test_rl_update_zero_learning_rate_is_a_no_op():
@@ -175,37 +154,37 @@ def test_rl_update_zero_learning_rate_is_a_no_op():
     # lr = 0 must leave the table untouched
     with pytest.raises(ValueError):
         RLConfig(learning_rate=0.0).validate()
-    table = QTable.random(np.random.default_rng(1))
-    before = table.values.copy()
+    values, q = _qtable(np.random.default_rng(1))
+    before = values.copy()
     cfg = RLConfig(learning_rate=0.0, discount=0.9)
     a = valid_actions(ALL_MIN)[0]
-    rl_update(table.flat(), MIN_I, a.index, 1.0, state_index((1, 0, 0, 0, 0, 0)), cfg)
-    assert (table.values == before).all()
+    rl_update(q, MIN_I, a.index, 1.0, state_index((1, 0, 0, 0, 0, 0)), cfg)
+    assert (values == before).all()
 
 
 def test_rl_update_gamma_zero_reduces_to_reward():
-    table = QTable.zeros()
+    values, q = _qtable()
     cfg = RLConfig(learning_rate=1.0, discount=0.0)
     a = valid_actions(ALL_MIN)[2]
-    rl_update(table.flat(), MIN_I, a.index, 0.5, state_index((0, 1, 0, 0, 0, 0)), cfg)
-    assert table.values[0, a.index] == pytest.approx(0.5)
+    rl_update(q, MIN_I, a.index, 0.5, state_index((0, 1, 0, 0, 0, 0)), cfg)
+    assert values[0, a.index] == pytest.approx(0.5)
 
 
 def test_rl_update_touches_single_entry():
     rng = np.random.default_rng(9)
-    table = QTable.random(rng)
-    before = table.values.copy()
+    values, q = _qtable(rng)
+    before = values.copy()
     cfg = RLConfig()
     a = valid_actions(ELEVEN)[4]
-    rl_update(table.flat(), ELEVEN_I, a.index, 0.3, state_index((1, 1, 0, 1, 0, 1)), cfg)
-    diff = table.values != before
+    rl_update(q, ELEVEN_I, a.index, 0.3, state_index((1, 1, 0, 1, 0, 1)), cfg)
+    diff = values != before
     assert diff.sum() == 1
 
 
 def test_rl_update_rejects_invalid_action():
-    table = QTable.zeros()
+    _, q = _qtable()
     with pytest.raises(ValueError):
-        rl_update(table.flat(), MIN_I, Action(0, -1).index, 0.0, MIN_I, RLConfig())
+        rl_update(q, MIN_I, Action(0, -1).index, 0.0, MIN_I, RLConfig())
 
 
 def test_ga_initial_population_sizes(example_subject):
