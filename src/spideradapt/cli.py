@@ -80,7 +80,7 @@ def build_parser() -> _Parser:
     p.add_argument("--initials", type=_str_list, default=None,
                    help="comma-separated subset of: " + ",".join(INITIAL_KINDS))
     p.add_argument("--targets", type=_int_list, default=None, help="comma-separated targets (1..9)")
-    p.add_argument("--repeats", type=int, default=None, help="repeats per cell (default 10)")
+    p.add_argument("--repeats", type=int, default=None, help="repeats of each run (default 10)")
     p.add_argument("--iteration-cap", type=int, default=None, help="iteration cap per run (default 100)")
     p.add_argument("--workers", type=int, default=None, help="parallel workers (default 1)")
     p.add_argument("--config", default=None, help="JSON config mirroring the grid/rl/ga fields")
@@ -211,8 +211,6 @@ def _cmd_run(args) -> int:
         initial_kinds=args.initials, targets=args.targets, repeats=args.repeats,
         iteration_cap=args.iteration_cap, workers=args.workers,
     )
-    # run_grid reports cells; every cell runs each subject's repeats
-    runs_per_cell = len(population.subjects) * cfg.repeats
     last_decile = -1
 
     def progress(done: int, total: int) -> None:
@@ -221,8 +219,8 @@ def _cmd_run(args) -> int:
         if decile > last_decile:
             last_decile = decile
             elapsed = max(time.perf_counter() - start, 1e-9)
-            print(f"progress: {done * runs_per_cell}/{total * runs_per_cell} runs ({10 * decile}%), "
-                  f"{done * runs_per_cell / elapsed:.0f} runs/s, eta {elapsed * (total - done) / done:.0f}s",
+            print(f"progress: {done}/{total} runs ({10 * decile}%), "
+                  f"{done / elapsed:.0f} runs/s, eta {elapsed * (total - done) / done:.0f}s",
                   file=sys.stderr)
 
     # an unwritable --out fails here, before any session runs
@@ -290,7 +288,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_trace(args) -> int:
     population = load_population(args.subjects)
     subject = _subject(population, args.subject_id)
-    # the flags make a one-cell grid, so trace reads the config exactly as run does
+    # the flags pick one method, initial state and target, so trace reads the config exactly as run does
     grid = _grid_config(
         args.config, population, master_seed=args.seed, methods=(args.method,),
         initial_kinds=(args.initial,), targets=(args.target,), iteration_cap=args.iteration_cap,

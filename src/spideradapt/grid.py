@@ -17,7 +17,7 @@ import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from itertools import product
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
@@ -28,7 +28,7 @@ from .domain import N_STATES
 from .policies import GAConfig, POLICY_NAMES, RLConfig
 from .reward_model import TARGETS
 from .session import INITIAL_KINDS, RunConfig, run_session
-from .subjects import SubjectPopulation
+from .subjects import SubjectPopulation, VirtualSubject
 
 DEFAULT_TARGETS = tuple(TARGETS)
 STRESS_CATEGORIES: dict[str, tuple[int, ...]] = {
@@ -36,7 +36,7 @@ STRESS_CATEGORIES: dict[str, tuple[int, ...]] = {
     "moderate": (4, 5, 6),
     "high": (7, 8, 9),
 }
-CATEGORY_ORDER = ("low", "moderate", "high")
+CATEGORY_ORDER = tuple(STRESS_CATEGORIES)
 ACCURACY_THRESHOLD = 75.0
 SIGNIFICANCE_LEVEL = 0.05
 
@@ -47,18 +47,6 @@ METHOD_LABELS = {
     "rl_random": "RL_Random",
     "rl_zero": "RL_Zero",
 }
-
-RESULT_COLUMNS = (
-    "method",
-    "initial_kind",
-    "target",
-    "subject_id",
-    "repeat",
-    "success",
-    "spiders_presented",
-    "iterations_used",
-)
-
 
 def category_of(target: int) -> str:
     for name, targets in STRESS_CATEGORIES.items():
@@ -92,7 +80,7 @@ class GridConfig:
         )
 
     def validate(self) -> None:
-        """Check the grid's axes and counts, then the run configuration of every cell."""
+        """Check the grid's axes and counts, then one run configuration per method, initial state and target."""
         for axis in (self.methods, self.initial_kinds, self.targets):
             if not axis or len(set(axis)) != len(axis):
                 raise ValueError(f"grid axes must be non-empty without repeats, got {axis}")
@@ -116,6 +104,9 @@ class RunRecord:
     success: bool
     spiders_presented: int
     iterations_used: int
+
+
+RESULT_COLUMNS = tuple(f.name for f in fields(RunRecord))
 
 
 @dataclass
@@ -149,21 +140,21 @@ def _record_key(r: RunRecord) -> tuple:
     return (POLICY_NAMES.index(r.method), INITIAL_KINDS.index(r.initial_kind), r.target, r.subject_id, r.repeat)
 
 
-def _run_cell(cell: tuple[GridConfig, str, str, int]) -> list[RunRecord]:
-    """All runs of one (method, initial state, target) cell: the grid's work unit.
+def _run_unit(unit: tuple[GridConfig, VirtualSubject, int]) -> list[RunRecord]:
+    """All runs of one subject at one target: the grid's work unit.
 
-    The cell covers every subject and repeat.
+    The unit covers every method, initial state and repeat, so all its runs
+    read one response table.
     """
-    cfg, method, initial_kind, target = cell
+    cfg, subject, target = unit
     records = []
-    for subject in cfg.population.subjects:
-        for repeat in range(cfg.repeats):
-            run_cfg = cfg.run_config(method, initial_kind, target, subject.id, repeat)
-            result = run_session(run_cfg, subject, record_sequence=False)
-            records.append(RunRecord(
-                method, initial_kind, target, subject.id, repeat,
-                result.success, result.spiders_presented, result.iterations_used,
-            ))
+    for method, initial_kind, repeat in product(cfg.methods, cfg.initial_kinds, range(cfg.repeats)):
+        run_cfg = cfg.run_config(method, initial_kind, target, subject.id, repeat)
+        result = run_session(run_cfg, subject, record_sequence=False)
+        records.append(RunRecord(
+            method, initial_kind, target, subject.id, repeat,
+            result.success, result.spiders_presented, result.iterations_used,
+        ))
     return records
 
 
@@ -175,24 +166,27 @@ def run_grid(
 
     Worker count never changes the records: every run derives its rng from
     its own coordinates, and the output is sorted before returning.
-    ``progress`` gets (cells done, cells). The whole configuration is
-    validated before any cell runs.
+    ``progress`` gets (runs done, runs) after each unit. The whole
+    configuration is validated before any run.
     """
     cfg.validate()
-    # target-major, so each (subject, target) response table is reused before the LRU cache evicts it
-    cells = [(cfg, m, i, t) for t, m, i in product(cfg.targets, cfg.methods, cfg.initial_kinds)]
+    # a unit carries its subject and not the population, so pickling stays linear in subjects
+    bare = replace(cfg, population=SubjectPopulation(cfg.population.seed, ()))
+    # a subject's units run back to back, so its stress table is built once
+    units = [(bare, s, t) for s in cfg.population.subjects for t in cfg.targets]
+    runs = len(units) * len(cfg.methods) * len(cfg.initial_kinds) * cfg.repeats
     records: list[RunRecord] = []
     with ExitStack() as stack:
         if cfg.workers == 1:
-            results = map(_run_cell, cells)
+            results = map(_run_unit, units)
         else:
             # a fork pool starts every worker at once, so never ask for more than there is work
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(cfg.workers, len(cells))))
-            results = pool.map(_run_cell, cells)
-        for i, cell_records in enumerate(results):
-            records.extend(cell_records)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(cfg.workers, len(units))))
+            results = pool.map(_run_unit, units)
+        for unit_records in results:
+            records.extend(unit_records)
             if progress is not None:
-                progress(i + 1, len(cells))
+                progress(len(records), runs)
     records.sort(key=_record_key)
     return records
 

@@ -48,13 +48,13 @@ from .policies import (
 from .reward_model import TARGETS, RewardSpec, is_success, reward
 from .subjects import VirtualSubject, stress_table
 
-INITIAL_KINDS = ("min", "avg", "max")
 INITIAL_STATES: dict[str, SpiderState] = {
     "min": (0, 0, 0, 0, 0, 0),
     # midpoint of every range; the binary hairiness attribute uses the lower one
     "avg": (1, 1, 1, 1, 0, 1),
     "max": (2, 2, 2, 2, 1, 2),
 }
+INITIAL_KINDS = tuple(INITIAL_STATES)
 
 
 @dataclass

@@ -50,12 +50,15 @@ class SubjectPopulation:
     subjects: tuple[VirtualSubject, ...]
 
 
-def _weighted_max(weights: tuple[float, ...]) -> float:
-    # Same accumulation order as stress() so the all-max state reproduces
-    # this sum bit-for-bit.
+def _weighted(weights: tuple[float, ...], values: SpiderState) -> float:
+    """Sum of ``weights[i] * values[i]`` in attribute order.
+
+    Every stress value and the all-max sum behind the scale coefficient use
+    this one summation, so they agree bit for bit.
+    """
     total = 0.0
-    for i in range(N_ATTRIBUTES):
-        total += weights[i] * MAX_VALUES[i]
+    for w, v in zip(weights, values):
+        total += w * v
     return total
 
 
@@ -65,7 +68,7 @@ def scale_coefficient(weights: tuple[float, ...]) -> float:
     Nudged down by at most a couple of ulps so that the rounded product
     never exceeds 10; stress values must stay inside the reward bounds.
     """
-    total = _weighted_max(weights)
+    total = _weighted(weights, MAX_VALUES)
     c = MAX_STRESS / total
     while c * total > MAX_STRESS:
         c = math.nextafter(c, 0.0)
@@ -107,23 +110,25 @@ def stress(subject: VirtualSubject, state: SpiderState) -> float:
     """Deterministic stress in [0, 10]: coefficient times the weighted sum."""
     if not is_valid_state(state):
         raise ValueError(f"invalid spider state: {state!r}")
-    total = 0.0
-    for i in range(N_ATTRIBUTES):
-        total += subject.weights[i] * state[i]
-    return subject.coefficient * total
+    return subject.coefficient * _weighted(subject.weights, state)
 
 
 @lru_cache(maxsize=4096)
 def stress_table(subject: VirtualSubject) -> tuple[float, ...]:
-    """Stress of every state, indexed like ``enumerate_states()``."""
-    return tuple(stress(subject, s) for s in enumerate_states())
+    """Stress of every state, indexed like ``enumerate_states()``.
+
+    The enumerated states are valid by construction, so ``stress()``'s
+    per-state check is skipped.
+    """
+    c, weights = subject.coefficient, subject.weights
+    return tuple(c * _weighted(weights, s) for s in enumerate_states())
 
 
 def success_states(subject: VirtualSubject, target: int) -> set[SpiderState]:
     """All states whose stress rounds to ``target`` (brute-force enumeration)."""
     if target not in TARGETS:
         raise ValueError(f"target must be in 1..9, got {target!r}")
-    return {s for s in enumerate_states() if is_success(stress(subject, s), target)}
+    return {s for s, x in zip(enumerate_states(), stress_table(subject)) if is_success(x, target)}
 
 
 def bfs_distance(subject: VirtualSubject, initial: SpiderState, target: int) -> int | None:
@@ -217,7 +222,7 @@ def load_population(path: str | Path) -> SubjectPopulation:
             raise SubjectFileError(f"subject {s.id} has invalid weights")
         # the all-max state's stress, bit for bit, is the subject's largest; rewards
         # reject any stress above 10, and a NaN fails the comparison
-        top = s.coefficient * _weighted_max(s.weights)
+        top = s.coefficient * _weighted(s.weights, MAX_VALUES)
         if not MAX_STRESS - 1e-6 <= top <= MAX_STRESS:
             raise SubjectFileError(f"subject {s.id} coefficient scales the largest stress to {top!r}, not 10")
     return SubjectPopulation(seed=seed, subjects=subjects)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import pickle
 import statistics
 
 import pytest
@@ -107,27 +108,31 @@ def test_run_grid_validation(small_population):
 
 
 def test_run_grid_progress_callback(small_population):
-    # the work unit is one (method, initial state, target) cell
-    one = SubjectPopulation(small_population.seed, small_population.subjects[:1])
+    # progress counts runs after each unit, one subject at one target:
+    # here 2 methods x 1 initial state x 3 repeats
+    two = SubjectPopulation(small_population.seed, small_population.subjects[:2])
     seen = []
-    cfg = GridConfig(population=one, master_seed=1, methods=("random",),
-                     initial_kinds=("min",), targets=(1, 2), repeats=1)
+    cfg = GridConfig(population=two, master_seed=1, methods=("random", "greedy"),
+                     initial_kinds=("min",), targets=(1, 2), repeats=3)
     run_grid(cfg, progress=lambda done, total: seen.append((done, total)))
-    assert seen == [(1, 2), (2, 2)]
+    assert seen == [(6, 24), (12, 24), (18, 24), (24, 24)]
 
 
-def test_run_grid_builds_each_response_table_once(small_population, monkeypatch):
-    # cells run target-major, so a cache smaller than the grid's
-    # (subject, target) keys still builds each table only once
-    cache = functools.lru_cache(maxsize=8)(spideradapt.session._response_tables.__wrapped__)
-    monkeypatch.setattr(spideradapt.session, "_response_tables", cache)
-    one = SubjectPopulation(small_population.seed, small_population.subjects[:1])
-    run_grid(GridConfig(population=one, master_seed=1, methods=("greedy",),
+def test_run_grid_builds_each_table_once_at_any_cache_size(small_population, monkeypatch):
+    # a unit is one subject at one target, and a subject's units run back to
+    # back, so one-entry caches still build every table only once
+    responses = functools.lru_cache(maxsize=1)(spideradapt.session._response_tables.__wrapped__)
+    stresses = functools.lru_cache(maxsize=1)(spideradapt.session.stress_table.__wrapped__)
+    monkeypatch.setattr(spideradapt.session, "_response_tables", responses)
+    monkeypatch.setattr(spideradapt.session, "stress_table", stresses)
+    three = SubjectPopulation(small_population.seed, small_population.subjects[:3])
+    run_grid(GridConfig(population=three, master_seed=1, methods=("greedy",),
                         initial_kinds=("min", "max"), repeats=1))
-    assert cache.cache_info().misses == 9
+    assert (responses.cache_info().misses, responses.cache_info().hits) == (27, 27)
+    assert stresses.cache_info().misses == 3
 
 
-def test_run_grid_asks_for_no_more_workers_than_cells(small_population, monkeypatch):
+def test_run_grid_asks_for_no_more_workers_than_units(small_population, monkeypatch):
     asked = []
 
     class SerialPool:
@@ -153,6 +158,35 @@ def test_run_grid_asks_for_no_more_workers_than_cells(small_population, monkeypa
     assert asked == [2]
     assert records == run_grid(cfg)  # the serial branch asks for no pool at all
     assert asked == [2]
+
+
+def test_run_grid_units_do_not_carry_the_population(small_population, monkeypatch):
+    # every unit is pickled for the pool; with the whole population in it, the
+    # pickling would grow with subjects squared
+    sizes = []
+
+    class PicklingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            units = [pickle.loads(pickle.dumps(unit)) for unit in items]
+            sizes.append(max(len(pickle.dumps(unit)) for unit in units))
+            return map(fn, units)
+
+    monkeypatch.setattr(spideradapt.grid, "ProcessPoolExecutor", PicklingPool)
+    for n in (1, 10):
+        population = SubjectPopulation(small_population.seed, small_population.subjects[:n])
+        cfg = GridConfig(population=population, master_seed=1, methods=("greedy",),
+                         initial_kinds=("min",), targets=(1,), repeats=1)
+        assert run_grid(dataclasses.replace(cfg, workers=2)) == run_grid(cfg)
+    assert sizes[0] == sizes[1]
 
 
 def test_summarize_basic_arithmetic():

@@ -65,6 +65,12 @@ def test_stress_scaled_to_ten(small_population):
         assert min(table) == 0.0
 
 
+def test_stress_table_equals_stress_bit_for_bit(small_population, example_subject):
+    for subject in (*small_population.subjects, example_subject):
+        table = stress_table.__wrapped__(subject)  # built afresh, not from the cache
+        assert [x.hex() for x in table] == [stress(subject, s).hex() for s in enumerate_states()]
+
+
 def test_stress_rejects_invalid_state(example_subject):
     with pytest.raises(ValueError):
         stress(example_subject, (0, 0, 0, 0, 0, 3))
