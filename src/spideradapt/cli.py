@@ -238,7 +238,7 @@ def _cmd_run(args) -> int:
 
 def _read_results(path: str) -> list[RunRecord]:
     """The records of the results CSV at ``path``; warns on stderr when its grid is incomplete."""
-    records = results_from_csv(Path(path).read_text())
+    records = results_from_csv(Path(path).read_text(encoding="utf-8-sig"))  # a leading BOM is not data
     # the first five columns are a run's coordinates, and they never repeat, so a
     # complete grid has a run for every combination of the values on those axes
     expected = math.prod(len({getattr(r, axis) for r in records}) for axis in RESULT_COLUMNS[:5])

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
 from typing import Sequence
@@ -49,6 +48,15 @@ SLOTS_PER_ITERATION = {"random": 1, "greedy": 0, "ga": 16, "rl_random": 2, "rl_z
 # Midpoint crossover swaps the last N_ATTRIBUTES // 2 attributes, which are
 # the low digits of the mixed-radix index: the index modulo this stride.
 _CROSSOVER_SPLIT = STRIDES[N_ATTRIBUTES // 2 - 1]
+
+# The state graph's per-state lists, bound once at import: every policy step reads them.
+_VALID_ACTION_IDS = state_space().valid_action_ids
+_NEXT_STATE = state_space().next_state
+_NEIGHBOR_IDS = state_space().neighbor_ids
+# per state, a getter of its valid actions' entries, in order, from a flat Q-table
+_VALID_ENTRIES = [
+    itemgetter(*[s * N_ACTIONS + aid for aid in ids]) for s, ids in enumerate(_VALID_ACTION_IDS)
+]
 
 
 @dataclass
@@ -92,15 +100,6 @@ class GAConfig:
 # Q-learning
 
 
-@lru_cache(maxsize=1)
-def _valid_entries() -> list[itemgetter]:
-    """Per state, a getter of its valid actions' entries, in order, from a flat table."""
-    return [
-        itemgetter(*[s * N_ACTIONS + aid for aid in ids])
-        for s, ids in enumerate(state_space().valid_action_ids)
-    ]
-
-
 def rl_select_action(
     q: Sequence[float],
     s: int,
@@ -113,10 +112,10 @@ def rl_select_action(
     It explores when ``u_explore < epsilon`` and then picks the valid action
     ``u_choice`` selects; otherwise ``u_choice`` breaks argmax ties.
     """
-    valid_ids = state_space().valid_action_ids[s]
+    valid_ids = _VALID_ACTION_IDS[s]
     if u_explore < epsilon:
         return valid_ids[int(u_choice * len(valid_ids))]
-    values = _valid_entries()[s](q)
+    values = _VALID_ENTRIES[s](q)
     best = max(values)
     n_best = values.count(best)
     if n_best == 1:
@@ -134,9 +133,9 @@ def rl_update(
     cfg: RLConfig,
 ) -> None:
     """One-step Q-learning update of the flat table ``q``; touches exactly one entry."""
-    if state_space().next_state[s][aid] < 0:
+    if _NEXT_STATE[s][aid] < 0:
         raise ValueError(f"action {aid} is not valid in state {s}")
-    best_next = max(_valid_entries()[s_next](q))
+    best_next = max(_VALID_ENTRIES[s_next](q))
     i = s * N_ACTIONS + aid
     q[i] += cfg.learning_rate * (r + cfg.discount * best_next - q[i])
 
@@ -152,7 +151,7 @@ def ga_initial_population(initial: int, rewards: Sequence[float], population_siz
     population is simply smaller; the two 11-neighbour states yield one
     candidate too many, and ``ga_select`` drops the weakest by reward.
     """
-    return ga_select([initial] + state_space().neighbor_ids[initial], rewards, population_size)
+    return ga_select([initial] + _NEIGHBOR_IDS[initial], rewards, population_size)
 
 
 def _mutate(child: int, u_attribute: float, u_value: float) -> int:
@@ -223,10 +222,10 @@ def greedy_step(s: int, rewards: Sequence[float]) -> int:
     canonical neighbour order). Pure function: ranking never consults any
     randomness.
     """
-    return max(state_space().neighbor_ids[s], key=rewards.__getitem__)
+    return max(_NEIGHBOR_IDS[s], key=rewards.__getitem__)
 
 
 def random_step(s: int, u: float) -> int:
     """Apply the valid action that the uniform ``u`` selects."""
-    nbrs = state_space().neighbor_ids[s]
+    nbrs = _NEIGHBOR_IDS[s]
     return nbrs[int(u * len(nbrs))]

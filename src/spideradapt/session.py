@@ -18,14 +18,14 @@ read by a fixed draw protocol: an ``rl_random`` table takes the first
 5,832 uniforms, row-major over (state, action), and after that iteration
 ``i >= 1`` owns the next ``k`` uniforms, ``[k(i-1), k*i)``, with
 ``k = SLOTS_PER_ITERATION[method]``, whether the policy reads them or not.
-Greedy draws nothing and opens no stream.
+Greedy draws nothing and opens no stream. ``run_seed_sequence`` defines each
+stream; ``pcg64_states`` derives the same streams for many runs in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -111,18 +111,97 @@ class RunResult:
     presented_sequence: list[PresentedSpider]
 
 
+def _coordinates(cfg: RunConfig) -> tuple[int, ...]:
+    return (
+        cfg.master_seed,
+        POLICY_NAMES.index(cfg.method),
+        cfg.subject_id,
+        cfg.target,
+        INITIAL_KINDS.index(cfg.initial_kind),
+        cfg.repeat_index,
+    )
+
+
 def run_seed_sequence(cfg: RunConfig) -> np.random.SeedSequence:
     """Derive the per-run rng stream from exactly the run coordinates."""
-    return np.random.SeedSequence(
-        [
-            cfg.master_seed,
-            POLICY_NAMES.index(cfg.method),
-            cfg.subject_id,
-            cfg.target,
-            INITIAL_KINDS.index(cfg.initial_kind),
-            cfg.repeat_index,
-        ]
-    )
+    return np.random.SeedSequence(list(_coordinates(cfg)))
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# the PCG64 multiplier (numpy/random/src/pcg64/pcg64.h)
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence splits an entropy integer into."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def pcg64_states(cfgs: Sequence[RunConfig]) -> list[dict]:
+    """``np.random.PCG64(run_seed_sequence(cfg)).state`` for every config, in one pass.
+
+    SeedSequence's hash runs over uint32 arrays with one element per run,
+    and its 128-bit PCG64 seeding in Python ints; assigning a state to a
+    generator that runs reuse is far cheaper than building one per run. The
+    hash mixes rows by position, so every config must split into the same
+    number of entropy words; configs that differ there raise ValueError.
+    """
+    rows = [[w for n in _coordinates(c) for w in _uint32_words(n)] for c in cfgs]
+    if not rows:
+        return []
+    n_words = len(rows[0])
+    if any(len(row) != n_words for row in rows):
+        raise ValueError("configs whose coordinates split into different numbers of 32-bit words")
+    entropy = np.array(rows, dtype=np.uint32).T
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    # six coordinates give at least six words, so the pool never needs padding
+    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, n_words):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    # generate_state(4, np.uint64): eight words, paired little-endian
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    seed_hi, seed_lo, inc_hi, inc_lo = [(words[j] | words[j + 1] << np.uint64(32)).tolist() for j in (0, 2, 4, 6)]
+    states = []
+    for a, b, c, d in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        # pcg64_set_seed: the increment is 2 * inc + 1, and the state steps
+        # once from 0, takes the seed added, and steps again
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        state = ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 # Iterations whose uniforms one draw covers: bounded, so memory does not grow
@@ -130,17 +209,14 @@ def run_seed_sequence(cfg: RunConfig) -> np.random.SeedSequence:
 _CHUNK_ITERATIONS = 32
 
 
-def _slots(rng: np.random.Generator, k: int) -> Iterator[list[float]]:
+def _slots(rng: np.random.Generator, k: int) -> Iterator[tuple[float, ...]]:
     """Each iteration's ``k`` uniforms, in order, from what ``rng`` has left.
 
     PCG64 doubles concatenate, so drawing in chunks yields the same values
     as one up-front draw.
     """
-    size = k * _CHUNK_ITERATIONS
     while True:
-        chunk = rng.random(size).tolist()
-        for i in range(0, size, k):
-            yield chunk[i : i + k]
+        yield from zip(*[iter(rng.random(k * _CHUNK_ITERATIONS).tolist())] * k)
 
 
 @lru_cache(maxsize=4096)
@@ -163,20 +239,26 @@ def run_session(
     cfg: RunConfig,
     subject: VirtualSubject,
     record_sequence: bool = True,
+    rng: np.random.Generator | None = None,
 ) -> RunResult:
     """Execute one adaptation run and report what the subject was shown.
 
     Setting ``record_sequence`` to False skips building the presentation
     trace, which large grids use to save memory; the counts are unaffected.
+    ``rng``, when given, must sit at the start of the run's own stream, as
+    ``np.random.default_rng(run_seed_sequence(cfg))`` does, or a generator
+    given a state from ``pcg64_states``; without it the run seeds itself.
     """
     cfg.validate()
     if subject.id != cfg.subject_id:
         raise ValueError(f"subject id {subject.id} does not match config subject_id {cfg.subject_id}")
     space = state_space()
+    states = space.states
     stresses, rewards, successes = _response_tables(subject, cfg.target, cfg.rounded_reward)
     method = cfg.method
     k = SLOTS_PER_ITERATION[method]
-    rng = np.random.default_rng(run_seed_sequence(cfg)) if k else None
+    if k and rng is None:
+        rng = np.random.default_rng(run_seed_sequence(cfg))
     presented = bytearray(space.n_states)
     sequence: list[PresentedSpider] = []
 
@@ -188,9 +270,7 @@ def run_session(
                 continue
             presented[idx] = 1
             if record_sequence:
-                sequence.append(
-                    PresentedSpider(space.states[idx], stresses[idx], rewards[idx], iteration)
-                )
+                sequence.append(PresentedSpider(states[idx], stresses[idx], rewards[idx], iteration))
             if hit is None and successes[idx]:
                 hit = idx
                 if stop_early:
@@ -198,7 +278,7 @@ def run_session(
         return hit
 
     def result(success: bool, iterations: int, final_idx: int) -> RunResult:
-        return RunResult(success, presented.count(1), iterations, space.states[final_idx], sequence)
+        return RunResult(success, presented.count(1), iterations, states[final_idx], sequence)
 
     start = space.index_of[INITIAL_STATES[cfg.initial_kind]]
     iterations = range(1, cfg.iteration_cap + 1)
@@ -219,6 +299,19 @@ def run_session(
     # Sequential methods: the subject sees the initial spider first.
     if present((start,), 0, True) is not None:
         return result(True, 0, start)
+    s = start
+    if method == "greedy":
+        neighbor_ids = space.neighbor_ids
+        for it in iterations:
+            # every unseen neighbour is presented while ranking them
+            t = greedy_step(s, rewards)
+            hit = present(neighbor_ids[s], it, True)
+            if hit is not None:
+                return result(True, it, hit)
+            s = t
+        return result(False, cfg.iteration_cap, s)
+
+    # random and RL present one spider per iteration, shown here inline
     learning = method in RL_METHODS
     if learning:
         # a flat table, entry (s, a) at s * N_ACTIONS + a; an rl_random one
@@ -226,24 +319,19 @@ def run_session(
         size = N_STATES * N_ACTIONS
         q = memoryview(rng.random(size) if method == "rl_random" else np.zeros(size))
         epsilon = cfg.rl.epsilon
-    neighbor_ids = space.neighbor_ids
-    next_state = space.next_state
-    s = start
-    for it, u in zip(iterations, _slots(rng, k) if k else repeat(())):
-        if method == "random":
-            t = random_step(s, u[0])
-            batch = (t,)
-        elif method == "greedy":
-            # every unseen neighbour is presented while ranking them
-            t = greedy_step(s, rewards)
-            batch = neighbor_ids[s]
-        else:
+        next_state = space.next_state
+    for it, u in zip(iterations, _slots(rng, k)):
+        if learning:
             aid = rl_select_action(q, s, epsilon, u[0], u[1])
             t = next_state[s][aid]
-            batch = (t,)
-        hit = present(batch, it, True)
-        if hit is not None:
-            return result(True, it, hit)
+        else:
+            t = random_step(s, u[0])
+        if not presented[t]:
+            presented[t] = 1
+            if record_sequence:
+                sequence.append(PresentedSpider(states[t], stresses[t], rewards[t], it))
+            if successes[t]:
+                return result(True, it, t)
         if learning:
             rl_update(q, s, aid, rewards[t], t, cfg.rl)
         s = t

@@ -195,7 +195,7 @@ def load_population(path: str | Path) -> SubjectPopulation:
     weights a JSON list of numbers; nothing is coerced.
     """
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))  # a leading BOM is not data
     except (OSError, RecursionError, ValueError) as exc:  # ValueError: undecodable text or JSON
         raise SubjectFileError(f"cannot read subjects file {path}: {exc}") from exc
     try:

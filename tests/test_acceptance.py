@@ -71,7 +71,9 @@ def grid_serial(population):
 @pytest.fixture(scope="module")
 def grid_parallel(population):
     cfg = GridConfig(population=population, master_seed=MASTER_SEED, workers=2)
+    start = time.perf_counter()
     records = run_grid(cfg)
+    print(f"full grid, workers=2: {len(records)} runs in {time.perf_counter() - start:.1f}s")
     return records
 
 

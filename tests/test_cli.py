@@ -1,4 +1,5 @@
 import ast
+import codecs
 import contextlib
 import io
 import json
@@ -296,6 +297,33 @@ def test_summarize_missing_columns_is_data_error(tmp_path):
     assert main(["summarize", "--results", str(bad)]) == 2
     bad.write_bytes(b"\xff\xfe")  # not UTF-8
     assert main(["summarize", "--results", str(bad)]) == 2
+
+
+def test_results_file_may_start_with_a_bom(tmp_path, subjects_file, capsys):
+    # some editors write a UTF-8 byte order mark before the header
+    results = _run_results(tmp_path, subjects_file)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(codecs.BOM_UTF8 + results.read_bytes())
+    capsys.readouterr()
+    for command in ("summarize", "compare"):
+        assert main([command, "--results", str(results)]) == 0
+        expected = capsys.readouterr()
+        assert main([command, "--results", str(bom)]) == 0
+        assert capsys.readouterr() == expected
+
+
+def test_subjects_file_may_start_with_a_bom(tmp_path, subjects_file, capsys):
+    (tmp_path / "bom").mkdir()
+    bom = tmp_path / "bom" / "subjects.json"
+    bom.write_bytes(codecs.BOM_UTF8 + subjects_file.read_bytes())
+    assert load_population(bom) == load_population(subjects_file)
+    assert _run_results(tmp_path / "bom", bom).read_bytes() == _run_results(tmp_path, subjects_file).read_bytes()
+    oracle = ["oracle", "--subject-id", "2", "--target", "5", "--initial", "avg"]
+    capsys.readouterr()
+    assert main([*oracle, "--subjects", str(subjects_file)]) == 0
+    expected = capsys.readouterr()
+    assert main([*oracle, "--subjects", str(bom)]) == 0
+    assert capsys.readouterr() == expected
 
 
 _PROGRESS = re.compile(r"progress: (\d+)/(\d+) runs \((\d+)%\), (\d+) runs/s, eta (\d+)s")

@@ -32,7 +32,7 @@ from spideradapt.grid import (
     summary_to_markdown,
 )
 from spideradapt.policies import POLICY_NAMES
-from spideradapt.session import INITIAL_KINDS
+from spideradapt.session import INITIAL_KINDS, run_session
 from spideradapt.subjects import SubjectPopulation
 
 # Frozen oracle for differences (1, 2, 3, 4, 5), computed independently.
@@ -130,6 +130,32 @@ def test_run_grid_builds_each_table_once_at_any_cache_size(small_population, mon
                         initial_kinds=("min", "max"), repeats=1))
     assert (responses.cache_info().misses, responses.cache_info().hits) == (27, 27)
     assert stresses.cache_info().misses == 3
+
+
+def test_run_grid_runs_greedy_once_per_initial_state(small_population, monkeypatch):
+    # greedy draws nothing and never reads its repeat index, so the grid runs
+    # it once per (subject, target, initial state) and copies the outcome
+    calls = []
+
+    def counting(cfg, subject, record_sequence=True, rng=None):
+        calls.append(cfg.method)
+        return run_session(cfg, subject, record_sequence, rng)
+
+    monkeypatch.setattr(spideradapt.grid, "run_session", counting)
+    two = SubjectPopulation(small_population.seed, small_population.subjects[:2])
+    # a master seed above 2**32 takes the multi-word seeding path
+    cfg = GridConfig(population=two, master_seed=2**40 + 5, targets=(2, 6),
+                     initial_kinds=("min", "avg"), repeats=3, iteration_cap=40)
+    records = run_grid(cfg)
+    assert calls.count("greedy") == 2 * 2 * 2
+    assert calls.count("random") == 2 * 2 * 2 * 3
+    assert len(records) == 5 * 2 * 2 * 2 * 3
+    # every record, greedy's copies included, is what a direct run of its coordinates gives
+    for r in records:
+        result = run_session(cfg.run_config(r.method, r.initial_kind, r.target, r.subject_id, r.repeat),
+                             two.subjects[r.subject_id], record_sequence=False)
+        assert (r.success, r.spiders_presented, r.iterations_used) == (
+            result.success, result.spiders_presented, result.iterations_used)
 
 
 def test_run_grid_asks_for_no_more_workers_than_units(small_population, monkeypatch):

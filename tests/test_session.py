@@ -2,13 +2,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spideradapt.domain import apply_action, neighbors, state_index, state_space, valid_actions
 from spideradapt.policies import GAConfig, RLConfig
 from spideradapt.reward_model import RewardSpec, is_success, reward
 from spideradapt.session import (
+    INITIAL_KINDS,
     INITIAL_STATES,
     RunConfig,
+    pcg64_states,
     run_seed_sequence,
     run_session,
 )
@@ -82,6 +86,37 @@ def test_seed_streams_differ_per_coordinate():
         )
     }
     assert len(entropies) == 7
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # one word, then the multi-word paths from 2**32 and from 2**64
+    master_seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**96)),
+    subject_id=st.integers(0, 2**40),
+    target=st.integers(1, 9),
+    runs=st.lists(
+        st.tuples(st.sampled_from(("random", "greedy", "ga", "rl_random", "rl_zero")),
+                  st.sampled_from(INITIAL_KINDS), st.integers(0, 2**32 - 1)),
+        min_size=1, max_size=12,
+    ),
+)
+def test_pcg64_states_match_the_seed_sequence(master_seed, subject_id, target, runs):
+    # the batched derivation is one pass over many runs that share the
+    # master seed, subject and target, as a grid unit's runs do
+    cfgs = [_cfg(method=m, subject_id=subject_id, target=target, initial_kind=i, repeat_index=r,
+                 master_seed=master_seed) for m, i, r in runs]
+    states = pcg64_states(cfgs)
+    reused = np.random.default_rng(0)
+    for cfg, state in zip(cfgs, states, strict=True):
+        assert state == np.random.PCG64(run_seed_sequence(cfg)).state
+        reused.bit_generator.state = state
+        assert reused.random(8).tolist() == np.random.default_rng(run_seed_sequence(cfg)).random(8).tolist()
+
+
+def test_pcg64_states_reject_rows_of_different_word_counts():
+    assert pcg64_states([]) == []
+    with pytest.raises(ValueError, match="32-bit words"):
+        pcg64_states([_cfg(repeat_index=0), _cfg(repeat_index=2**32)])
 
 
 def test_presented_states_are_unique(small_population):
