@@ -41,6 +41,7 @@ from .subjects import (
     bfs_distance,
     generate_population,
     load_population,
+    of_type,
     save_population,
     success_states,
     stress,
@@ -120,14 +121,8 @@ class ConfigError(ValueError):
 
 
 def _typed(name: str, value, default):
-    """``value`` if its JSON type is that of ``default``; a float also takes an integer.
-
-    ``bool`` subclasses ``int``, so booleans and numbers are told apart explicitly.
-    """
-    kinds = (int, float) if type(default) is float else type(default)
-    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, kinds):
-        raise ConfigError(f"config {name} must be {type(default).__name__}, got {json.dumps(value)}")
-    return value
+    """``value`` if its JSON type is that of ``default``; a float also takes an integer."""
+    return of_type(value, (int, float) if type(default) is float else (type(default),), name)
 
 
 def _overlay(name: str, template, data):
@@ -138,21 +133,17 @@ def _overlay(name: str, template, data):
     dataclass takes an object. Unknown keys are rejected at every level; a
     grid's population never comes from a config.
     """
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {name or 'file'} must be a JSON object, got {json.dumps(data)}")
     defaults = {f.name: getattr(template, f.name) for f in fields(template) if f.name != "population"}
-    unknown = set(data) - set(defaults)
+    unknown = set(of_type(data, (dict,), name or "top level")) - set(defaults)
     if unknown:
-        raise ConfigError(f"unknown config {name or 'top-level'} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {name or 'top-level'} keys: {sorted(unknown)}")
     values = {}
     for key, value in data.items():
         path, default = f"{name}.{key}" if name else key, defaults[key]
         if is_dataclass(default):
             values[key] = _overlay(path, default, value)
         elif isinstance(default, tuple):
-            if not isinstance(value, list):
-                raise ConfigError(f"config {path} must be a list, got {json.dumps(value)}")
-            values[key] = tuple(_typed(path, v, default[0]) for v in value)
+            values[key] = tuple(_typed(path, v, default[0]) for v in of_type(value, (list,), path))
         else:
             values[key] = _typed(path, value, default)
     return replace(template, **values)
@@ -165,16 +156,11 @@ def _grid_config(path: str | None, population: SubjectPopulation, **flags) -> Gr
     value from the file is a data error (ConfigError, exit 2) while the same
     value given as a flag stays a usage error (ValueError, exit 1).
     """
-    data = {}
-    if path is not None:
-        try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, RecursionError, ValueError) as exc:  # ValueError: undecodable text or JSON
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    cfg = _overlay("", GridConfig(population, master_seed=0), data)
     try:
+        data = {} if path is None else json.loads(Path(path).read_text(encoding="utf-8-sig"))  # a BOM is not data
+        cfg = _overlay("", GridConfig(population, master_seed=0), data)
         cfg.validate()
-    except ValueError as exc:
+    except (OSError, RecursionError, TypeError, ValueError) as exc:  # ValueError: undecodable text or JSON too
         raise ConfigError(f"config {path}: {exc}") from exc
     if flags.get("master_seed") is None and "master_seed" not in data:
         raise ValueError("--seed is required (or master_seed in --config); no implicit entropy")
@@ -326,7 +312,3 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -132,22 +132,17 @@ class StateSpace:
         self.states: tuple[SpiderState, ...] = enumerate_states()
         self.n_states = len(self.states)
         self.index_of: dict[SpiderState, int] = {s: i for i, s in enumerate(self.states)}
-        # next_state[s][a] is the successor index, or -1 when the move is masked
-        self.next_state: list[list[int]] = []
-        self.valid_action_ids: list[list[int]] = []
-        self.neighbor_ids: list[list[int]] = []
-        for s in self.states:
-            row = [-1] * N_ACTIONS
-            ids: list[int] = []
-            nbrs: list[int] = []
-            for a in valid_actions(s):
-                t = self.index_of[apply_action(s, a)]
-                row[a.index] = t
-                ids.append(a.index)
-                nbrs.append(t)
-            self.next_state.append(row)
-            self.valid_action_ids.append(ids)
-            self.neighbor_ids.append(nbrs)
+        # next_state[s][a] is the successor index, or -1 when the move is masked;
+        # ACTIONS[a].index == a, so a row is indexed by action id
+        self.next_state: list[list[int]] = [
+            [self.index_of[apply_action(s, a)] if is_valid_action(s, a) else -1 for a in ACTIONS]
+            for s in self.states
+        ]
+        # views of next_state, in canonical action order
+        self.valid_action_ids: list[list[int]] = [
+            [a for a, t in enumerate(row) if t >= 0] for row in self.next_state
+        ]
+        self.neighbor_ids: list[list[int]] = [[t for t in row if t >= 0] for row in self.next_state]
 
 
 @lru_cache(maxsize=1)

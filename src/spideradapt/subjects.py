@@ -181,9 +181,12 @@ class SubjectFileError(ValueError):
     """Raised when a subjects file is malformed or internally inconsistent."""
 
 
-def _of_type(value, kinds: tuple[type, ...], name: str):
-    """``value`` if its JSON type is one of ``kinds``; a JSON boolean is never a number."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
+def of_type(value, kinds: tuple[type, ...], name: str):
+    """``value`` if its JSON type is one of ``kinds``; a JSON boolean passes only where ``bool`` is one of them.
+
+    ``bool`` subclasses ``int``, so booleans and numbers are told apart explicitly.
+    """
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
         raise TypeError(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, got {json.dumps(value)}")
     return value
 
@@ -196,33 +199,32 @@ def load_population(path: str | Path) -> SubjectPopulation:
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))  # a leading BOM is not data
-    except (OSError, RecursionError, ValueError) as exc:  # ValueError: undecodable text or JSON
-        raise SubjectFileError(f"cannot read subjects file {path}: {exc}") from exc
-    try:
-        seed = _of_type(payload["seed"], (int,), "seed")
+        seed = of_type(payload["seed"], (int,), "seed")
         subjects = tuple(
             VirtualSubject(
-                id=_of_type(e["id"], (int,), "id"),
+                id=of_type(e["id"], (int,), "id"),
                 weights=tuple(
-                    float(_of_type(w, (int, float), "weight")) for w in _of_type(e["weights"], (list,), "weights")
+                    float(of_type(w, (int, float), "weight")) for w in of_type(e["weights"], (list,), "weights")
                 ),
-                coefficient=float(_of_type(e["coefficient"], (int, float), "coefficient")),
+                coefficient=float(of_type(e["coefficient"], (int, float), "coefficient")),
             )
-            for e in _of_type(payload["subjects"], (list,), "subjects")
+            for e in of_type(payload["subjects"], (list,), "subjects")
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int too big for a float
-        raise SubjectFileError(f"malformed subjects file {path}: {exc}") from exc
-    if not subjects:
-        raise SubjectFileError(f"subjects file {path} holds no subjects")
-    for i, s in enumerate(subjects):
-        if s.id != i:
-            raise SubjectFileError(f"subject ids must be 0..n-1, found {s.id} at position {i}")
-        # NaN makes every comparison false, so finiteness is checked explicitly
-        if len(s.weights) != N_ATTRIBUTES or not all(math.isfinite(w) and w >= 0 for w in s.weights):
-            raise SubjectFileError(f"subject {s.id} has invalid weights")
-        # the all-max state's stress, bit for bit, is the subject's largest; rewards
-        # reject any stress above 10, and a NaN fails the comparison
-        top = s.coefficient * _weighted(s.weights, MAX_VALUES)
-        if not MAX_STRESS - 1e-6 <= top <= MAX_STRESS:
-            raise SubjectFileError(f"subject {s.id} coefficient scales the largest stress to {top!r}, not 10")
+        if not subjects:
+            raise ValueError("subjects is an empty list")
+        for i, s in enumerate(subjects):
+            if s.id != i:
+                raise ValueError(f"subject ids must be 0..n-1, found {s.id} at position {i}")
+            # NaN makes every comparison false, so finiteness is checked explicitly
+            if len(s.weights) != N_ATTRIBUTES or not all(math.isfinite(w) and w >= 0 for w in s.weights):
+                raise ValueError(f"subject {s.id} has invalid weights")
+            # the all-max state's stress, bit for bit, is the subject's largest; rewards
+            # reject any stress above 10, and a NaN fails the comparison
+            top = s.coefficient * _weighted(s.weights, MAX_VALUES)
+            if not MAX_STRESS - 1e-6 <= top <= MAX_STRESS:
+                raise ValueError(f"subject {s.id} coefficient scales the largest stress to {top!r}, not 10")
+    # ValueError: undecodable text or JSON, or a bad value; KeyError: a missing key;
+    # OverflowError: an integer too big for a float
+    except (OSError, RecursionError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SubjectFileError(f"subjects file {path}: {exc}") from exc
     return SubjectPopulation(seed=seed, subjects=subjects)

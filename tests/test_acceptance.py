@@ -6,15 +6,18 @@ lines; the grid-backed criteria share two full evaluation-grid executions
 """
 
 import hashlib
+import resource
 import time
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from spideradapt.cli import main
 from spideradapt.domain import enumerate_states, neighbors, state_index
 from spideradapt.grid import (
     GridConfig,
+    comparisons_to_csv,
     mark_significance,
     paired_ttest,
     results_to_csv,
@@ -41,6 +44,11 @@ MASTER_SEED = 99
 # significance markers; a deliberate change to results updates both.
 RESULTS_SHA256 = "6d34351c51b3212563406e6e343f3f56f792da1239a30e80a50dc4c6e1a9e904"
 SUMMARY_SHA256 = "72b723b2fd9d0f5cbf20c29d650dd8906a32b9c3cc9743c3e50ad42714db73ba"
+# sha256 of the default grid's markdown summary and `compare` CSV, and of the
+# file `gen-subjects --n 100 --seed 4242` writes
+MARKDOWN_SHA256 = "c16d14324815a0ba793caae34f3002632336607593ff3847bfe78a8434f6ca82"
+COMPARE_SHA256 = "d58a7b75b49ecd784744616dbf9a38a970ae2327d2ae8c51cedfb1545de8ae64"
+SUBJECTS_SHA256 = "5dddf4dbc5fa8d18fc3dfc7f2c962f5bdfd5576ba7f559f73ff77a9769c451bb"
 ALL_MIN = (0, 0, 0, 0, 0, 0)
 
 
@@ -51,6 +59,11 @@ def _report(number: int, name: str, check) -> None:
         print(f"ACCEPTANCE {number} ({name}): FAIL")
         raise
     print(f"ACCEPTANCE {number} ({name}): PASS")
+
+
+def _peak_rss_mb(who: int) -> float:
+    """The largest RSS so far of this process or of its waited-for children, in MB (ru_maxrss is KiB on Linux)."""
+    return resource.getrusage(who).ru_maxrss / 1024
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +77,8 @@ def grid_serial(population):
     start = time.perf_counter()
     records = run_grid(cfg)
     elapsed = time.perf_counter() - start
-    print(f"full grid, workers=1: {len(records)} runs in {elapsed:.1f}s")
+    peak = _peak_rss_mb(resource.RUSAGE_SELF)
+    print(f"full grid, workers=1: {len(records)} runs in {elapsed:.1f}s, peak RSS {peak:.1f} MB")
     return records, elapsed
 
 
@@ -73,7 +87,10 @@ def grid_parallel(population):
     cfg = GridConfig(population=population, master_seed=MASTER_SEED, workers=2)
     start = time.perf_counter()
     records = run_grid(cfg)
-    print(f"full grid, workers=2: {len(records)} runs in {time.perf_counter() - start:.1f}s")
+    elapsed = time.perf_counter() - start
+    # the children's figure is the largest of every child waited for so far, a pool worker or not
+    peak = _peak_rss_mb(resource.RUSAGE_CHILDREN)
+    print(f"full grid, workers=2: {len(records)} runs in {elapsed:.1f}s, peak RSS of a child {peak:.1f} MB")
     return records
 
 
@@ -229,3 +246,16 @@ def test_golden_digests(grid_serial):
     summary = summary_to_csv(summaries, mark_significance(records, summaries))
     assert hashlib.sha256(results_to_csv(records).encode()).hexdigest() == RESULTS_SHA256
     assert hashlib.sha256(summary.encode()).hexdigest() == SUMMARY_SHA256
+
+
+def test_golden_report_and_subjects_digests(grid_serial, tmp_path, capsys):
+    records, _ = grid_serial
+    summaries = summarize(records)
+    markdown = summary_to_markdown(summaries, mark_significance(records, summaries))
+    assert hashlib.sha256(markdown.encode()).hexdigest() == MARKDOWN_SHA256
+    compare = comparisons_to_csv(mark_significance(records))  # as `compare` builds it
+    assert hashlib.sha256(compare.encode()).hexdigest() == COMPARE_SHA256
+    path = tmp_path / "subjects.json"
+    assert main(["gen-subjects", "--n", "100", "--seed", str(POPULATION_SEED), "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SUBJECTS_SHA256
+    assert f"sha256={SUBJECTS_SHA256}" in capsys.readouterr().out

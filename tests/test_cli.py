@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import spideradapt
 from spideradapt.cli import main
 from spideradapt.domain import MAX_VALUES
-from spideradapt.grid import GridConfig, results_to_csv, run_grid
-from spideradapt.policies import GAConfig, RLConfig
+from spideradapt.grid import RESULT_COLUMNS, GridConfig, results_to_csv, run_grid
+from spideradapt.policies import SLOTS_PER_ITERATION, GAConfig, RLConfig
 from spideradapt.subjects import _weighted, generate_population, load_population
 
 
@@ -232,6 +232,18 @@ def test_readme_documents_every_config_key():
     assert set(example["ga"]) == {f.name for f in fields(GAConfig)}
 
 
+def test_readme_pins_the_slot_table_and_the_results_header():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.search(r"\| Method \| k \|.*\n\|---.*\n((?:\|.*\n)+)", readme)
+    slots = {}
+    for row in table.group(1).splitlines():
+        methods, k = row.split("|")[1:3]
+        slots.update((m, int(k)) for m in re.findall(r"`(\w+)`", methods))
+    assert slots == SLOTS_PER_ITERATION
+    header = re.search(r"## Results CSV\n.*?```\n(.*?)\n```", readme, re.S).group(1)
+    assert tuple(header.split(",")) == RESULT_COLUMNS
+
+
 def test_readme_library_examples_import_public_names_and_run(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
@@ -324,6 +336,30 @@ def test_subjects_file_may_start_with_a_bom(tmp_path, subjects_file, capsys):
     expected = capsys.readouterr()
     assert main([*oracle, "--subjects", str(bom)]) == 0
     assert capsys.readouterr() == expected
+
+
+def test_config_file_may_start_with_a_bom(tmp_path, subjects_file):
+    config = {"master_seed": 3, "methods": ["greedy"], "targets": [1], "initial_kinds": ["min"], "repeats": 1}
+    results = []
+    for prefix in (b"", codecs.BOM_UTF8):
+        path, out = tmp_path / "config.json", tmp_path / f"r{len(results)}.csv"
+        path.write_bytes(prefix + json.dumps(config).encode())
+        assert main(["run", "--subjects", str(subjects_file), "--config", str(path), "--out", str(out)]) == 0
+        results.append(out.read_bytes())
+    assert results[0] == results[1] and len(results[0].splitlines()) == 1 + 5
+
+
+def test_data_errors_name_their_file(tmp_path, subjects_file, capsys):
+    config, subjects = tmp_path / "config.json", tmp_path / "bad.json"
+    run = ["run", "--out", str(tmp_path / "r.csv"), "--seed", "1"]
+    for text in ('{"rl": {"epsilon": "0.1"}}', '{"targets": [0]}', "not json"):
+        config.write_text(text)
+        assert main([*run, "--subjects", str(subjects_file), "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config {config}: ")
+    for text in ('{"seed": 1, "subjects": []}', '{"seed": true, "subjects": []}', "not json"):
+        subjects.write_text(text)
+        assert main([*run, "--subjects", str(subjects)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: subjects file {subjects}: ")
 
 
 _PROGRESS = re.compile(r"progress: (\d+)/(\d+) runs \((\d+)%\), (\d+) runs/s, eta (\d+)s")
