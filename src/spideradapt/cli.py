@@ -15,6 +15,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, fields, is_dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 from .domain import enumerate_states
@@ -227,7 +228,7 @@ def _read_results(path: str) -> list[RunRecord]:
     records = results_from_csv(Path(path).read_text(encoding="utf-8-sig"))  # a leading BOM is not data
     # the first five columns are a run's coordinates, and they never repeat, so a
     # complete grid has a run for every combination of the values on those axes
-    expected = math.prod(len({getattr(r, axis) for r in records}) for axis in RESULT_COLUMNS[:5])
+    expected = math.prod(len(set(map(attrgetter(axis), records))) for axis in RESULT_COLUMNS[:5])
     if len(records) < expected:
         print(f"warning: {path} is an incomplete grid: {len(records)} of {expected} runs", file=sys.stderr)
     return records

@@ -11,14 +11,14 @@ per-subject means decide the significance markers.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import math
 import statistics
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
-from itertools import product
+from itertools import islice, product
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -38,6 +38,7 @@ STRESS_CATEGORIES: dict[str, tuple[int, ...]] = {
     "high": (7, 8, 9),
 }
 CATEGORY_ORDER = tuple(STRESS_CATEGORIES)
+_CATEGORY_OF = {target: name for name, targets in STRESS_CATEGORIES.items() for target in targets}
 ACCURACY_THRESHOLD = 75.0
 SIGNIFICANCE_LEVEL = 0.05
 
@@ -50,10 +51,10 @@ METHOD_LABELS = {
 }
 
 def category_of(target: int) -> str:
-    for name, targets in STRESS_CATEGORIES.items():
-        if target in targets:
-            return name
-    raise ValueError(f"target {target} has no stress category")
+    try:
+        return _CATEGORY_OF[target]
+    except KeyError:
+        raise ValueError(f"target {target} has no stress category") from None
 
 
 @dataclass
@@ -221,7 +222,7 @@ def summarize(records: Sequence[RunRecord]) -> list[CellSummary]:
     runs: dict[tuple[str, str, str], int] = {}
     successes: dict[tuple[str, str, str], dict[int, list[int]]] = {}
     for r in records:
-        cell = (r.initial_kind, category_of(r.target), r.method)
+        cell = (r.initial_kind, _CATEGORY_OF[r.target], r.method)
         runs[cell] = runs.get(cell, 0) + 1
         by_subject = successes.setdefault(cell, {})
         if r.success:
@@ -357,13 +358,79 @@ class ResultsFileError(ValueError):
     """Raised when a results CSV is missing columns or malformed."""
 
 
+# Rows the block parse reads and checks at a time: enough that the column
+# passes outweigh the per-block work, few enough that a block's columns add
+# nothing measurable to peak memory next to the records.
+_BLOCK_ROWS = 256
+# each name maps to the one string every record shares
+_METHODS = {name: name for name in POLICY_NAMES}
+_INITIAL_KINDS = {kind: kind for kind in INITIAL_KINDS}
+_SUCCESS = {"true": True, "false": False}
+
+
 def results_from_csv(text: str) -> list[RunRecord]:
     """Parse a results CSV, rejecting any row the report could not label.
 
-    Every row must name a known method and initial state, a target in 1..9,
-    non-negative numbers, between 1 and ``N_STATES`` spiders presented and
-    coordinates that no other row repeats.
+    Every row must have a field for each column, name a known method and
+    initial state, and hold a target in 1..9, non-negative numbers, between
+    1 and ``N_STATES`` spiders presented, ``success`` of true or false and
+    coordinates that no other row repeats. An error names the line of the
+    first row that breaks a rule. The cyclic garbage collector is paused
+    while the records are built and then set back as the caller left it.
     """
+    collecting = gc.isenabled()
+    gc.disable()  # records hold only str, int and bool: the parse makes no cycles for a collection to free
+    try:
+        return _parse_blocks(text) or _parse_rows(text)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _parse_blocks(text: str) -> list[RunRecord] | None:
+    """The records of a results CSV, read ``_BLOCK_ROWS`` rows at a time and checked a column at a time.
+
+    Empty when the file has no runs and None when any row breaks a rule:
+    the parse accepts only what ``_parse_rows`` accepts, and leaves every
+    message to it.
+    """
+    reader = csv.reader(io.StringIO(text))
+    records: list[RunRecord] = []
+    seen: set[tuple] = set()
+    try:
+        header = next(reader, [])
+        picks = [header.index(name) for name in RESULT_COLUMNS]
+        columns_of = itemgetter(*picks)
+        rows = filter(None, reader)  # blank lines are skipped
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            if min(map(len, block)) <= max(picks):
+                return None
+            method, initial_kind, target, subject_id, repeat, success, presented, iterations = columns_of(
+                list(zip(*block))
+            )
+            method = list(map(_METHODS.__getitem__, method))
+            initial_kind = list(map(_INITIAL_KINDS.__getitem__, initial_kind))
+            success = list(map(_SUCCESS.__getitem__, success))
+            target, subject_id, repeat, presented, iterations = (
+                list(map(int, column)) for column in (target, subject_id, repeat, presented, iterations)
+            )
+            coords = set(zip(method, initial_kind, target, subject_id, repeat))
+            if not (
+                set(target).issubset(TARGETS)
+                and min(subject_id) >= 0 and min(repeat) >= 0 and min(iterations) >= 0
+                and 1 <= min(presented) and max(presented) <= N_STATES
+                and len(coords) == len(block) and seen.isdisjoint(coords)
+            ):
+                return None
+            seen |= coords
+            records += map(RunRecord, method, initial_kind, target, subject_id, repeat, success, presented, iterations)
+    except (KeyError, ValueError, csv.Error):
+        return None
+    return records
+
+
+def _parse_rows(text: str) -> list[RunRecord]:
+    """Parse a results CSV one row at a time, applying each rule in turn; raises at the first row that breaks one."""
     reader = csv.reader(io.StringIO(text))
     records = []
     seen = set()
@@ -371,16 +438,19 @@ def results_from_csv(text: str) -> list[RunRecord]:
         header = next(reader, [])
         if missing := set(RESULT_COLUMNS) - set(header):
             raise ValueError(f"missing columns {sorted(missing)}")
-        fields_of = itemgetter(*(header.index(name) for name in RESULT_COLUMNS))
+        picks = [header.index(name) for name in RESULT_COLUMNS]
+        fields_of = itemgetter(*picks)
         for row in reader:
             if not row:
                 continue
+            if len(row) <= max(picks):
+                raise ValueError(f"row has {len(row)} fields, the header has {len(header)}")
             method, initial_kind, target, subject_id, repeat, success, presented, iterations = fields_of(row)
             target, subject_id, repeat = int(target), int(subject_id), int(repeat)
             presented, iterations = int(presented), int(iterations)
-            if method not in POLICY_NAMES:
+            if method not in _METHODS:
                 raise ValueError(f"unknown method {method!r}")
-            if initial_kind not in INITIAL_KINDS:
+            if initial_kind not in _INITIAL_KINDS:
                 raise ValueError(f"unknown initial kind {initial_kind!r}")
             if target not in TARGETS:
                 raise ValueError(f"target {target} not in 1..9")
@@ -388,13 +458,14 @@ def results_from_csv(text: str) -> list[RunRecord]:
                 raise ValueError("subject_id, repeat, spiders_presented and iterations_used must be non-negative")
             if not 1 <= presented <= N_STATES:  # a run shows its start, and never a spider twice
                 raise ValueError(f"spiders_presented {presented} not in 1..{N_STATES}")
-            # records share one string per name instead of holding one per row
-            coords = (sys.intern(method), sys.intern(initial_kind), target, subject_id, repeat)
+            coords = (_METHODS[method], _INITIAL_KINDS[initial_kind], target, subject_id, repeat)
             if coords in seen:
                 raise ValueError(f"duplicate run {coords}")
             seen.add(coords)
-            records.append(RunRecord(*coords, {"true": True, "false": False}[success], presented, iterations))
-    except (IndexError, KeyError, ValueError, csv.Error) as exc:
+            if success not in _SUCCESS:
+                raise ValueError(f"success must be true or false, got {success!r}")
+            records.append(RunRecord(*coords, _SUCCESS[success], presented, iterations))
+    except (ValueError, csv.Error) as exc:
         raise ResultsFileError(f"malformed results CSV at line {reader.line_num}: {exc}") from exc
     if not records:
         raise ResultsFileError("results CSV contains no runs")

@@ -226,5 +226,6 @@ def load_population(path: str | Path) -> SubjectPopulation:
     # ValueError: undecodable text or JSON, or a bad value; KeyError: a missing key;
     # OverflowError: an integer too big for a float
     except (OSError, RecursionError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SubjectFileError(f"subjects file {path}: {exc}") from exc
+        cause = f"missing key {exc}" if isinstance(exc, KeyError) else exc  # a KeyError's text is only the key
+        raise SubjectFileError(f"subjects file {path}: {cause}") from exc
     return SubjectPopulation(seed=seed, subjects=subjects)

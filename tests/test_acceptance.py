@@ -49,6 +49,15 @@ SUMMARY_SHA256 = "72b723b2fd9d0f5cbf20c29d650dd8906a32b9c3cc9743c3e50ad42714db73
 MARKDOWN_SHA256 = "c16d14324815a0ba793caae34f3002632336607593ff3847bfe78a8434f6ca82"
 COMPARE_SHA256 = "d58a7b75b49ecd784744616dbf9a38a970ae2327d2ae8c51cedfb1545de8ae64"
 SUBJECTS_SHA256 = "5dddf4dbc5fa8d18fc3dfc7f2c962f5bdfd5576ba7f559f73ff77a9769c451bb"
+# sha256 and line count of `trace --subject-id 3 --target 7 --initial min --seed 99`
+# on that file, one per method
+TRACE_SHA256 = {
+    "random": ("ba8e3ddd0b9a71b4aca9630022b4e52f4a3df7a0590f388745b0538738034069", 33),
+    "greedy": ("55d4552e8145ff5a83dc8232050184c88ae05e9a4855e002802de20c5e6cb680", 27),
+    "ga": ("796e9d91159ab459805c30884edc587d35fdc0fa267eab6b329ce544eab473bc", 19),
+    "rl_random": ("9c1534028c0d40bf945c6ff0e025549e518a9385f71eae27956c028f1260f932", 12),
+    "rl_zero": ("0303492f7e5ca2840426986d5900930cd9076d782c5de18475e60580372720a6", 22),
+}
 ALL_MIN = (0, 0, 0, 0, 0, 0)
 
 
@@ -259,3 +268,29 @@ def test_golden_report_and_subjects_digests(grid_serial, tmp_path, capsys):
     assert main(["gen-subjects", "--n", "100", "--seed", str(POPULATION_SEED), "--out", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SUBJECTS_SHA256
     assert f"sha256={SUBJECTS_SHA256}" in capsys.readouterr().out
+
+
+def test_golden_report_through_the_cli(grid_serial, tmp_path, capsys):
+    # the report digests above come from records in memory; this path reads them back from the results CSV
+    records, _ = grid_serial
+    results = tmp_path / "results.csv"
+    results.write_text(results_to_csv(records))
+    for argv, digest in (
+        (["summarize", "--format", "csv"], SUMMARY_SHA256),
+        (["summarize", "--format", "markdown"], MARKDOWN_SHA256),
+        (["compare"], COMPARE_SHA256),
+    ):
+        out = tmp_path / "out"
+        assert main([*argv, "--results", str(results), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert capsys.readouterr().err == ""  # a complete grid draws no warning
+
+
+@pytest.mark.parametrize("method", TRACE_SHA256)
+def test_golden_trace_digests(method, tmp_path, capsys):
+    subjects, trace = tmp_path / "subjects.json", tmp_path / "trace.jsonl"
+    assert main(["gen-subjects", "--n", "100", "--seed", str(POPULATION_SEED), "--out", str(subjects)]) == 0
+    assert main(["trace", "--subjects", str(subjects), "--subject-id", "3", "--target", "7", "--initial", "min",
+                 "--seed", str(MASTER_SEED), "--method", method, "--out", str(trace)]) == 0
+    data = trace.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), data.count(b"\n")) == TRACE_SHA256[method]

@@ -505,6 +505,15 @@ def test_mistyped_subjects_are_data_errors(tmp_path, capsys, field, value):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_missing_subjects_keys_are_named(tmp_path, capsys):
+    subject = {"id": 0, "weights": [1] * 6}  # no coefficient
+    path = tmp_path / "s.json"
+    for payload, key in (({"subjects": []}, "seed"), ({"seed": 1, "subjects": [subject]}, "coefficient")):
+        path.write_text(json.dumps(payload))
+        assert main(["oracle", "--subjects", str(path), "--subject-id", "0", "--target", "1"]) == 2
+        assert capsys.readouterr().err == f"error: subjects file {path}: missing key '{key}'\n"
+
+
 @pytest.mark.parametrize("method", ["greedy", "random"])
 def test_trace_rejects_negative_coordinates(tmp_path, subjects_file, capsys, method):
     # greedy opens no stream, so only the run config's check can catch a negative repeat

@@ -1,7 +1,11 @@
+import csv
 import dataclasses
 import functools
+import gc
+import io
 import itertools
 import math
+import operator
 import pickle
 import statistics
 
@@ -17,6 +21,7 @@ from spideradapt.grid import (
     CellSummary,
     ComparisonResult,
     GridConfig,
+    RESULT_COLUMNS,
     ResultsFileError,
     RunRecord,
     _student_t_sf,
@@ -513,6 +518,140 @@ def test_results_from_csv_rejects_bad_input():
     ):
         with pytest.raises(ResultsFileError, match="at line 3: .* must be non-negative"):
             results_from_csv(header + good + row)
+    # a bad success and a short row name the rule they break
+    with pytest.raises(ResultsFileError, match="at line 2: success must be true or false, got 'maybe'$"):
+        results_from_csv(header + "random,min,1,0,0,maybe,3,1\n")
+    with pytest.raises(ResultsFileError, match="at line 2: row has 7 fields, the header has 8$"):
+        results_from_csv(header + "random,min,1,0,0,true,3\n")
+
+
+def _reference_results_from_csv(text):
+    """The results parse one row at a time, each rule in its documented order: the block parse's reference."""
+    reader = csv.reader(io.StringIO(text))
+    records = []
+    seen = set()
+    try:
+        header = next(reader, [])
+        if missing := set(RESULT_COLUMNS) - set(header):
+            raise ValueError(f"missing columns {sorted(missing)}")
+        picks = [header.index(name) for name in RESULT_COLUMNS]
+        fields_of = operator.itemgetter(*picks)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) <= max(picks):
+                raise ValueError(f"row has {len(row)} fields, the header has {len(header)}")
+            method, initial_kind, target, subject_id, repeat, success, presented, iterations = fields_of(row)
+            target, subject_id, repeat = int(target), int(subject_id), int(repeat)
+            presented, iterations = int(presented), int(iterations)
+            if method not in POLICY_NAMES:
+                raise ValueError(f"unknown method {method!r}")
+            if initial_kind not in INITIAL_KINDS:
+                raise ValueError(f"unknown initial kind {initial_kind!r}")
+            if target not in range(1, 10):
+                raise ValueError(f"target {target} not in 1..9")
+            if subject_id < 0 or repeat < 0 or presented < 0 or iterations < 0:
+                raise ValueError("subject_id, repeat, spiders_presented and iterations_used must be non-negative")
+            if not 1 <= presented <= 486:
+                raise ValueError(f"spiders_presented {presented} not in 1..486")
+            coords = (method, initial_kind, target, subject_id, repeat)
+            if coords in seen:
+                raise ValueError(f"duplicate run {coords}")
+            seen.add(coords)
+            if success not in ("true", "false"):
+                raise ValueError(f"success must be true or false, got {success!r}")
+            records.append(RunRecord(*coords, success == "true", presented, iterations))
+    except (ValueError, csv.Error) as exc:
+        raise ResultsFileError(f"malformed results CSV at line {reader.line_num}: {exc}") from exc
+    if not records:
+        raise ResultsFileError("results CSV contains no runs")
+    return records
+
+
+# cells that each break one rule, by rule; the two other rules, a repeated
+# run and a short row, are made by _results_csv itself
+_BAD_CELLS = {
+    "bad int": [("target", "x"), ("target", "1.5"), ("subject_id", ""), ("repeat", "1e3"),
+                ("spiders_presented", "x"), ("iterations_used", "2.0")],
+    "unknown name": [("method", "bogus"), ("method", "Random"), ("method", ""), ("initial_kind", "median"),
+                     ("initial_kind", " min")],
+    "out of range": [("target", "0"), ("target", "10"), ("spiders_presented", "0"), ("spiders_presented", "487")],
+    "negative": [("subject_id", "-1"), ("repeat", "-2"), ("spiders_presented", "-3"), ("iterations_used", "-1")],
+    "bad success": [("success", "maybe"), ("success", "True"), ("success", "")],
+}
+_FAULTS = (*_BAD_CELLS, "duplicate", "short row")
+
+
+@st.composite
+def _results_csv(draw, fault):
+    """A results CSV with shuffled rows and columns, blank lines, quoted fields and either line ending.
+
+    Some files have an extra column, sometimes spanning two lines in quotes.
+    Given a ``fault``, the file breaks that rule in one row, and up to two
+    more faults of any kind may follow; a dropped check shows only where its
+    fault is the file's only one.
+    """
+    coords = draw(st.lists(
+        st.tuples(st.sampled_from(POLICY_NAMES), st.sampled_from(INITIAL_KINDS), st.integers(1, 9),
+                  st.integers(0, 3), st.integers(0, 2)),
+        min_size=0 if fault is None else 2, max_size=12, unique=True,
+    ))
+    rows = [
+        dict(zip(RESULT_COLUMNS, (*map(str, c), draw(st.sampled_from(["true", "false"])),
+                                  str(draw(st.integers(1, 486))), str(draw(st.integers(0, 150))))),
+             note=draw(st.sampled_from(["", "x", "two\nlines"])))
+        for c in coords
+    ]
+    columns = draw(st.permutations(RESULT_COLUMNS + (("note",) if draw(st.booleans()) else ())))
+    lengths = [len(columns)] * len(rows)
+    faults = [] if fault is None else [fault, *draw(st.lists(st.sampled_from(_FAULTS), max_size=2))]
+    for kind in faults:
+        i = draw(st.integers(0, len(rows) - 1))
+        if kind == "duplicate":
+            j = draw(st.integers(0, len(rows) - 1).filter(lambda j: j != i))
+            rows[i].update({name: rows[j][name] for name in RESULT_COLUMNS[:5]})
+        elif kind == "short row":  # too short for the last result column
+            lengths[i] = draw(st.integers(1, max(map(columns.index, RESULT_COLUMNS))))
+        else:
+            column, value = draw(st.sampled_from(_BAD_CELLS[kind]))
+            rows[i][column] = value
+
+    def line(values):
+        return ",".join(f'"{v}"' if "\n" in v or draw(st.booleans()) else v for v in values)
+
+    lines = [line(columns)]
+    for row, length in zip(rows, lengths):
+        lines += [""] * draw(st.integers(0, 2))
+        lines.append(line([row[name] for name in columns][:length]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+@pytest.mark.parametrize("fault", [None, *_FAULTS])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_block_parse_agrees_with_the_row_by_row_rules(fault, data):
+    text = data.draw(_results_csv(fault))
+    block_rows = data.draw(st.integers(2, 5))  # so that rows fall on block edges
+    caller_collects = data.draw(st.booleans())
+
+    def outcome(parse):
+        try:
+            return parse(text)
+        except ResultsFileError as exc:
+            return str(exc)
+
+    expected = outcome(_reference_results_from_csv)
+    assert fault is None or isinstance(expected, str)  # every fault breaks a rule
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spideradapt.grid, "_BLOCK_ROWS", block_rows)
+        if not caller_collects:
+            gc.disable()
+        try:
+            assert outcome(results_from_csv) == expected
+            assert gc.isenabled() is caller_collects  # the collector is left as the caller set it
+        finally:
+            gc.enable()
 
 
 def test_summary_emission_formats():
