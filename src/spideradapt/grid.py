@@ -375,96 +375,73 @@ def results_from_csv(text: str) -> list[RunRecord]:
     initial state, and hold a target in 1..9, non-negative numbers, between
     1 and ``N_STATES`` spiders presented, ``success`` of true or false and
     coordinates that no other row repeats. An error names the line of the
-    first row that breaks a rule. The cyclic garbage collector is paused
-    while the records are built and then set back as the caller left it.
+    first row that breaks a rule: a rejected text is read again one row per
+    block to find it. The cyclic garbage collector is paused while the
+    records are built and then set back as the caller left it.
     """
     collecting = gc.isenabled()
     gc.disable()  # records hold only str, int and bool: the parse makes no cycles for a collection to free
     try:
-        return _parse_blocks(text) or _parse_rows(text)
+        return _parse(text, _BLOCK_ROWS)
+    except ResultsFileError:
+        return _parse(text, 1)
     finally:
         if collecting:
             gc.enable()
 
 
-def _parse_blocks(text: str) -> list[RunRecord] | None:
-    """The records of a results CSV, read ``_BLOCK_ROWS`` rows at a time and checked a column at a time.
+def _names(table: dict, column: Iterable[str], rule: str) -> list:
+    """``column`` mapped through ``table``; a name it lacks breaks ``rule``, which is worded with that name."""
+    try:
+        return list(map(table.__getitem__, column))
+    except KeyError as exc:
+        raise ValueError(rule.format(exc.args[0])) from None
 
-    Empty when the file has no runs and None when any row breaks a rule:
-    the parse accepts only what ``_parse_rows`` accepts, and leaves every
-    message to it.
+
+def _parse(text: str, block_rows: int) -> list[RunRecord]:
+    """The records of a results CSV, read ``block_rows`` rows at a time and checked a column at a time.
+
+    The rules are checked over a block's columns in their documented order,
+    and the first one broken raises its message for a row of the block at
+    the line the reader has reached: with one row per block, that is the
+    first bad row's line and the first rule it breaks.
     """
     reader = csv.reader(io.StringIO(text))
     records: list[RunRecord] = []
     seen: set[tuple] = set()
     try:
         header = next(reader, [])
-        picks = [header.index(name) for name in RESULT_COLUMNS]
-        columns_of = itemgetter(*picks)
-        rows = filter(None, reader)  # blank lines are skipped
-        while block := list(islice(rows, _BLOCK_ROWS)):
-            if min(map(len, block)) <= max(picks):
-                return None
-            method, initial_kind, target, subject_id, repeat, success, presented, iterations = columns_of(
-                list(zip(*block))
-            )
-            method = list(map(_METHODS.__getitem__, method))
-            initial_kind = list(map(_INITIAL_KINDS.__getitem__, initial_kind))
-            success = list(map(_SUCCESS.__getitem__, success))
-            target, subject_id, repeat, presented, iterations = (
-                list(map(int, column)) for column in (target, subject_id, repeat, presented, iterations)
-            )
-            coords = set(zip(method, initial_kind, target, subject_id, repeat))
-            if not (
-                set(target).issubset(TARGETS)
-                and min(subject_id) >= 0 and min(repeat) >= 0 and min(iterations) >= 0
-                and 1 <= min(presented) and max(presented) <= N_STATES
-                and len(coords) == len(block) and seen.isdisjoint(coords)
-            ):
-                return None
-            seen |= coords
-            records += map(RunRecord, method, initial_kind, target, subject_id, repeat, success, presented, iterations)
-    except (KeyError, ValueError, csv.Error):
-        return None
-    return records
-
-
-def _parse_rows(text: str) -> list[RunRecord]:
-    """Parse a results CSV one row at a time, applying each rule in turn; raises at the first row that breaks one."""
-    reader = csv.reader(io.StringIO(text))
-    records = []
-    seen = set()
-    try:
-        header = next(reader, [])
         if missing := set(RESULT_COLUMNS) - set(header):
             raise ValueError(f"missing columns {sorted(missing)}")
         picks = [header.index(name) for name in RESULT_COLUMNS]
-        fields_of = itemgetter(*picks)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) <= max(picks):
-                raise ValueError(f"row has {len(row)} fields, the header has {len(header)}")
-            method, initial_kind, target, subject_id, repeat, success, presented, iterations = fields_of(row)
-            target, subject_id, repeat = int(target), int(subject_id), int(repeat)
-            presented, iterations = int(presented), int(iterations)
-            if method not in _METHODS:
-                raise ValueError(f"unknown method {method!r}")
-            if initial_kind not in _INITIAL_KINDS:
-                raise ValueError(f"unknown initial kind {initial_kind!r}")
-            if target not in TARGETS:
-                raise ValueError(f"target {target} not in 1..9")
-            if subject_id < 0 or repeat < 0 or presented < 0 or iterations < 0:
+        columns_of = itemgetter(*picks)
+        rows = filter(None, reader)  # blank lines are skipped
+        while block := list(islice(rows, block_rows)):
+            if (fewest := min(map(len, block))) <= max(picks):
+                raise ValueError(f"row has {fewest} fields, the header has {len(header)}")
+            method, initial_kind, target, subject_id, repeat, success, presented, iterations = columns_of(
+                list(zip(*block))
+            )
+            target, subject_id, repeat, presented, iterations = (
+                list(map(int, column)) for column in (target, subject_id, repeat, presented, iterations)
+            )
+            method = _names(_METHODS, method, "unknown method {!r}")
+            initial_kind = _names(_INITIAL_KINDS, initial_kind, "unknown initial kind {!r}")
+            if not set(target).issubset(TARGETS):
+                raise ValueError(f"target {next(t for t in target if t not in TARGETS)} not in 1..9")
+            if min(map(min, (subject_id, repeat, presented, iterations))) < 0:
                 raise ValueError("subject_id, repeat, spiders_presented and iterations_used must be non-negative")
-            if not 1 <= presented <= N_STATES:  # a run shows its start, and never a spider twice
-                raise ValueError(f"spiders_presented {presented} not in 1..{N_STATES}")
-            coords = (_METHODS[method], _INITIAL_KINDS[initial_kind], target, subject_id, repeat)
-            if coords in seen:
-                raise ValueError(f"duplicate run {coords}")
-            seen.add(coords)
-            if success not in _SUCCESS:
-                raise ValueError(f"success must be true or false, got {success!r}")
-            records.append(RunRecord(*coords, _SUCCESS[success], presented, iterations))
+            if min(presented) < 1 or max(presented) > N_STATES:  # a run shows its start, and never a spider twice
+                bad = next(p for p in presented if not 1 <= p <= N_STATES)
+                raise ValueError(f"spiders_presented {bad} not in 1..{N_STATES}")
+            coords = set(zip(method, initial_kind, target, subject_id, repeat))
+            if len(coords) < len(block) or not seen.isdisjoint(coords):
+                # seen.add returns None, so this stops at the first run already seen
+                run = next(c for c in zip(method, initial_kind, target, subject_id, repeat) if c in seen or seen.add(c))
+                raise ValueError(f"duplicate run {run}")
+            seen |= coords
+            success = _names(_SUCCESS, success, "success must be true or false, got {!r}")
+            records += map(RunRecord, method, initial_kind, target, subject_id, repeat, success, presented, iterations)
     except (ValueError, csv.Error) as exc:
         raise ResultsFileError(f"malformed results CSV at line {reader.line_num}: {exc}") from exc
     if not records:

@@ -198,8 +198,10 @@ def load_population(path: str | Path) -> SubjectPopulation:
     weights a JSON list of numbers; nothing is coerced.
     """
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))  # a leading BOM is not data
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not data
+        payload = of_type(json.loads(text), (dict,), "top level")
         seed = of_type(payload["seed"], (int,), "seed")
+        entries = [of_type(e, (dict,), "subject") for e in of_type(payload["subjects"], (list,), "subjects")]
         subjects = tuple(
             VirtualSubject(
                 id=of_type(e["id"], (int,), "id"),
@@ -208,7 +210,7 @@ def load_population(path: str | Path) -> SubjectPopulation:
                 ),
                 coefficient=float(of_type(e["coefficient"], (int, float), "coefficient")),
             )
-            for e in of_type(payload["subjects"], (list,), "subjects")
+            for e in entries
         )
         if not subjects:
             raise ValueError("subjects is an empty list")

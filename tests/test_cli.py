@@ -485,12 +485,12 @@ def test_empty_subjects_file_is_a_data_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("id", 0.7), ("id", True), ("id", "0"), ("seed", 1.9), ("weights", ["0.7", 1, 1, 1, 1, 1]),
-    ("weights", {"0": 1, "1": 1, "2": 1, "3": 1, "4": 1, "5": 1}), ("coefficient", True),
+    ("weights", {"0": 1, "1": 1, "2": 1, "3": 1, "4": 1, "5": 1}), ("coefficient", True), ("subjects", [[1, 2]]),
 ])
 def test_mistyped_subjects_are_data_errors(tmp_path, capsys, field, value):
     subject = {"id": 0, "weights": [1] * 6, "coefficient": 10 / _weighted((1.0,) * 6, MAX_VALUES)}
     payload = {"seed": 1, "subjects": [subject]}
-    (payload if field == "seed" else subject)[field] = value
+    (payload if field in payload else subject)[field] = value
     path = tmp_path / "subjects.json"
     path.write_text(json.dumps(payload))
     common = ["--subjects", str(path)]

@@ -523,10 +523,17 @@ def test_results_from_csv_rejects_bad_input():
         results_from_csv(header + "random,min,1,0,0,maybe,3,1\n")
     with pytest.raises(ResultsFileError, match="at line 2: row has 7 fields, the header has 8$"):
         results_from_csv(header + "random,min,1,0,0,true,3\n")
+    # the first bad row is named though the csv module fails later in its block
+    with pytest.raises(ResultsFileError, match="at line 3: unknown method 'bogus'$"):
+        results_from_csv(header + good + "bogus,min,1,0,0,true,3,1\nrandom,min,2,0,0,true,3," + "1" * 200_000)
+    # a run repeated in a later block is named by its own line
+    runs = [f"random,min,1,{subject},0,true,3,1\n" for subject in range(300)]
+    with pytest.raises(ResultsFileError, match=r"at line 302: duplicate run \('random', 'min', 1, 0, 0\)$"):
+        results_from_csv(header + "".join(runs) + runs[0])
 
 
 def _reference_results_from_csv(text):
-    """The results parse one row at a time, each rule in its documented order: the block parse's reference."""
+    """The reference for the results rules and their order: each row is checked against each rule in turn."""
     reader = csv.reader(io.StringIO(text))
     records = []
     seen = set()
@@ -568,18 +575,18 @@ def _reference_results_from_csv(text):
     return records
 
 
-# cells that each break one rule, by rule; the two other rules, a repeated
-# run and a short row, are made by _results_csv itself
+# cells that each break one rule, by rule; the other rules, a repeated run,
+# a short row and a field the csv module refuses, are made by _results_csv itself
 _BAD_CELLS = {
     "bad int": [("target", "x"), ("target", "1.5"), ("subject_id", ""), ("repeat", "1e3"),
                 ("spiders_presented", "x"), ("iterations_used", "2.0")],
-    "unknown name": [("method", "bogus"), ("method", "Random"), ("method", ""), ("initial_kind", "median"),
-                     ("initial_kind", " min")],
+    "unknown name": [("method", "bogus"), ("initial_kind", "median"), ("method", "Random"), ("initial_kind", " min"),
+                     ("method", ""), ("initial_kind", "")],
     "out of range": [("target", "0"), ("target", "10"), ("spiders_presented", "0"), ("spiders_presented", "487")],
     "negative": [("subject_id", "-1"), ("repeat", "-2"), ("spiders_presented", "-3"), ("iterations_used", "-1")],
     "bad success": [("success", "maybe"), ("success", "True"), ("success", "")],
 }
-_FAULTS = (*_BAD_CELLS, "duplicate", "short row")
+_FAULTS = (*_BAD_CELLS, "duplicate", "short row", "csv error")
 
 
 @st.composite
@@ -587,9 +594,12 @@ def _results_csv(draw, fault):
     """A results CSV with shuffled rows and columns, blank lines, quoted fields and either line ending.
 
     Some files have an extra column, sometimes spanning two lines in quotes.
-    Given a ``fault``, the file breaks that rule in one row, and up to two
-    more faults of any kind may follow; a dropped check shows only where its
-    fault is the file's only one.
+    Given a ``fault``, the file breaks that rule, and one or two more faults
+    of any kind follow; a bad cell may come with a second of its kind, so
+    that a method and an initial kind can both be unknown. Three faults in
+    four land on one shared row, so which rule its error names depends on
+    the order the rules are applied in; a repeated run copies an earlier
+    row, so the shared row is the one in error.
     """
     coords = draw(st.lists(
         st.tuples(st.sampled_from(POLICY_NAMES), st.sampled_from(INITIAL_KINDS), st.integers(1, 9),
@@ -604,20 +614,25 @@ def _results_csv(draw, fault):
     ]
     columns = draw(st.permutations(RESULT_COLUMNS + (("note",) if draw(st.booleans()) else ())))
     lengths = [len(columns)] * len(rows)
-    faults = [] if fault is None else [fault, *draw(st.lists(st.sampled_from(_FAULTS), max_size=2))]
+    faults = [] if fault is None else [fault, *draw(st.lists(st.sampled_from(_FAULTS), min_size=1, max_size=2))]
+    shared = draw(st.integers(1, len(rows) - 1)) if faults else 0
     for kind in faults:
-        i = draw(st.integers(0, len(rows) - 1))
+        first = 1 if kind == "duplicate" else 0  # a repeated run needs an earlier row to copy
+        i = shared if draw(st.integers(0, 3)) < 3 else draw(st.integers(first, len(rows) - 1))
         if kind == "duplicate":
-            j = draw(st.integers(0, len(rows) - 1).filter(lambda j: j != i))
+            j = draw(st.integers(0, i - 1))
             rows[i].update({name: rows[j][name] for name in RESULT_COLUMNS[:5]})
         elif kind == "short row":  # too short for the last result column
             lengths[i] = draw(st.integers(1, max(map(columns.index, RESULT_COLUMNS))))
+        elif kind == "csv error":
+            rows[i][draw(st.sampled_from(columns))] = "1" * (csv.field_size_limit() + 1)
         else:
-            column, value = draw(st.sampled_from(_BAD_CELLS[kind]))
-            rows[i][column] = value
+            for column, value in draw(st.lists(st.sampled_from(_BAD_CELLS[kind]), min_size=1, max_size=2)):
+                rows[i][column] = value
 
     def line(values):
-        return ",".join(f'"{v}"' if "\n" in v or draw(st.booleans()) else v for v in values)
+        # a lone empty field unquoted would be a blank line, which the parse skips
+        return ",".join(f'"{v}"' if "\n" in v or draw(st.booleans()) else v for v in values) or '""'
 
     lines = [line(columns)]
     for row, length in zip(rows, lengths):
@@ -632,7 +647,7 @@ def _results_csv(draw, fault):
 @given(data=st.data())
 def test_block_parse_agrees_with_the_row_by_row_rules(fault, data):
     text = data.draw(_results_csv(fault))
-    block_rows = data.draw(st.integers(2, 5))  # so that rows fall on block edges
+    block_rows = data.draw(st.integers(1, 5))  # one row per block, and blocks with rows on their edges
     caller_collects = data.draw(st.booleans())
 
     def outcome(parse):

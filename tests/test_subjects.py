@@ -240,6 +240,11 @@ def test_load_population_rejects_garbage(tmp_path):
         path.write_text(json.dumps(payload))
         with pytest.raises(SubjectFileError):
             load_population(path)
+    # a list where an object belongs is named as such, not indexed by a key
+    for payload, name in (([], "top level"), ({"seed": 1, "subjects": [[1, 2]]}, "subject")):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SubjectFileError, match=f": {name} must be dict, got "):
+            load_population(path)
     # a weights object would iterate as its keys 0..5; this coefficient fits those keys
     keys = {str(i): w for i, w in enumerate(weights)}
     path.write_text(json.dumps({"seed": 1, "subjects": [
