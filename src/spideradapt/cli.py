@@ -15,21 +15,20 @@ import math
 import sys
 import time
 from dataclasses import asdict, fields, is_dataclass, replace
-from operator import attrgetter
 from pathlib import Path
 
 from .domain import enumerate_states
 from .grid import (
+    CellSummary,
     GridConfig,
     RESULT_COLUMNS,
     ResultsFileError,
-    RunRecord,
+    columns_from_csv,
     comparisons_to_csv,
     mark_significance,
-    results_from_csv,
     results_to_csv,
     run_grid,
-    summarize,
+    summarize_columns,
     summary_to_csv,
     summary_to_markdown,
 )
@@ -223,15 +222,15 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _read_results(path: str) -> list[RunRecord]:
-    """The records of the results CSV at ``path``; warns on stderr when its grid is incomplete."""
-    records = results_from_csv(Path(path).read_text(encoding="utf-8-sig"))  # a leading BOM is not data
+def _summaries(path: str) -> list[CellSummary]:
+    """The cell summaries of the results CSV at ``path``; warns on stderr when its grid is incomplete."""
+    columns = columns_from_csv(Path(path).read_text(encoding="utf-8-sig"))  # a leading BOM is not data
     # the first five columns are a run's coordinates, and they never repeat, so a
     # complete grid has a run for every combination of the values on those axes
-    expected = math.prod(len(set(map(attrgetter(axis), records))) for axis in RESULT_COLUMNS[:5])
-    if len(records) < expected:
-        print(f"warning: {path} is an incomplete grid: {len(records)} of {expected} runs", file=sys.stderr)
-    return records
+    runs, expected = len(columns["method"]), math.prod(len(set(columns[axis])) for axis in RESULT_COLUMNS[:5])
+    if runs < expected:
+        print(f"warning: {path} is an incomplete grid: {runs} of {expected} runs", file=sys.stderr)
+    return summarize_columns(columns)
 
 
 def _emit(text: str, out: str | None, what: str) -> int:
@@ -245,15 +244,14 @@ def _emit(text: str, out: str | None, what: str) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    records = _read_results(args.results)
-    summaries = summarize(records)
-    comparisons = mark_significance(records, summaries)
+    summaries = _summaries(args.results)
+    comparisons = mark_significance((), summaries)
     render = summary_to_csv if args.format == "csv" else summary_to_markdown
     return _emit(render(summaries, comparisons), args.out, "summary")
 
 
 def _cmd_compare(args) -> int:
-    return _emit(comparisons_to_csv(mark_significance(_read_results(args.results))), args.out, "comparisons")
+    return _emit(comparisons_to_csv(mark_significance((), _summaries(args.results))), args.out, "comparisons")
 
 
 def _cmd_oracle(args) -> int:

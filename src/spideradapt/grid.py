@@ -15,12 +15,13 @@ import gc
 import io
 import math
 import statistics
+from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice, product
-from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from itertools import chain, compress, islice, product
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.special import betainc
@@ -214,44 +215,59 @@ def run_grid(
 
 
 def summarize(records: Sequence[RunRecord]) -> list[CellSummary]:
-    """Aggregate runs into (initial, category, method) cells.
+    """``summarize_columns`` over the records' fields."""
+    names = ("method", "initial_kind", "target", "subject_id", "success", "spiders_presented")
+    return summarize_columns({name: list(map(attrgetter(name), records)) for name in names})
+
+
+def summarize_columns(columns: Mapping[str, Sequence]) -> list[CellSummary]:
+    """Aggregate the results columns, by name, into (initial, category, method) cells.
 
     A cell's mean and std pool every successful run in it, whatever its
     target; ``subject_means`` keeps the mean of each subject's successes.
     """
-    runs: dict[tuple[str, str, str], int] = {}
-    successes: dict[tuple[str, str, str], dict[int, list[int]]] = {}
-    for r in records:
-        cell = (r.initial_kind, _CATEGORY_OF[r.target], r.method)
-        runs[cell] = runs.get(cell, 0) + 1
-        by_subject = successes.setdefault(cell, {})
-        if r.success:
-            by_subject.setdefault(r.subject_id, []).append(r.spiders_presented)
+    initials, methods = columns["initial_kind"], columns["method"]
+    categories = list(map(_CATEGORY_OF.__getitem__, columns["target"]))
+    runs = Counter(zip(initials, categories, methods))
+    by_cell = {cell: defaultdict(list) for cell in runs}  # each subject's successful counts in each cell
+    rows = zip(initials, categories, methods, columns["subject_id"], columns["spiders_presented"])
+    for initial, category, method, subject_id, presented in compress(rows, columns["success"]):
+        by_cell[initial, category, method][subject_id].append(presented)
 
     summaries = []
-    for cell, by_subject in successes.items():
-        # fmean sums with fsum and stdev with exact fractions, so grouping by subject changes no bit
-        pooled = [n for counts in by_subject.values() for n in counts]
+    for cell in sorted(runs, key=lambda c: (INITIAL_KINDS.index(c[0]), CATEGORY_ORDER.index(c[1]),
+                                            POLICY_NAMES.index(c[2]))):
+        by_subject = by_cell[cell]
+        # fmean sums with fsum and _stdev is exact, so grouping by subject changes no bit
+        pooled = list(chain.from_iterable(by_subject.values()))
         accuracy = 100.0 * len(pooled) / runs[cell]
         summaries.append(
             CellSummary(
                 *cell,
                 mean_presented=statistics.fmean(pooled) if pooled else None,
-                std_presented=statistics.stdev(pooled) if len(pooled) >= 2 else None,
+                std_presented=_stdev(pooled) if len(pooled) >= 2 else None,
                 accuracy_percent=accuracy,
                 n_success=len(pooled),
                 considered=accuracy >= ACCURACY_THRESHOLD,
                 subject_means={sid: statistics.fmean(counts) for sid, counts in by_subject.items()},
             )
         )
-    summaries.sort(
-        key=lambda s: (
-            INITIAL_KINDS.index(s.initial_kind),
-            CATEGORY_ORDER.index(s.stress_category),
-            POLICY_NAMES.index(s.method),
-        )
-    )
     return summaries
+
+
+def _stdev(counts: Sequence[int]) -> float:
+    """``statistics.stdev`` of two or more integers, bit for bit: the exact sample variance's root, correctly rounded.
+
+    The variance is (nΣx² − (Σx)²)/(n(n−1)). Scaled by a power of four to 109
+    bits, its integer root keeps 55, the last rounded to odd, so the one
+    rounding to float is correct: the scheme of CPython 3.11's ``statistics``.
+    """
+    n, total = len(counts), sum(counts)
+    num, den = n * sum(x * x for x in counts) - total * total, n * (n - 1)
+    shift = (num.bit_length() - den.bit_length() - 109) // 2
+    num, den = num << max(0, -2 * shift), den << max(0, 2 * shift)
+    root = math.isqrt(num // den)
+    return math.ldexp(root | (root * root * den != num), shift)  # a set last bit marks an inexact root
 
 
 # ---------------------------------------------------------------------------
@@ -375,19 +391,18 @@ def results_from_csv(text: str) -> list[RunRecord]:
     initial state, and hold a target in 1..9, non-negative numbers, between
     1 and ``N_STATES`` spiders presented, ``success`` of true or false and
     coordinates that no other row repeats. An error names the line of the
-    first row that breaks a rule: a rejected text is read again one row per
-    block to find it. The cyclic garbage collector is paused while the
-    records are built and then set back as the caller left it.
+    first row that breaks a rule. The records are built a block at a time.
     """
-    collecting = gc.isenabled()
-    gc.disable()  # records hold only str, int and bool: the parse makes no cycles for a collection to free
-    try:
-        return _parse(text, _BLOCK_ROWS)
-    except ResultsFileError:
-        return _parse(text, 1)
-    finally:
-        if collecting:
-            gc.enable()
+    return list(chain.from_iterable(map(RunRecord, *block) for block in _parse(text, _BLOCK_ROWS)))
+
+
+def columns_from_csv(text: str) -> dict[str, list]:
+    """The columns of a results CSV by name, checked as ``results_from_csv`` checks its rows; no record is built."""
+    columns: dict[str, list] = {name: [] for name in RESULT_COLUMNS}
+    for block in _parse(text, _BLOCK_ROWS):
+        for column, values in zip(columns.values(), block):
+            column += values
+    return columns
 
 
 def _names(table: dict, column: Iterable[str], rule: str) -> list:
@@ -398,16 +413,19 @@ def _names(table: dict, column: Iterable[str], rule: str) -> list:
         raise ValueError(rule.format(exc.args[0])) from None
 
 
-def _parse(text: str, block_rows: int) -> list[RunRecord]:
-    """The records of a results CSV, read ``block_rows`` rows at a time and checked a column at a time.
+def _parse(text: str, block_rows: int) -> Iterator[tuple[list, ...]]:
+    """The columns of each ``block_rows`` rows of a results CSV in ``RESULT_COLUMNS`` order, checked column-wise.
 
     The rules are checked over a block's columns in their documented order,
     and the first one broken raises its message for a row of the block at
     the line the reader has reached: with one row per block, that is the
-    first bad row's line and the first rule it breaks.
+    first bad row's line and the first rule it breaks, so a rejected text is
+    read again one row per block. The cyclic garbage collector is paused
+    until the last block is taken, and then set back as the caller left it.
     """
+    collecting = gc.isenabled()
+    gc.disable()  # blocks and records hold only str, int and bool: the read makes no cycles for a collection to free
     reader = csv.reader(io.StringIO(text))
-    records: list[RunRecord] = []
     seen: set[tuple] = set()
     try:
         header = next(reader, [])
@@ -441,12 +459,17 @@ def _parse(text: str, block_rows: int) -> list[RunRecord]:
                 raise ValueError(f"duplicate run {run}")
             seen |= coords
             success = _names(_SUCCESS, success, "success must be true or false, got {!r}")
-            records += map(RunRecord, method, initial_kind, target, subject_id, repeat, success, presented, iterations)
+            yield method, initial_kind, target, subject_id, repeat, success, presented, iterations
     except (ValueError, csv.Error) as exc:
+        if block_rows > 1:
+            for _ in _parse(text, 1):  # raises at the first bad row
+                pass
         raise ResultsFileError(f"malformed results CSV at line {reader.line_num}: {exc}") from exc
-    if not records:
+    finally:
+        if collecting:
+            gc.enable()
+    if not seen:
         raise ResultsFileError("results CSV contains no runs")
-    return records
 
 
 def _fmt(value: float | None, spec: str = ".6f") -> str:

@@ -87,7 +87,8 @@ def grid_serial(population):
     records = run_grid(cfg)
     elapsed = time.perf_counter() - start
     peak = _peak_rss_mb(resource.RUSAGE_SELF)
-    print(f"full grid, workers=1: {len(records)} runs in {elapsed:.1f}s, peak RSS {peak:.1f} MB")
+    print(f"full grid, workers=1: {len(records)} runs in {elapsed:.1f}s, "
+          f"peak RSS of this test process so far, earlier tests included, {peak:.1f} MB")
     return records, elapsed
 
 
@@ -99,7 +100,8 @@ def grid_parallel(population):
     elapsed = time.perf_counter() - start
     # the children's figure is the largest of every child waited for so far, a pool worker or not
     peak = _peak_rss_mb(resource.RUSAGE_CHILDREN)
-    print(f"full grid, workers=2: {len(records)} runs in {elapsed:.1f}s, peak RSS of a child {peak:.1f} MB")
+    print(f"full grid, workers=2: {len(records)} runs in {elapsed:.1f}s, "
+          f"peak RSS of any child of this test process so far {peak:.1f} MB")
     return records
 
 

@@ -17,7 +17,20 @@ from hypothesis import strategies as st
 import spideradapt
 from spideradapt.cli import main
 from spideradapt.domain import MAX_VALUES
-from spideradapt.grid import RESULT_COLUMNS, GridConfig, results_to_csv, run_grid
+from spideradapt.grid import (
+    RESULT_COLUMNS,
+    GridConfig,
+    ResultsFileError,
+    RunRecord,
+    comparisons_to_csv,
+    mark_significance,
+    results_from_csv,
+    results_to_csv,
+    run_grid,
+    summarize,
+    summary_to_csv,
+    summary_to_markdown,
+)
 from spideradapt.policies import SLOTS_PER_ITERATION, GAConfig, RLConfig
 from spideradapt.subjects import _weighted, generate_population, load_population
 
@@ -290,6 +303,49 @@ def test_summarize_and_compare_warn_about_incomplete_grids(tmp_path, subjects_fi
         err = capsys.readouterr().err
         assert err.startswith("warning: ") and err.count("\n") == 1
         assert f"{len(lines) - 2} of {len(lines) - 1} runs" in err
+
+
+def test_summarize_and_compare_build_no_records(tmp_path, subjects_file, capsys, monkeypatch):
+    # 810 runs: several blocks of the parse and every stress category
+    results = _run_results(tmp_path, subjects_file, ("--targets", "1,2,3,4,5,6,7,8,9", "--initials", "min,avg,max",
+                                                     "--repeats", "3"))
+    text = results.read_text()
+    records = results_from_csv(text)
+    summaries = summarize(records)
+    comparisons = mark_significance(records, summaries)
+    expected = {
+        "csv": summary_to_csv(summaries, comparisons),
+        "markdown": summary_to_markdown(summaries, comparisons),
+        "compare": comparisons_to_csv(comparisons),
+    }
+    lines = text.splitlines(keepends=True)
+    bad_texts = {  # a bad row in the middle of the file, and a repeated run at its end
+        "middle": "".join(lines[:400] + [lines[400].replace("true", "maybe").replace("false", "maybe")] + lines[401:]),
+        "end": text + lines[1],
+    }
+    messages = {}
+    for name, bad in bad_texts.items():
+        with pytest.raises(ResultsFileError) as err:
+            results_from_csv(bad)
+        messages[name] = str(err.value)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a RunRecord was built")
+
+    monkeypatch.setattr(RunRecord, "__init__", refuse)
+    with pytest.raises(AssertionError, match="RunRecord was built"):
+        results_from_csv(text)
+    capsys.readouterr()
+    for fmt in ("csv", "markdown"):
+        assert main(["summarize", "--results", str(results), "--format", fmt]) == 0
+        assert capsys.readouterr().out == expected[fmt]
+    assert main(["compare", "--results", str(results)]) == 0
+    assert capsys.readouterr().out == expected["compare"]
+    for name, bad in bad_texts.items():
+        results.write_text(bad)
+        for command in ("summarize", "compare"):
+            assert main([command, "--results", str(results)]) == 2
+            assert capsys.readouterr().err == f"error: {messages[name]}\n"
 
 
 def test_summarize_empty_results_is_data_error(tmp_path, capsys):

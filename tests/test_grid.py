@@ -8,6 +8,7 @@ import math
 import operator
 import pickle
 import statistics
+import sys
 
 import pytest
 import scipy.stats
@@ -24,6 +25,8 @@ from spideradapt.grid import (
     RESULT_COLUMNS,
     ResultsFileError,
     RunRecord,
+    _record_key,
+    _stdev,
     _student_t_sf,
     category_of,
     comparisons_to_csv,
@@ -282,6 +285,17 @@ def test_summarize_invariant_to_record_order(small_population):
     assert summarize(shuffled) == summarize(records)
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="statistics.stdev rounds correctly from Python 3.11 on")
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(1, 486), min_size=2, max_size=400),  # a cell's spider counts
+    st.lists(st.integers(1, 10**15), min_size=2, max_size=400),
+    st.lists(st.sampled_from([1, 2, 10**15]), min_size=2, max_size=400),  # few distinct values, zero variance too
+))
+def test_exact_stdev_is_statistics_stdev_bit_for_bit(counts):
+    assert _stdev(counts).hex() == statistics.stdev(counts).hex()
+
+
 def test_paired_ttest_frozen_oracle():
     a = [2.0, 4.0, 6.0, 8.0, 10.0]
     b = [1.0, 2.0, 3.0, 4.0, 5.0]  # differences 1..5
@@ -468,6 +482,55 @@ def test_report_matches_reference(records):
     assert mark_significance(records) == comparisons
     assert mark_significance(records, summarize(records)) == comparisons
     assert all("subject_means" not in repr(s) for s in summaries)
+
+
+@st.composite
+def _cells_with_few_successes(draw):
+    """A complete grid in canonical order whose cells may cap their successes at none or one.
+
+    Each (initial, category, method) cell draws a cap of 0, 1 or none, and
+    one subject never succeeds, so some cells pool no count or a single one
+    and some subjects have no mean.
+    """
+    axes = (
+        sorted(draw(st.lists(st.sampled_from(POLICY_NAMES), min_size=1, max_size=3, unique=True)),
+               key=POLICY_NAMES.index),
+        sorted(draw(st.lists(st.sampled_from(INITIAL_KINDS), min_size=1, max_size=2, unique=True)),
+               key=INITIAL_KINDS.index),
+        sorted(draw(st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True))),
+        range(draw(st.integers(1, 4))),
+        range(draw(st.integers(1, 3))),
+    )
+    loser = draw(st.sampled_from(axes[3]))
+    caps = {}
+    records = []
+    for method, initial_kind, target, subject_id, repeat in itertools.product(*axes):
+        cell = (initial_kind, category_of(target), method)
+        if cell not in caps:
+            caps[cell] = draw(st.sampled_from([0, 1, None]))
+        cap = caps[cell]
+        success = subject_id != loser and cap != 0 and draw(st.booleans())
+        if success and cap is not None:
+            caps[cell] = cap - 1
+        records.append(RunRecord(method, initial_kind, target, subject_id, repeat, success,
+                                 draw(st.integers(1, 486)), draw(st.integers(0, 150))))
+    return loser, records
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cells_with_few_successes(), st.randoms(use_true_random=False))
+def test_summarize_is_the_same_in_any_record_order(drawn, random):
+    loser, records = drawn
+    assert records == sorted(records, key=_record_key)
+    shuffled = records[:]
+    random.shuffle(shuffled)
+    summaries = summarize(records)
+    assert summarize(shuffled) == summaries
+    assert summaries == _reference_report(records)[0]
+    for s in summaries:
+        assert (s.mean_presented is None) is (s.n_success == 0)
+        assert (s.std_presented is None) is (s.n_success < 2)
+        assert loser not in s.subject_means
 
 
 def test_results_csv_round_trip(small_population):
