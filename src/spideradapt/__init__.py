@@ -7,6 +7,8 @@ subjects, with a reproducible evaluation grid and significance testing.
 
 from .domain import (
     ACTIONS,
+    INITIAL_KINDS,
+    INITIAL_STATES,
     Action,
     SpiderState,
     apply_action,
@@ -37,14 +39,7 @@ from .policies import (
     rl_update,
 )
 from .reward_model import RewardSpec, is_success, reward
-from .session import (
-    INITIAL_KINDS,
-    INITIAL_STATES,
-    PresentedSpider,
-    RunConfig,
-    RunResult,
-    run_session,
-)
+from .session import PresentedSpider, RunConfig, RunResult, run_session
 from .subjects import (
     SubjectPopulation,
     VirtualSubject,

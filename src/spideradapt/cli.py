@@ -17,7 +17,7 @@ import time
 from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
-from .domain import enumerate_states
+from .domain import INITIAL_KINDS, INITIAL_STATES, enumerate_states
 from .grid import (
     CellSummary,
     GridConfig,
@@ -33,7 +33,7 @@ from .grid import (
     summary_to_markdown,
 )
 from .policies import POLICY_NAMES
-from .session import INITIAL_KINDS, INITIAL_STATES, run_session
+from .session import run_session
 from .subjects import (
     SubjectFileError,
     SubjectPopulation,

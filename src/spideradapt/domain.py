@@ -31,6 +31,14 @@ MAX_VALUES = (2, 2, 2, 2, 1, 2)
 IMPACT_MEANS = (0.9, 0.9, 0.4, 0.7, 0.6, 0.5)
 IMPACT_STDS = (0.15, 0.15, 0.17, 0.16, 0.21, 0.20)
 
+INITIAL_STATES: dict[str, SpiderState] = {
+    "min": MIN_VALUES,
+    # midpoint of every range; the binary hairiness attribute uses the lower one
+    "avg": (1, 1, 1, 1, 0, 1),
+    "max": MAX_VALUES,
+}
+INITIAL_KINDS = tuple(INITIAL_STATES)
+
 
 @dataclass(frozen=True)
 class Action:

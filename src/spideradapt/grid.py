@@ -26,10 +26,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 from scipy.special import betainc
 
-from .domain import N_STATES
+from .domain import INITIAL_KINDS, N_STATES
 from .policies import GAConfig, POLICY_NAMES, RLConfig, SLOTS_PER_ITERATION
 from .reward_model import TARGETS
-from .session import INITIAL_KINDS, RunConfig, pcg64_states, run_session
+from .session import RunConfig, pcg64_states, run_session
 from .subjects import SubjectPopulation, VirtualSubject
 
 DEFAULT_TARGETS = tuple(TARGETS)
@@ -147,10 +147,10 @@ def _run_unit(unit: tuple[GridConfig, VirtualSubject, int]) -> list[RunRecord]:
     """All runs of one subject at one target: the grid's work unit.
 
     The unit covers every method, initial state and repeat, so all its runs
-    read one response table. The streams of its drawing runs are derived in
-    one pass and assigned in turn to one generator. A method that draws
-    nothing never reads its repeat index, so it runs once per initial state
-    and that outcome is every repeat's record.
+    read one response table. The streams of its runs are derived in one pass
+    and assigned in turn to one generator, which a run that draws nothing
+    ignores. A method that draws nothing never reads its repeat index, so it
+    runs once per initial state and that outcome is every repeat's record.
     """
     cfg, subject, target = unit
     runs = [
@@ -158,21 +158,15 @@ def _run_unit(unit: tuple[GridConfig, VirtualSubject, int]) -> list[RunRecord]:
         for method, initial_kind in product(cfg.methods, cfg.initial_kinds)
         for repeat in (range(cfg.repeats) if SLOTS_PER_ITERATION[method] else (0,))
     ]
-    states = iter(pcg64_states([rc for rc in runs if SLOTS_PER_ITERATION[rc.method]]))
-    rng = np.random.default_rng(0)  # every drawing run sets its own state first
+    rng = np.random.default_rng(0)  # every run sets its own state first
     records = []
-    for rc in runs:
-        if SLOTS_PER_ITERATION[rc.method]:
-            rng.bit_generator.state = next(states)
-            result = run_session(rc, subject, record_sequence=False, rng=rng)
-            repeats = (rc.repeat_index,)
-        else:
-            result = run_session(rc, subject, record_sequence=False)
-            repeats = range(cfg.repeats)
+    for rc, state in zip(runs, pcg64_states(runs)):
+        rng.bit_generator.state = state
+        result = run_session(rc, subject, record_sequence=False, rng=rng)
         records.extend(
             RunRecord(rc.method, rc.initial_kind, target, subject.id, repeat,
                       result.success, result.spiders_presented, result.iterations_used)
-            for repeat in repeats
+            for repeat in ((rc.repeat_index,) if SLOTS_PER_ITERATION[rc.method] else range(cfg.repeats))
         )
     return records
 

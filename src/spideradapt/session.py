@@ -8,7 +8,8 @@ tables and leaves every decision to the functions in ``policies``. Each
 iteration presents one batch: a sequential move is a batch of one, greedy's
 ranking is the batch of every neighbour, and a GA generation is its
 offspring. Sequential batches stop at the first success; a GA batch is
-presented whole and checked for success at its end.
+presented whole and checked for success at its end. The GA has its own
+iteration loop; random, greedy and RL share the other.
 
 Every run owns an rng stream derived from the full run coordinates, and
 an RL run builds its own fresh Q-table, so a run depends on nothing but its
@@ -18,19 +19,22 @@ read by a fixed draw protocol: an ``rl_random`` table takes the first
 5,832 uniforms, row-major over (state, action), and after that iteration
 ``i >= 1`` owns the next ``k`` uniforms, ``[k(i-1), k*i)``, with
 ``k = SLOTS_PER_ITERATION[method]``, whether the policy reads them or not.
-Greedy draws nothing and opens no stream. ``run_seed_sequence`` defines each
-stream; ``pcg64_states`` derives the same streams for many runs in one pass.
+Greedy's ``k`` is 0: ``_slots`` then yields empty tuples without touching
+the generator, so greedy draws nothing and opens no stream.
+``run_seed_sequence`` defines each stream; ``pcg64_states`` derives the same
+streams for many runs in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .domain import N_ACTIONS, N_STATES, SpiderState, state_space
+from .domain import INITIAL_KINDS, INITIAL_STATES, N_ACTIONS, N_STATES, SpiderState, state_space
 from .policies import (
     GAConfig,
     POLICY_NAMES,
@@ -47,15 +51,6 @@ from .policies import (
 )
 from .reward_model import TARGETS, RewardSpec, is_success, reward
 from .subjects import VirtualSubject, stress_table
-
-INITIAL_STATES: dict[str, SpiderState] = {
-    "min": (0, 0, 0, 0, 0, 0),
-    # midpoint of every range; the binary hairiness attribute uses the lower one
-    "avg": (1, 1, 1, 1, 0, 1),
-    "max": (2, 2, 2, 2, 1, 2),
-}
-INITIAL_KINDS = tuple(INITIAL_STATES)
-
 
 @dataclass
 class RunConfig:
@@ -209,12 +204,15 @@ def pcg64_states(cfgs: Sequence[RunConfig]) -> list[dict]:
 _CHUNK_ITERATIONS = 32
 
 
-def _slots(rng: np.random.Generator, k: int) -> Iterator[tuple[float, ...]]:
+def _slots(rng: np.random.Generator | None, k: int) -> Iterator[tuple[float, ...]]:
     """Each iteration's ``k`` uniforms, in order, from what ``rng`` has left.
 
     PCG64 doubles concatenate, so drawing in chunks yields the same values
-    as one up-front draw.
+    as one up-front draw. With ``k`` 0 every iteration gets an empty tuple
+    and ``rng`` is never touched, so it may be None.
     """
+    if not k:
+        yield from repeat(())
     while True:
         yield from zip(*[iter(rng.random(k * _CHUNK_ITERATIONS).tolist())] * k)
 
@@ -248,6 +246,8 @@ def run_session(
     ``rng``, when given, must sit at the start of the run's own stream, as
     ``np.random.default_rng(run_seed_sequence(cfg))`` does, or a generator
     given a state from ``pcg64_states``; without it the run seeds itself.
+    A run that draws nothing ignores it, so the grid passes its generator
+    to every run.
     """
     cfg.validate()
     if subject.id != cfg.subject_id:
@@ -300,19 +300,7 @@ def run_session(
     if present((start,), 0, True) is not None:
         return result(True, 0, start)
     s = start
-    if method == "greedy":
-        neighbor_ids = space.neighbor_ids
-        for it in iterations:
-            # every unseen neighbour is presented while ranking them
-            t = greedy_step(s, rewards)
-            hit = present(neighbor_ids[s], it, True)
-            if hit is not None:
-                return result(True, it, hit)
-            s = t
-        return result(False, cfg.iteration_cap, s)
-
-    # random and RL present one spider per iteration, shown here inline
-    learning = method in RL_METHODS
+    greedy, learning = method == "greedy", method in RL_METHODS
     if learning:
         # a flat table, entry (s, a) at s * N_ACTIONS + a; an rl_random one
         # takes its uniforms before the first iteration's
@@ -321,11 +309,18 @@ def run_session(
         epsilon = cfg.rl.epsilon
         next_state = space.next_state
     for it, u in zip(iterations, _slots(rng, k)):
-        if learning:
+        if greedy:
+            # every unseen neighbour is shown, and then greedy moves to the best
+            hit = present(space.neighbor_ids[s], it, True)
+            if hit is not None:
+                return result(True, it, hit)
+            t = greedy_step(s, rewards)
+        elif learning:
             aid = rl_select_action(q, s, epsilon, u[0], u[1])
             t = next_state[s][aid]
         else:
             t = random_step(s, u[0])
+        # random and RL show their one spider here, inline; greedy has shown t already
         if not presented[t]:
             presented[t] = 1
             if record_sequence:

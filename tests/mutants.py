@@ -1,0 +1,113 @@
+"""Mutation runner: each mutant breaks one snippet of the tree, and named tests must catch it.
+
+Usage, from any directory::
+
+    python tests/mutants.py [NAME...]
+
+Each mutant, or each one named, is applied on its own to a copy of the tree
+in a temporary directory, and its test nodes run there with ``pytest -x``.
+A mutant is killed when they fail and survives when they pass. The runner
+prints one line per mutant and exits 1 if any survived. Pytest does not
+collect this file; ``test_mutants.py`` checks that every snippet occurs
+exactly once, so code that moves must take its mutants along.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+# a mutant whose tests hang is reported as killed after this long
+TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the root of the tree
+    snippet: str  # occurs exactly once in the file
+    replacement: str
+    nodes: tuple[str, ...]  # pytest node ids, one of which must fail
+
+
+_SEQUENTIAL = ("tests/test_session.py::test_sequential_runs_equal_the_reference",)
+_GRID_RECORDS = ("tests/test_grid.py::test_run_grid_runs_greedy_once_per_initial_state",)
+_PARSE = "tests/test_grid.py::test_block_parse_agrees_with_the_row_by_row_rules[{}]"
+_STDEV = ("tests/test_grid.py::test_exact_stdev_is_statistics_stdev_bit_for_bit",)
+_SESSION, _GRID = "src/spideradapt/session.py", "src/spideradapt/grid.py"
+
+MUTANTS = (
+    # the sequential session loop
+    Mutant("greedy-shows-every-neighbour", _SESSION,
+           "present(space.neighbor_ids[s], it, True)", "present(space.neighbor_ids[s], it, False)", _SEQUENTIAL),
+    Mutant("greedy-ignores-a-hit", _SESSION,
+           "present(space.neighbor_ids[s], it, True)\n            if hit is not None:",
+           "present(space.neighbor_ids[s], it, True)\n            if False:", _SEQUENTIAL),
+    Mutant("no-slots-yield-once", _SESSION, "yield from repeat(())", "yield ()", _SEQUENTIAL),
+    Mutant("inline-shows-at-the-previous-iteration", _SESSION,
+           "PresentedSpider(states[t], stresses[t], rewards[t], it)",
+           "PresentedSpider(states[t], stresses[t], rewards[t], it - 1)", _SEQUENTIAL),
+    # one-pass seeding of a grid unit
+    Mutant("seed-hash-multiplier-off-by-two", _SESSION, "_MULT_B = 0x8B51F9DD, 0x58F38DED",
+           "_MULT_B = 0x8B51F9DD, 0x58F38DEF",
+           ("tests/test_session.py::test_pcg64_states_match_the_seed_sequence", *_GRID_RECORDS)),
+    Mutant("unit-states-in-reverse", _GRID, "zip(runs, pcg64_states(runs))",
+           "zip(runs, reversed(pcg64_states(runs)))", _GRID_RECORDS),
+    # README's slot table
+    Mutant("readme-random-takes-two-slots", "README.md", "| `random` | 1 |", "| `random` | 2 |",
+           ("tests/test_cli.py::test_readme_pins_the_slot_table_and_the_results_header",)),
+    # the results parser's rules and their order
+    Mutant("parser-drops-the-target-rule", _GRID, "if not set(target).issubset(TARGETS):", "if False:",
+           (_PARSE.format("out of range"),)),
+    Mutant("parser-swaps-the-name-rules", _GRID,
+           '            method = _names(_METHODS, method, "unknown method {!r}")\n'
+           '            initial_kind = _names(_INITIAL_KINDS, initial_kind, "unknown initial kind {!r}")\n',
+           '            initial_kind = _names(_INITIAL_KINDS, initial_kind, "unknown initial kind {!r}")\n'
+           '            method = _names(_METHODS, method, "unknown method {!r}")\n',
+           (_PARSE.format("unknown name"),)),
+    # the exact stdev
+    Mutant("stdev-divides-by-n-squared", _GRID, "n * (n - 1)", "n * n", _STDEV),
+    Mutant("stdev-drops-the-odd-bit", _GRID, "root | (root * root * den != num)", "root", _STDEV),
+    Mutant("stdev-keeps-105-bits", _GRID, "den.bit_length() - 109", "den.bit_length() - 105", _STDEV),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """Apply ``mutant`` to a fresh copy of the tree and run its nodes there; return the outcome."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench", "*.egg-info"))
+        target = tree / mutant.path
+        text = target.read_text()
+        if text.count(mutant.snippet) != 1:
+            raise SystemExit(f"{mutant.name}: the snippet does not occur exactly once in {mutant.path}")
+        target.write_text(text.replace(mutant.snippet, mutant.replacement))
+        env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.nodes]
+        try:
+            code = subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S).returncode
+        except subprocess.TimeoutExpired:
+            return "killed (timed out)"
+    # 1: a test failed; 2: a test module failed to import
+    return {0: "survived", 1: "killed", 2: "killed"}.get(code, f"error (pytest exit {code})")
+
+
+def main(names: list[str]) -> int:
+    known = {m.name: m for m in MUTANTS}
+    if unknown := [n for n in names if n not in known]:
+        raise SystemExit(f"unknown mutants {unknown}; known: {', '.join(known)}")
+    outcomes = []
+    for mutant in [known[n] for n in names] or MUTANTS:
+        outcomes.append(run(mutant))
+        print(f"{mutant.name}: {outcomes[-1]}", flush=True)
+    return 0 if all(o.startswith("killed") for o in outcomes) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

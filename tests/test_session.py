@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spideradapt.domain import apply_action, neighbors, state_index, state_space, valid_actions
@@ -11,12 +11,14 @@ from spideradapt.reward_model import RewardSpec, is_success, reward
 from spideradapt.session import (
     INITIAL_KINDS,
     INITIAL_STATES,
+    PresentedSpider,
     RunConfig,
+    RunResult,
     pcg64_states,
     run_seed_sequence,
     run_session,
 )
-from spideradapt.subjects import VirtualSubject, bfs_distance, scale_coefficient, stress
+from spideradapt.subjects import VirtualSubject, bfs_distance, sample_subject, scale_coefficient, stress
 
 ALL_MIN = (0, 0, 0, 0, 0, 0)
 ALL_MAX = (2, 2, 2, 2, 1, 2)
@@ -150,14 +152,17 @@ def test_success_ends_on_a_success_state(small_population):
                     assert result.presented_sequence[-1].state == result.final_state
 
 
-def test_failure_hits_the_cap():
-    # One dominant weight leaves some target bands empty, so no method can win.
+def _subject_with_an_empty_band():
+    """A subject with one dominant weight, so some target band holds no state, and that target."""
     weights = (2.0, 1e-6, 1e-6, 1e-6, 1e-6, 1e-6)
     subject = VirtualSubject(id=0, weights=weights, coefficient=scale_coefficient(weights))
-    missing = next(
-        t for t in range(1, 10)
-        if not any(is_success(stress(subject, s), t) for s in state_space().states)
-    )
+    missing = next(t for t in range(1, 10)
+                   if not any(is_success(stress(subject, s), t) for s in state_space().states))
+    return subject, missing
+
+
+def test_failure_hits_the_cap():
+    subject, missing = _subject_with_an_empty_band()  # no method can win
     for method in ("random", "greedy", "ga", "rl_zero"):
         result = run_session(_cfg(method=method, target=missing, iteration_cap=40), subject)
         assert not result.success
@@ -174,26 +179,6 @@ def test_ga_corner_first_batch_is_seven(example_subject):
     batch = [ALL_MIN] + neighbors(ALL_MIN)
     first_win = next(s for s in batch if is_success(stress(example_subject, s), 1))
     assert result.final_state == first_win
-
-
-def test_greedy_session_moves_match_greedy_step():
-    # an empty target band forces a full-length run; best-neighbour moves
-    # computed here from the scalar stress and reward must equal the
-    # session trajectory
-    weights = (2.0, 1e-6, 1e-6, 1e-6, 1e-6, 1e-6)
-    subject = VirtualSubject(id=0, weights=weights, coefficient=scale_coefficient(weights))
-    missing = next(
-        t for t in range(1, 10)
-        if not any(is_success(stress(subject, s), t) for s in state_space().states)
-    )
-    cap = 5
-    result = run_session(_cfg(method="greedy", target=missing, iteration_cap=cap), subject)
-    expected = ALL_MIN
-    spec = RewardSpec(missing)
-    for _ in range(cap):
-        expected = max(neighbors(expected), key=lambda nb: reward(stress(subject, nb), spec))
-    assert not result.success
-    assert result.final_state == expected
 
 
 def test_sequential_presentations_stay_adjacent_to_visited(small_population):
@@ -277,64 +262,123 @@ def _shown(result, iteration=None):
 
 
 def _rebuild_sequential(cfg, subject, choose):
-    """Presented (state, iteration) pairs of a sequential run whose move is ``choose(state, i)``."""
+    """The ``RunResult`` of a random, greedy or RL run whose iteration ``i`` is ``choose(state, i)``.
+
+    ``choose`` returns the iteration's batch and the state the run moves to.
+    The batch's unseen members are shown in order, and the first success
+    ends the run.
+    """
+    spec = RewardSpec(cfg.target)
+    shown = []
+
+    def show(batch, i):
+        for state in batch:
+            if state not in [p.state for p in shown]:
+                x = stress(subject, state)
+                shown.append(PresentedSpider(state, x, reward(x, spec), i))
+                if is_success(x, cfg.target):
+                    return True
+        return False
+
     state = INITIAL_STATES[cfg.initial_kind]
-    shown = [(state, 0)]
-    if is_success(stress(subject, state), cfg.target):
-        return shown
+    if show([state], 0):
+        return RunResult(True, 1, 0, state, shown)
     for i in range(1, cfg.iteration_cap + 1):
-        state = choose(state, i)
-        if state not in [seen for seen, _ in shown]:
-            shown.append((state, i))
-            if is_success(stress(subject, state), cfg.target):
-                break
-    return shown
+        batch, state = choose(state, i)
+        if show(batch, i):
+            return RunResult(True, len(shown), i, shown[-1].state, shown)
+    return RunResult(False, len(shown), cfg.iteration_cap, state, shown)
+
+
+def _reference_chooser(cfg, subject):
+    """``_rebuild_sequential``'s ``choose`` for ``cfg``'s method, reading README's slots from the run's stream."""
+    spec = RewardSpec(cfg.target)
+    if cfg.method == "greedy":  # k = 0: every neighbour, then the best by reward; no stream
+
+        def choose(state, i):
+            nbrs = neighbors(state)
+            return nbrs, max(nbrs, key=lambda nb: reward(stress(subject, nb), spec))
+
+        return choose
+    table = 486 * 12 if cfg.method == "rl_random" else 0
+    stream = _stream(cfg, table + 2 * cfg.iteration_cap)  # random reads only the first cap
+    if cfg.method == "random":  # k = 1: the move
+
+        def choose(state, i):
+            nbrs = neighbors(state)
+            nxt = nbrs[int(stream[i - 1] * len(nbrs))]
+            return [nxt], nxt
+
+        return choose
+    q = np.array(stream[:table]).reshape(486, 12) if table else np.zeros((486, 12))
+    u = stream[table:]  # k = 2: the explore test, then the choice
+
+    def choose(state, i):
+        s, actions = state_index(state), valid_actions(state)
+        if u[2 * i - 2] < cfg.rl.epsilon:
+            action = actions[int(u[2 * i - 1] * len(actions))]
+        else:
+            best = max(q[s, a.index] for a in actions)
+            ties = [a for a in actions if q[s, a.index] == best]
+            action = ties[int(u[2 * i - 1] * len(ties))]
+        nxt = apply_action(state, action)
+        best_next = max(q[state_index(nxt), a.index] for a in valid_actions(nxt))
+        r = reward(stress(subject, nxt), spec)
+        q[s, action.index] += cfg.rl.learning_rate * (r + cfg.rl.discount * best_next - q[s, action.index])
+        return [nxt], nxt
+
+    return choose
 
 
 def test_random_run_follows_the_draw_protocol(small_population):
     subject = small_population.subjects[4]
     cfg = _cfg(method="random", subject_id=4, target=9)
-    u = _stream(cfg, cfg.iteration_cap)  # k = 1: the move
-
-    def choose(state, i):
-        nbrs = neighbors(state)
-        return nbrs[int(u[i - 1] * len(nbrs))]
-
-    expected = _rebuild_sequential(cfg, subject, choose)
-    assert len(expected) > 5
-    assert _shown(run_session(cfg, subject)) == expected
+    expected = _rebuild_sequential(cfg, subject, _reference_chooser(cfg, subject))
+    assert len(expected.presented_sequence) > 5
+    assert run_session(cfg, subject) == expected
 
 
 @pytest.mark.parametrize("method, epsilon", [("rl_zero", 0.05), ("rl_zero", 0.5), ("rl_random", 0.05)])
 def test_rl_run_follows_the_draw_protocol(small_population, method, epsilon):
     subject = small_population.subjects[5]
     cfg = _cfg(method=method, subject_id=5, target=8, rl=RLConfig(epsilon=epsilon))
+    expected = _rebuild_sequential(cfg, subject, _reference_chooser(cfg, subject))
     table = 486 * 12 if method == "rl_random" else 0
-    stream = _stream(cfg, table + 2 * cfg.iteration_cap)
-    q = np.array(stream[:table]).reshape(486, 12) if table else np.zeros((486, 12))
-    u = stream[table:]  # k = 2: the explore test, then the choice
-    spec = RewardSpec(cfg.target)
-    explored = []
+    explore_tests = _stream(cfg, table + 2 * expected.iterations_used)[table::2]
+    assert len(expected.presented_sequence) > 5 and min(explore_tests) < epsilon  # some iteration explored
+    assert run_session(cfg, subject) == expected
 
-    def choose(state, i):
-        s, actions = state_index(state), valid_actions(state)
-        u_explore, u_choice = u[2 * i - 2], u[2 * i - 1]
-        explored.append(u_explore < epsilon)
-        if explored[-1]:
-            action = actions[int(u_choice * len(actions))]
-        else:
-            best = max(q[s, a.index] for a in actions)
-            ties = [a for a in actions if q[s, a.index] == best]
-            action = ties[int(u_choice * len(ties))]
-        nxt = apply_action(state, action)
-        best_next = max(q[state_index(nxt), a.index] for a in valid_actions(nxt))
-        r = reward(stress(subject, nxt), spec)
-        q[s, action.index] += cfg.rl.learning_rate * (r + cfg.rl.discount * best_next - q[s, action.index])
-        return nxt
 
-    expected = _rebuild_sequential(cfg, subject, choose)
-    assert len(expected) > 5 and any(explored)
-    assert _shown(run_session(cfg, subject)) == expected
+_EMPTY_BAND = _subject_with_an_empty_band()
+
+
+@st.composite
+def _subjects(draw):
+    subject_id = draw(st.integers(0, 2**40))
+    if draw(st.booleans()):  # from the paper's impact-factor normals
+        return sample_subject(subject_id, np.random.default_rng(draw(st.integers(0, 2**32))))
+    weights = draw(st.tuples(*[st.floats(1e-6, 2.0)] * 6))  # anything, empty target bands included
+    return VirtualSubject(id=subject_id, weights=weights, coefficient=scale_coefficient(weights))
+
+
+# an empty band forces greedy through a full failing run
+@example(subject=_EMPTY_BAND[0], target=_EMPTY_BAND[1], initial_kind="min", repeat=0, master_seed=42,
+         cap=5, epsilon=0.1)
+@settings(max_examples=300, deadline=None)
+@given(
+    subject=_subjects(),
+    target=st.integers(1, 9),
+    initial_kind=st.sampled_from(INITIAL_KINDS),
+    repeat=st.integers(0, 2**32 - 1),
+    master_seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
+    cap=st.integers(0, 150),
+    epsilon=st.floats(0.0, 1.0),
+)
+def test_sequential_runs_equal_the_reference(subject, target, initial_kind, repeat, master_seed, cap, epsilon):
+    for method in ("random", "greedy", "rl_zero", "rl_random"):
+        cfg = _cfg(method=method, subject_id=subject.id, target=target, initial_kind=initial_kind,
+                   repeat_index=repeat, iteration_cap=cap, master_seed=master_seed, rl=RLConfig(epsilon=epsilon))
+        assert run_session(cfg, subject) == _rebuild_sequential(cfg, subject, _reference_chooser(cfg, subject))
 
 
 @pytest.mark.parametrize("mutation_prob", [0.1, 1.0])
