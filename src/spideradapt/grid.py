@@ -376,6 +376,8 @@ _BLOCK_ROWS = 256
 _METHODS = {name: name for name in POLICY_NAMES}
 _INITIAL_KINDS = {kind: kind for kind in INITIAL_KINDS}
 _SUCCESS = {"true": True, "false": False}
+# the canonical numeral of each count a paper grid writes, and its value
+_NUMERALS = {str(i): i for i in range(N_STATES + 1)}
 
 
 def results_from_csv(text: str) -> list[RunRecord]:
@@ -407,6 +409,14 @@ def _names(table: dict, column: Iterable[str], rule: str) -> list:
         raise ValueError(rule.format(exc.args[0])) from None
 
 
+def _ints(column: Sequence[str]) -> list[int]:
+    """``column``'s cells as ``int()`` reads them, through ``_NUMERALS`` when it holds every one."""
+    try:
+        return list(map(_NUMERALS.__getitem__, column))
+    except KeyError:
+        return list(map(int, column))
+
+
 def _parse(text: str, block_rows: int) -> Iterator[tuple[list, ...]]:
     """The columns of each ``block_rows`` rows of a results CSV in ``RESULT_COLUMNS`` order, checked column-wise.
 
@@ -434,8 +444,8 @@ def _parse(text: str, block_rows: int) -> Iterator[tuple[list, ...]]:
             method, initial_kind, target, subject_id, repeat, success, presented, iterations = columns_of(
                 list(zip(*block))
             )
-            target, subject_id, repeat, presented, iterations = (
-                list(map(int, column)) for column in (target, subject_id, repeat, presented, iterations)
+            target, subject_id, repeat, presented, iterations = map(
+                _ints, (target, subject_id, repeat, presented, iterations)
             )
             method = _names(_METHODS, method, "unknown method {!r}")
             initial_kind = _names(_INITIAL_KINDS, initial_kind, "unknown initial kind {!r}")
@@ -446,12 +456,11 @@ def _parse(text: str, block_rows: int) -> Iterator[tuple[list, ...]]:
             if min(presented) < 1 or max(presented) > N_STATES:  # a run shows its start, and never a spider twice
                 bad = next(p for p in presented if not 1 <= p <= N_STATES)
                 raise ValueError(f"spiders_presented {bad} not in 1..{N_STATES}")
-            coords = set(zip(method, initial_kind, target, subject_id, repeat))
-            if len(coords) < len(block) or not seen.isdisjoint(coords):
-                # seen.add returns None, so this stops at the first run already seen
-                run = next(c for c in zip(method, initial_kind, target, subject_id, repeat) if c in seen or seen.add(c))
-                raise ValueError(f"duplicate run {run}")
-            seen |= coords
+            runs = len(seen)
+            # merging a whole set sizes seen to fit, where adding runs one by one grows it fourfold
+            seen |= set(zip(method, initial_kind, target, subject_id, repeat))
+            if len(seen) - runs < len(block):  # a repeat; with one row per block, the block's first run is it
+                raise ValueError(f"duplicate run {next(zip(method, initial_kind, target, subject_id, repeat))}")
             success = _names(_SUCCESS, success, "success must be true or false, got {!r}")
             yield method, initial_kind, target, subject_id, repeat, success, presented, iterations
     except (ValueError, csv.Error) as exc:

@@ -70,6 +70,10 @@ MUTANTS = (
            '            initial_kind = _names(_INITIAL_KINDS, initial_kind, "unknown initial kind {!r}")\n'
            '            method = _names(_METHODS, method, "unknown method {!r}")\n',
            (_PARSE.format("unknown name"),)),
+    Mutant("parser-table-misreads-a-numeral", _GRID, "_NUMERALS = {str(i): i for i in range(N_STATES + 1)}",
+           '_NUMERALS = {str(i): i for i in range(N_STATES + 1)} | {"7": 8}', (_PARSE.format("None"),)),
+    Mutant("parser-lets-one-repeat-per-block-through", _GRID, "if len(seen) - runs < len(block):",
+           "if len(seen) - runs < len(block) - 1:", (_PARSE.format("duplicate"),)),
     # the exact stdev
     Mutant("stdev-divides-by-n-squared", _GRID, "n * (n - 1)", "n * n", _STDEV),
     Mutant("stdev-drops-the-odd-bit", _GRID, "root | (root * root * den != num)", "root", _STDEV),

@@ -29,6 +29,7 @@ from spideradapt.grid import (
     _stdev,
     _student_t_sf,
     category_of,
+    columns_from_csv,
     comparisons_to_csv,
     mark_significance,
     paired_ttest,
@@ -656,7 +657,8 @@ _FAULTS = (*_BAD_CELLS, "duplicate", "short row", "csv error")
 def _results_csv(draw, fault):
     """A results CSV with shuffled rows and columns, blank lines, quoted fields and either line ending.
 
-    Some files have an extra column, sometimes spanning two lines in quotes.
+    Some files have an extra column, sometimes spanning two lines in quotes,
+    and some write integers zero-padded or with a plus sign.
     Given a ``fault``, the file breaks that rule, and one or two more faults
     of any kind follow; a bad cell may come with a second of its kind, so
     that a method and an initial kind can both be unknown. Three faults in
@@ -669,9 +671,15 @@ def _results_csv(draw, fault):
                   st.integers(0, 3), st.integers(0, 2)),
         min_size=0 if fault is None else 2, max_size=12, unique=True,
     ))
+    # int() also reads a padded or signed numeral, which sends its column past the parser's numeral table
+    padded = draw(st.booleans())
+
+    def numeral(n):
+        return draw(st.sampled_from(["{}", "0{}", "+{}"])).format(n) if padded else str(n)
+
     rows = [
-        dict(zip(RESULT_COLUMNS, (*map(str, c), draw(st.sampled_from(["true", "false"])),
-                                  str(draw(st.integers(1, 486))), str(draw(st.integers(0, 150))))),
+        dict(zip(RESULT_COLUMNS, (c[0], c[1], *map(numeral, c[2:]), draw(st.sampled_from(["true", "false"])),
+                                  numeral(draw(st.integers(1, 486))), numeral(draw(st.integers(0, 150))))),
              note=draw(st.sampled_from(["", "x", "two\nlines"])))
         for c in coords
     ]
@@ -730,6 +738,29 @@ def test_block_parse_agrees_with_the_row_by_row_rules(fault, data):
             assert gc.isenabled() is caller_collects  # the collector is left as the caller set it
         finally:
             gc.enable()
+
+
+@pytest.mark.parametrize("block_rows", [1, 256])
+def test_integer_cells_parse_as_int_reads_them(block_rows, monkeypatch):
+    # each row but the last holds an integer cell that is not a canonical numeral up to 486, which int() reads
+    header = ",".join(RESULT_COLUMNS) + "\n"
+    rows = [
+        "random,min,07,0,0,true,3,1",
+        "random,min,+7,1,+0,true,03,1",
+        "random,min, 7,2,0,true,3 ,1",
+        "random,min,1,-0,0,true,3,01",
+        "random,min,1,1_0,0,true,1_00,1",
+        "random,min,\u0663,0,0,true,3,1",  # ARABIC-INDIC DIGIT THREE, which int() reads as 3
+        "random,min,1,100000,0,true,3,1",
+        "random,min,1,0,1,false,486,100000000000000000000",
+        "random,min,1,0,2,false,486,100",
+    ]
+    text = header + "\n".join(rows) + "\n"
+    expected = _reference_results_from_csv(text)
+    assert [r.target for r in expected[:6]] == [7, 7, 7, 1, 1, 3]
+    monkeypatch.setattr(spideradapt.grid, "_BLOCK_ROWS", block_rows)
+    assert results_from_csv(text) == expected
+    assert columns_from_csv(text) == {name: [getattr(r, name) for r in expected] for name in RESULT_COLUMNS}
 
 
 def test_summary_emission_formats():
