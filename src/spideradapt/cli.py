@@ -23,7 +23,7 @@ from .grid import (
     GridConfig,
     RESULT_COLUMNS,
     ResultsFileError,
-    columns_from_csv,
+    column_blocks,
     comparisons_to_csv,
     mark_significance,
     results_to_csv,
@@ -210,7 +210,7 @@ def _cmd_run(args) -> int:
                   file=sys.stderr)
 
     # an unwritable --out fails here, before any session runs
-    with open(args.out, "w") as out:
+    with open(args.out, "w", encoding="utf-8") as out:
         axes = (len(cfg.methods), len(population.subjects), len(cfg.initial_kinds), len(cfg.targets), cfg.repeats)
         print(f"running {math.prod(axes)} sessions "
               "({} methods x {} subjects x {} initials x {} targets x {} repeats)".format(*axes),
@@ -224,13 +224,22 @@ def _cmd_run(args) -> int:
 
 def _summaries(path: str) -> list[CellSummary]:
     """The cell summaries of the results CSV at ``path``; warns on stderr when its grid is incomplete."""
-    columns = columns_from_csv(Path(path).read_text(encoding="utf-8-sig"))  # a leading BOM is not data
+    text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not data
     # the first five columns are a run's coordinates, and they never repeat, so a
     # complete grid has a run for every combination of the values on those axes
-    runs, expected = len(columns["method"]), math.prod(len(set(columns[axis])) for axis in RESULT_COLUMNS[:5])
-    if runs < expected:
+    runs, axes = 0, [set() for _ in RESULT_COLUMNS[:5]]
+
+    def tally(block: tuple[list, ...]) -> tuple[list, ...]:
+        nonlocal runs
+        runs += len(block[0])
+        for values, column in zip(axes, block):
+            values.update(column)
+        return block
+
+    summaries = summarize_columns(map(tally, column_blocks(text)))
+    if runs < (expected := math.prod(map(len, axes))):
         print(f"warning: {path} is an incomplete grid: {runs} of {expected} runs", file=sys.stderr)
-    return summarize_columns(columns)
+    return summaries
 
 
 def _emit(text: str, out: str | None, what: str) -> int:
@@ -238,7 +247,7 @@ def _emit(text: str, out: str | None, what: str) -> int:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
         print(f"wrote {what} to {out}")
     return 0
 
@@ -280,7 +289,7 @@ def _cmd_trace(args) -> int:
     )
     cfg = grid.run_config(args.method, args.initial, args.target, subject.id, args.repeat)
     result = run_session(cfg, subject)
-    with open(args.out, "w") as handle:
+    with open(args.out, "w", encoding="utf-8") as handle:
         for shown in result.presented_sequence:
             handle.write(json.dumps(asdict(shown)) + "\n")
     print(

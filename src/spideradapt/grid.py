@@ -21,7 +21,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain, compress, islice, product
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import betainc
@@ -209,24 +209,24 @@ def run_grid(
 
 
 def summarize(records: Sequence[RunRecord]) -> list[CellSummary]:
-    """``summarize_columns`` over the records' fields."""
-    names = ("method", "initial_kind", "target", "subject_id", "success", "spiders_presented")
-    return summarize_columns({name: list(map(attrgetter(name), records)) for name in names})
+    """``summarize_columns`` over the records' fields, ``_BLOCK_ROWS`` records at a time."""
+    rows = map(attrgetter(*RESULT_COLUMNS), records)
+    return summarize_columns(zip(*block) for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []))
 
 
-def summarize_columns(columns: Mapping[str, Sequence]) -> list[CellSummary]:
-    """Aggregate the results columns, by name, into (initial, category, method) cells.
+def summarize_columns(blocks: Iterable[Sequence[Sequence]]) -> list[CellSummary]:
+    """Aggregate blocks of results columns, each in ``RESULT_COLUMNS`` order, into (initial, category, method) cells.
 
     A cell's mean and std pool every successful run in it, whatever its
     target; ``subject_means`` keeps the mean of each subject's successes.
     """
-    initials, methods = columns["initial_kind"], columns["method"]
-    categories = list(map(_CATEGORY_OF.__getitem__, columns["target"]))
-    runs = Counter(zip(initials, categories, methods))
-    by_cell = {cell: defaultdict(list) for cell in runs}  # each subject's successful counts in each cell
-    rows = zip(initials, categories, methods, columns["subject_id"], columns["spiders_presented"])
-    for initial, category, method, subject_id, presented in compress(rows, columns["success"]):
-        by_cell[initial, category, method][subject_id].append(presented)
+    runs: Counter[tuple[str, str, str]] = Counter()
+    by_cell = defaultdict(lambda: defaultdict(list))  # each subject's successful counts in each cell
+    for method, initial, target, subject_id, _, success, presented, _ in blocks:
+        cells = list(zip(initial, map(_CATEGORY_OF.__getitem__, target), method))
+        runs.update(cells)
+        for cell, sid, count in compress(zip(cells, subject_id, presented), success):
+            by_cell[cell][sid].append(count)
 
     summaries = []
     for cell in sorted(runs, key=lambda c: (INITIAL_KINDS.index(c[0]), CATEGORY_ORDER.index(c[1]),
@@ -372,6 +372,9 @@ class ResultsFileError(ValueError):
 # passes outweigh the per-block work, few enough that a block's columns add
 # nothing measurable to peak memory next to the records.
 _BLOCK_ROWS = 256
+# Characters of the text the parse reads through one StringIO at a time: at
+# four bytes a character, a window costs a quarter megabyte.
+_WINDOW_CHARS = 1 << 16
 # each name maps to the one string every record shares
 _METHODS = {name: name for name in POLICY_NAMES}
 _INITIAL_KINDS = {kind: kind for kind in INITIAL_KINDS}
@@ -389,16 +392,32 @@ def results_from_csv(text: str) -> list[RunRecord]:
     coordinates that no other row repeats. An error names the line of the
     first row that breaks a rule. The records are built a block at a time.
     """
-    return list(chain.from_iterable(map(RunRecord, *block) for block in _parse(text, _BLOCK_ROWS)))
+    return list(chain.from_iterable(map(RunRecord, *block) for block in column_blocks(text)))
 
 
-def columns_from_csv(text: str) -> dict[str, list]:
-    """The columns of a results CSV by name, checked as ``results_from_csv`` checks its rows; no record is built."""
-    columns: dict[str, list] = {name: [] for name in RESULT_COLUMNS}
-    for block in _parse(text, _BLOCK_ROWS):
-        for column, values in zip(columns.values(), block):
-            column += values
-    return columns
+def column_blocks(text: str) -> Iterator[tuple[list, ...]]:
+    """The columns of each block of a results CSV's rows, in ``RESULT_COLUMNS`` order.
+
+    The rows are checked as ``results_from_csv`` checks them, but no record
+    is built and no column spans the file.
+    """
+    return _parse(text, _BLOCK_ROWS)
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines ``io.StringIO(text)`` yields, read through windows of about ``_WINDOW_CHARS`` cut just after a newline.
+
+    A StringIO keeps four bytes a character, so one over the whole text
+    would cost four times the text. Only a newline ends a line, as in the
+    StringIO: ``str.splitlines`` also breaks at characters such as a
+    vertical tab or U+2028, which csv keeps inside a field.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _WINDOW_CHARS)
+        end = len(text) if end < 0 else end + 1
+        yield from io.StringIO(text[start:end])
+        start = end
 
 
 def _names(table: dict, column: Iterable[str], rule: str) -> list:
@@ -429,7 +448,7 @@ def _parse(text: str, block_rows: int) -> Iterator[tuple[list, ...]]:
     """
     collecting = gc.isenabled()
     gc.disable()  # blocks and records hold only str, int and bool: the read makes no cycles for a collection to free
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_lines(text))
     seen: set[tuple] = set()
     try:
         header = next(reader, [])

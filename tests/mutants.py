@@ -39,7 +39,8 @@ _SEQUENTIAL = ("tests/test_session.py::test_sequential_runs_equal_the_reference"
 _GRID_RECORDS = ("tests/test_grid.py::test_run_grid_runs_greedy_once_per_initial_state",)
 _PARSE = "tests/test_grid.py::test_block_parse_agrees_with_the_row_by_row_rules[{}]"
 _STDEV = ("tests/test_grid.py::test_exact_stdev_is_statistics_stdev_bit_for_bit",)
-_SESSION, _GRID = "src/spideradapt/session.py", "src/spideradapt/grid.py"
+_LINES = "tests/test_grid.py::test_line_source_yields_the_lines_of_one_stringio"
+_SESSION, _GRID, _CLI = "src/spideradapt/session.py", "src/spideradapt/grid.py", "src/spideradapt/cli.py"
 
 MUTANTS = (
     # the sequential session loop
@@ -74,6 +75,22 @@ MUTANTS = (
            '_NUMERALS = {str(i): i for i in range(N_STATES + 1)} | {"7": 8}', (_PARSE.format("None"),)),
     Mutant("parser-lets-one-repeat-per-block-through", _GRID, "if len(seen) - runs < len(block):",
            "if len(seen) - runs < len(block) - 1:", (_PARSE.format("duplicate"),)),
+    # the results line source
+    Mutant("line-window-cut-before-its-newline", _GRID, "end = len(text) if end < 0 else end + 1",
+           "end = len(text) if end < 0 else end", (_LINES,)),
+    Mutant("lines-split-by-splitlines", _GRID, "yield from io.StringIO(text[start:end])",
+           "yield from text[start:end].splitlines(keepends=True)",
+           (_LINES, "tests/test_grid.py::test_extra_column_keeps_the_characters_splitlines_breaks_at[1]")),
+    Mutant("one-window-over-the-text", _GRID, "_WINDOW_CHARS = 1 << 16", "_WINDOW_CHARS = 1 << 30",
+           ("tests/test_grid.py::test_line_source_holds_a_window_not_the_text",)),
+    # block-wise aggregation
+    Mutant("aggregation-keeps-the-last-blocks-successes-only", _GRID,
+           "in blocks:\n        cells = ",
+           "in blocks:\n        by_cell = defaultdict(lambda: defaultdict(list))\n        cells = ",
+           ("tests/test_grid.py::test_report_matches_reference",)),
+    Mutant("warning-axes-from-the-last-block", _CLI, "            values.update(column)",
+           "            values.clear()\n            values.update(column)",
+           ("tests/test_cli.py::test_incomplete_grid_warning_counts_runs_across_blocks",)),
     # the exact stdev
     Mutant("stdev-divides-by-n-squared", _GRID, "n * (n - 1)", "n * n", _STDEV),
     Mutant("stdev-drops-the-odd-bit", _GRID, "root | (root * root * den != num)", "root", _STDEV),

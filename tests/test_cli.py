@@ -305,6 +305,22 @@ def test_summarize_and_compare_warn_about_incomplete_grids(tmp_path, subjects_fi
         assert f"{len(lines) - 2} of {len(lines) - 1} runs" in err
 
 
+def test_incomplete_grid_warning_counts_runs_across_blocks(tmp_path, capsys, monkeypatch):
+    # with two rows a block, each block below is a complete grid of its own
+    rows = ["random,min,1,0,0,true,3,1", "random,min,1,1,0,true,3,1",
+            "greedy,min,2,0,0,true,3,1", "greedy,min,2,1,0,false,3,1"]
+    rest = ["random,min,2,0,0,true,3,1", "random,min,2,1,0,true,3,1",
+            "greedy,min,1,0,0,true,3,1", "greedy,min,1,1,0,false,3,1"]
+    monkeypatch.setattr(spideradapt.grid, "_BLOCK_ROWS", 2)
+    results = tmp_path / "results.csv"
+    header = ",".join(RESULT_COLUMNS) + "\n"
+    for lines, err in ((rows, f"warning: {results} is an incomplete grid: 4 of 8 runs\n"), (rows + rest, "")):
+        results.write_text(header + "\n".join(lines) + "\n")
+        for command in ("summarize", "compare"):
+            assert main([command, "--results", str(results)]) == 0
+            assert capsys.readouterr().err == err
+
+
 def test_summarize_and_compare_build_no_records(tmp_path, subjects_file, capsys, monkeypatch):
     # 810 runs: several blocks of the parse and every stress category
     results = _run_results(tmp_path, subjects_file, ("--targets", "1,2,3,4,5,6,7,8,9", "--initials", "min,avg,max",
@@ -452,6 +468,24 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     shown = run("--help")
     assert shown.returncode == 0 and "gen-subjects" in shown.stdout
     assert run("run", "--bogus-flag").returncode == 1
+
+
+def test_out_files_are_utf8_in_any_locale(tmp_path, subjects_file):
+    results = _run_results(tmp_path, subjects_file)
+    src = str(Path(spideradapt.__file__).resolve().parent.parent)
+    written = {}
+    for name, locale in (("utf-8", {"PYTHONUTF8": "1"}),
+                         ("C", {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})):
+        out = tmp_path / f"summary-{name}.md"
+        proc = subprocess.run(
+            [sys.executable, "-m", "spideradapt", "summarize", "--results", str(results), "--format", "markdown",
+             "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src, **locale}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written[name] = out.read_bytes()
+    assert "±".encode() in written["utf-8"]
+    assert written["C"] == written["utf-8"]
 
 
 def test_compare_outputs_pvalues(tmp_path, subjects_file, capsys):

@@ -9,10 +9,11 @@ import operator
 import pickle
 import statistics
 import sys
+import tracemalloc
 
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spideradapt.grid
@@ -25,11 +26,12 @@ from spideradapt.grid import (
     RESULT_COLUMNS,
     ResultsFileError,
     RunRecord,
+    _lines,
     _record_key,
     _stdev,
     _student_t_sf,
     category_of,
-    columns_from_csv,
+    column_blocks,
     comparisons_to_csv,
     mark_significance,
     paired_ttest,
@@ -476,12 +478,15 @@ def _report_records(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_report_records())
-def test_report_matches_reference(records):
+@given(_report_records(), st.sampled_from([1, 2, 3, 7, 256]))
+def test_report_matches_reference(records, block_rows):
+    # up to 240 runs are drawn, so small blocks split cells and subjects across blocks
     summaries, comparisons = _reference_report(records)
-    assert summarize(records) == summaries
-    assert mark_significance(records) == comparisons
-    assert mark_significance(records, summarize(records)) == comparisons
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spideradapt.grid, "_BLOCK_ROWS", block_rows)
+        assert summarize(records) == summaries
+        assert mark_significance(records) == comparisons
+        assert mark_significance(records, summarize(records)) == comparisons
     assert all("subject_means" not in repr(s) for s in summaries)
 
 
@@ -760,7 +765,54 @@ def test_integer_cells_parse_as_int_reads_them(block_rows, monkeypatch):
     assert [r.target for r in expected[:6]] == [7, 7, 7, 1, 1, 3]
     monkeypatch.setattr(spideradapt.grid, "_BLOCK_ROWS", block_rows)
     assert results_from_csv(text) == expected
-    assert columns_from_csv(text) == {name: [getattr(r, name) for r in expected] for name in RESULT_COLUMNS}
+    columns = [list(itertools.chain.from_iterable(column)) for column in zip(*column_blocks(text))]
+    assert columns == [[getattr(r, name) for r in expected] for name in RESULT_COLUMNS]
+
+
+# a newline and the characters other than it at which str.splitlines breaks a line, among csv's own
+_LINE_CHARS = 'a,"\n\r\x0b\x0c\x1c\x85\u2028'
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(_LINE_CHARS, max_size=40), end=st.sampled_from(["", "\n"]), window=st.integers(1, 8))
+@example(text="", end="", window=1)
+@example(text="aaaaaaaaaaaa\na", end="", window=3)  # a line longer than the window, and no final newline
+def test_line_source_yields_the_lines_of_one_stringio(text, end, window):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spideradapt.grid, "_WINDOW_CHARS", window)
+        assert list(_lines(text + end)) == list(io.StringIO(text + end))
+
+
+@pytest.mark.parametrize("window", [1, 5, 1 << 16])
+def test_extra_column_keeps_the_characters_splitlines_breaks_at(window, monkeypatch):
+    odd = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    text = ",".join(RESULT_COLUMNS) + ",note\n" + "".join([
+        f"random,min,1,0,0,true,3,1,a{odd}b\n",  # unquoted
+        f'random,min,1,1,0,true,3,1,"{odd}\r\n{odd}"\n',  # quoted, over two lines
+        f'random,min,1,2,0,false,4,2,"\r{odd}"\r\n',
+    ])
+    expected = _reference_results_from_csv(text)
+    assert len(expected) == 3
+    monkeypatch.setattr(spideradapt.grid, "_WINDOW_CHARS", window)
+    assert results_from_csv(text) == expected
+
+
+def test_line_source_holds_a_window_not_the_text():
+    line = "rl_random,max,9,19,9,false,486,100\n"
+    text = line * (2_000_000 // len(line))
+    tracemalloc.start()
+    try:
+        for _ in _lines(text):
+            pass
+        lines_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        for _ in io.StringIO(text):
+            pass
+        whole_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one StringIO over the text keeps four bytes a character; the windows keep a quarter megabyte
+    assert lines_peak < len(text) < 4 * len(text) <= whole_peak
 
 
 def test_summary_emission_formats():
