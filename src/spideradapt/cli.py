@@ -23,8 +23,8 @@ from .grid import (
     GridConfig,
     RESULT_COLUMNS,
     ResultsFileError,
-    column_blocks,
     comparisons_to_csv,
+    file_column_blocks,
     mark_significance,
     results_to_csv,
     run_grid,
@@ -224,7 +224,6 @@ def _cmd_run(args) -> int:
 
 def _summaries(path: str) -> list[CellSummary]:
     """The cell summaries of the results CSV at ``path``; warns on stderr when its grid is incomplete."""
-    text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not data
     # the first five columns are a run's coordinates, and they never repeat, so a
     # complete grid has a run for every combination of the values on those axes
     runs, axes = 0, [set() for _ in RESULT_COLUMNS[:5]]
@@ -236,16 +235,22 @@ def _summaries(path: str) -> list[CellSummary]:
             values.update(column)
         return block
 
-    summaries = summarize_columns(map(tally, column_blocks(text)))
+    summaries = summarize_columns(map(tally, file_column_blocks(path)))
     if runs < (expected := math.prod(map(len, axes))):
         print(f"warning: {path} is an incomplete grid: {runs} of {expected} runs", file=sys.stderr)
     return summaries
 
 
 def _emit(text: str, out: str | None, what: str) -> int:
-    """Write ``text`` to the ``--out`` path, or to stdout when there is none."""
+    """Write ``text`` as UTF-8 to the ``--out`` path, or to stdout when there is none."""
     if out is None:
-        sys.stdout.write(text)
+        stdout = getattr(sys.stdout, "buffer", None)  # a stream of text alone, such as a StringIO, has none
+        if stdout is None:
+            sys.stdout.write(text)
+        else:  # the bytes an --out file gets, whatever the stream's encoding
+            sys.stdout.flush()
+            stdout.write(text.encode("utf-8"))
+            stdout.flush()
     else:
         Path(out).write_text(text, encoding="utf-8")
         print(f"wrote {what} to {out}")

@@ -10,17 +10,21 @@ per-subject means decide the significance markers.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import gc
 import io
 import math
+import os
+import pathlib
+import stat
 import statistics
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain, compress, islice, product
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, lt
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -139,8 +143,13 @@ class ComparisonResult:
     markers: dict[str, str]
 
 
+# canonical order: the rank of each method and initial state, by which runs and results files sort
+_METHOD_RANK = {name: rank for rank, name in enumerate(POLICY_NAMES)}
+_KIND_RANK = {kind: rank for rank, kind in enumerate(INITIAL_KINDS)}
+
+
 def _record_key(r: RunRecord) -> tuple:
-    return (POLICY_NAMES.index(r.method), INITIAL_KINDS.index(r.initial_kind), r.target, r.subject_id, r.repeat)
+    return (_METHOD_RANK[r.method], _KIND_RANK[r.initial_kind], r.target, r.subject_id, r.repeat)
 
 
 def _run_unit(unit: tuple[GridConfig, VirtualSubject, int]) -> list[RunRecord]:
@@ -372,9 +381,9 @@ class ResultsFileError(ValueError):
 # passes outweigh the per-block work, few enough that a block's columns add
 # nothing measurable to peak memory next to the records.
 _BLOCK_ROWS = 256
-# Characters of the text the parse reads through one StringIO at a time: at
-# four bytes a character, a window costs a quarter megabyte.
-_WINDOW_CHARS = 1 << 16
+# Characters of a text, or bytes of a file, the parse reads through one
+# StringIO at a time: at four bytes a character, a window costs 64 KB.
+_WINDOW_CHARS = 1 << 14
 # each name maps to the one string every record shares
 _METHODS = {name: name for name in POLICY_NAMES}
 _INITIAL_KINDS = {kind: kind for kind in INITIAL_KINDS}
@@ -401,7 +410,21 @@ def column_blocks(text: str) -> Iterator[tuple[list, ...]]:
     The rows are checked as ``results_from_csv`` checks them, but no record
     is built and no column spans the file.
     """
-    return _parse(text, _BLOCK_ROWS)
+    return _parse(lambda: _lines(text), _BLOCK_ROWS)
+
+
+def file_column_blocks(path: str | os.PathLike) -> Iterator[tuple[list, ...]]:
+    """``column_blocks`` of the text ``Path(path).read_text(encoding="utf-8-sig")`` reads, read from the file.
+
+    The file is read a window at a time and its text is never held whole. A
+    byte that is not UTF-8 is refused at its line, like a row that breaks a
+    rule; a missing or unreadable file raises its ``OSError``. A rejected
+    file, or one out of ``run``'s order, is read again, so the text of what
+    is not a regular file, such as a pipe, is read whole first.
+    """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return column_blocks(pathlib.Path(path).read_text(encoding="utf-8-sig"))
+    return _parse(lambda: _file_lines(path), _BLOCK_ROWS)
 
 
 def _lines(text: str) -> Iterator[str]:
@@ -420,6 +443,30 @@ def _lines(text: str) -> Iterator[str]:
         start = end
 
 
+def _file_lines(path: str | os.PathLike) -> Iterator[str]:
+    """The lines ``_lines`` yields of the file's text as ``Path.read_text(encoding="utf-8-sig")`` reads it.
+
+    The file is read in windows of about ``_WINDOW_CHARS`` bytes, each cut
+    just after a newline byte, so no window splits a character or a CRLF.
+    As in ``read_text``, a leading byte order mark is dropped, and a CRLF
+    and a lone CR each end a line, read as a newline. An undecodable byte
+    raises its ``UnicodeDecodeError``, with its position in its line, once
+    every line before that one has been yielded.
+    """
+    with open(path, "rb") as file:
+        windows = iter(lambda: file.read(_WINDOW_CHARS) + file.readline(), b"")
+        for window in chain([next(windows, b"").removeprefix(codecs.BOM_UTF8)], windows):
+            try:
+                text = window.decode()
+            except UnicodeDecodeError as exc:
+                head = window[:exc.start]
+                start = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1  # where the bad byte's line begins
+                yield from io.StringIO(head[:start].decode(), newline=None)
+                raise UnicodeDecodeError(exc.encoding, window[start:], exc.start - start, exc.end - start,
+                                         exc.reason) from None
+            yield from io.StringIO(text, newline=None)
+
+
 def _names(table: dict, column: Iterable[str], rule: str) -> list:
     """``column`` mapped through ``table``; a name it lacks breaks ``rule``, which is worded with that name."""
     try:
@@ -436,20 +483,28 @@ def _ints(column: Sequence[str]) -> list[int]:
         return list(map(int, column))
 
 
-def _parse(text: str, block_rows: int) -> Iterator[tuple[list, ...]]:
+def _parse(open_lines: Callable[[], Iterator[str]], block_rows: int) -> Iterator[tuple[list, ...]]:
     """The columns of each ``block_rows`` rows of a results CSV in ``RESULT_COLUMNS`` order, checked column-wise.
 
-    The rules are checked over a block's columns in their documented order,
+    ``open_lines`` returns a new source of the file's lines each call. The
+    rules are checked over a block's columns in their documented order,
     and the first one broken raises its message for a row of the block at
     the line the reader has reached: with one row per block, that is the
-    first bad row's line and the first rule it breaks, so a rejected text is
-    read again one row per block. The cyclic garbage collector is paused
-    until the last block is taken, and then set back as the caller left it.
+    first bad row's line and the first rule it breaks, so a rejected file is
+    read again one row per block. While each run's ``_record_key`` exceeds
+    the one before, as in a file ``run`` wrote, no run can repeat and none
+    is kept; from the first block out of that order, the runs before it are
+    read again into a set that finds repeats. The cyclic
+    garbage collector is paused until the last block is taken, and then set
+    back as the caller left it.
     """
     collecting = gc.isenabled()
     gc.disable()  # blocks and records hold only str, int and bool: the read makes no cycles for a collection to free
-    reader = csv.reader(_lines(text))
-    seen: set[tuple] = set()
+    lines = open_lines()  # a generator: a file is opened at its first line, inside the try
+    reader = csv.reader(lines)
+    last: tuple = ()  # the greatest key so far while the keys increase
+    seen: set[tuple] | None = None  # the runs so far, once the keys have stopped increasing
+    blocks = 0
     try:
         header = next(reader, [])
         if missing := set(RESULT_COLUMNS) - set(header):
@@ -475,22 +530,36 @@ def _parse(text: str, block_rows: int) -> Iterator[tuple[list, ...]]:
             if min(presented) < 1 or max(presented) > N_STATES:  # a run shows its start, and never a spider twice
                 bad = next(p for p in presented if not 1 <= p <= N_STATES)
                 raise ValueError(f"spiders_presented {bad} not in 1..{N_STATES}")
-            runs = len(seen)
-            # merging a whole set sizes seen to fit, where adding runs one by one grows it fourfold
-            seen |= set(zip(method, initial_kind, target, subject_id, repeat))
-            if len(seen) - runs < len(block):  # a repeat; with one row per block, the block's first run is it
-                raise ValueError(f"duplicate run {next(zip(method, initial_kind, target, subject_id, repeat))}")
+            if seen is None:
+                keys = list(zip(map(_METHOD_RANK.__getitem__, method), map(_KIND_RANK.__getitem__, initial_kind),
+                                target, subject_id, repeat))
+                if all(map(lt, chain((last,), keys), keys)):  # a strictly increasing sequence cannot repeat
+                    last = keys[-1]
+                else:  # the first block out of order: the runs before it, which cannot repeat, start the set
+                    seen = set()
+                    for earlier in islice(_parse(open_lines, block_rows), blocks):
+                        seen |= set(zip(*earlier[:5]))
+            if seen is not None:
+                runs = len(seen)
+                # merging a whole set sizes seen to fit, where adding runs one by one grows it fourfold
+                seen |= set(zip(method, initial_kind, target, subject_id, repeat))
+                if len(seen) - runs < len(block):  # a repeat; with one row per block, the block's first run is it
+                    raise ValueError(f"duplicate run {next(zip(method, initial_kind, target, subject_id, repeat))}")
             success = _names(_SUCCESS, success, "success must be true or false, got {!r}")
+            blocks += 1
             yield method, initial_kind, target, subject_id, repeat, success, presented, iterations
     except (ValueError, csv.Error) as exc:
         if block_rows > 1:
-            for _ in _parse(text, 1):  # raises at the first bad row
+            for _ in _parse(open_lines, 1):  # raises at the first bad row
                 pass
-        raise ResultsFileError(f"malformed results CSV at line {reader.line_num}: {exc}") from exc
+        # an undecodable line raised before the reader counted it
+        line = reader.line_num + isinstance(exc, UnicodeDecodeError)
+        raise ResultsFileError(f"malformed results CSV at line {line}: {exc}") from exc
     finally:
+        lines.close()
         if collecting:
             gc.enable()
-    if not seen:
+    if not blocks:
         raise ResultsFileError("results CSV contains no runs")
 
 

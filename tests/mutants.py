@@ -40,6 +40,7 @@ _GRID_RECORDS = ("tests/test_grid.py::test_run_grid_runs_greedy_once_per_initial
 _PARSE = "tests/test_grid.py::test_block_parse_agrees_with_the_row_by_row_rules[{}]"
 _STDEV = ("tests/test_grid.py::test_exact_stdev_is_statistics_stdev_bit_for_bit",)
 _LINES = "tests/test_grid.py::test_line_source_yields_the_lines_of_one_stringio"
+_ORDER = "tests/test_grid.py::test_a_file_out_of_canonical_order_parses_as_the_reference[1-{}]"
 _SESSION, _GRID, _CLI = "src/spideradapt/session.py", "src/spideradapt/grid.py", "src/spideradapt/cli.py"
 
 MUTANTS = (
@@ -81,8 +82,17 @@ MUTANTS = (
     Mutant("lines-split-by-splitlines", _GRID, "yield from io.StringIO(text[start:end])",
            "yield from text[start:end].splitlines(keepends=True)",
            (_LINES, "tests/test_grid.py::test_extra_column_keeps_the_characters_splitlines_breaks_at[1]")),
-    Mutant("one-window-over-the-text", _GRID, "_WINDOW_CHARS = 1 << 16", "_WINDOW_CHARS = 1 << 30",
+    Mutant("one-window-over-the-text", _GRID, "_WINDOW_CHARS = 1 << 14", "_WINDOW_CHARS = 1 << 30",
            ("tests/test_grid.py::test_line_source_holds_a_window_not_the_text",)),
+    Mutant("file-window-cut-mid-line", _GRID, "file.read(_WINDOW_CHARS) + file.readline()",
+           "file.read(_WINDOW_CHARS)", ("tests/test_grid.py::test_file_lines_are_the_lines_of_its_text",)),
+    Mutant("undecodable-byte-named-a-line-early", _GRID, "reader.line_num + isinstance(exc, UnicodeDecodeError)",
+           "reader.line_num", ("tests/test_cli.py::test_an_undecodable_byte_is_refused_at_its_line",)),
+    # rule 8 as an order check, with a set of runs only from the first block out of order
+    Mutant("order-check-lets-an-equal-key-through", _GRID, "all(map(lt, chain((last,), keys), keys))",
+           "all(map(lambda a, b: a <= b, chain((last,), keys), keys))", (_ORDER.format("last-row-repeated"),)),
+    Mutant("prefix-rebuild-one-block-short", _GRID, "islice(_parse(open_lines, block_rows), blocks)",
+           "islice(_parse(open_lines, block_rows), max(blocks - 1, 0))", (_ORDER.format("last-row-repeated"),)),
     # block-wise aggregation
     Mutant("aggregation-keeps-the-last-blocks-successes-only", _GRID,
            "in blocks:\n        cells = ",

@@ -1,12 +1,15 @@
 import ast
 import codecs
 import contextlib
+import gc
 import io
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,8 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spideradapt
-from spideradapt.cli import main
-from spideradapt.domain import MAX_VALUES
+from spideradapt.cli import _summaries, main
+from spideradapt.domain import INITIAL_KINDS, MAX_VALUES
 from spideradapt.grid import (
     RESULT_COLUMNS,
     GridConfig,
@@ -31,7 +34,7 @@ from spideradapt.grid import (
     summary_to_csv,
     summary_to_markdown,
 )
-from spideradapt.policies import SLOTS_PER_ITERATION, GAConfig, RLConfig
+from spideradapt.policies import POLICY_NAMES, SLOTS_PER_ITERATION, GAConfig, RLConfig
 from spideradapt.subjects import _weighted, generate_population, load_population
 
 
@@ -383,6 +386,87 @@ def test_summarize_missing_columns_is_data_error(tmp_path):
     assert main(["summarize", "--results", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("collecting", [True, False])
+def test_a_missing_results_file_is_a_data_error(tmp_path, capsys, collecting):
+    missing = tmp_path / "missing.csv"
+    if not collecting:
+        gc.disable()
+    try:
+        for command in ("summarize", "compare"):
+            assert main([command, "--results", str(missing)]) == 2
+            assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+            assert gc.isenabled() is collecting  # the parse's pause of the collector ends with the failed open
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("window", [64, 1 << 14])
+def test_an_undecodable_byte_is_refused_at_its_line(tmp_path, subjects_file, capsys, monkeypatch, end, window):
+    # 810 runs: the bad byte sits in the middle of the file and of a block of the parse
+    results = _run_results(tmp_path, subjects_file, ("--targets", "1,2,3,4,5,6,7,8,9", "--initials", "min,avg,max",
+                                                     "--repeats", "3"))
+    lines = results.read_bytes().split(b"\n")
+    monkeypatch.setattr(spideradapt.grid, "_WINDOW_CHARS", window)
+    capsys.readouterr()
+    bad = tmp_path / "bad.csv"
+    for line, broken, fault in (
+        (1, b"meth\xc3od", "byte 0xc3 in position 4: invalid continuation byte"),
+        (811, b"greedy\xe2\x80", "bytes in position 6-7: invalid continuation byte"),  # the last row
+        (500, b"rand\xffom", "byte 0xff in position 4: invalid start byte"),
+    ):
+        data = lines[:]
+        data[line - 1] = broken + lines[line - 1][lines[line - 1].index(b","):]  # in place of the method
+        bad.write_bytes(end.encode().join(data))
+        for command in ("summarize", "compare"):
+            assert main([command, "--results", str(bad)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: malformed results CSV at line {line}: 'utf-8' codec can't decode {fault}\n"
+            )
+    # a row that breaks a rule before the bad byte, in its block of 256 rows, is named first
+    data[400] = data[400].replace(b"true", b"maybe").replace(b"false", b"maybe")
+    bad.write_bytes(end.encode().join(data))
+    assert main(["summarize", "--results", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: malformed results CSV at line 401: success must be true or false, got 'maybe'\n"
+    )
+
+
+def test_a_results_pipe_reads_as_its_file(tmp_path, subjects_file, capsys):
+    # a pipe can be read only once, and these files are read again: one leaves run's order after its first
+    # block, so the rows before are read into a set of runs, and the other repeats a run, so it is read one row a block
+    results = _run_results(tmp_path, subjects_file, ("--targets", "1,2,3,4,5,6,7,8,9", "--initials", "min,avg,max"))
+    header, *rows = results.read_text().splitlines(keepends=True)
+    src = str(Path(spideradapt.__file__).resolve().parent.parent)
+    for text in (header + "".join(rows[:300] + rows[:299:-1]), header + "".join(rows) + rows[0]):
+        results.write_text(text)
+        capsys.readouterr()
+        code = main(["compare", "--results", str(results)])
+        expected = capsys.readouterr()
+        piped = subprocess.run([sys.executable, "-m", "spideradapt", "compare", "--results", "/dev/stdin"],
+                               input=text, capture_output=True, text=True, timeout=60,
+                               env={**os.environ, "PYTHONPATH": src})
+        assert (piped.returncode, piped.stdout, piped.stderr) == (code, expected.out, expected.err)
+
+
+def test_summaries_hold_neither_the_file_nor_its_runs(tmp_path):
+    # 27,000 runs in the order run writes them
+    coords = itertools.product(POLICY_NAMES, INITIAL_KINDS, range(1, 10), range(20), range(10))
+    path = tmp_path / "results.csv"
+    path.write_text(",".join(RESULT_COLUMNS) + "\n" + "".join(
+        f"{m},{k},{t},{s},{r},{'true' if (s + r) % 4 else 'false'},{(7 * s + r) % 40 + 1},{r + 1}\n"
+        for m, k, t, s, r in coords
+    ))
+    tracemalloc.start()
+    try:
+        _summaries(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the text alone is 0.75 MB, and a set of the runs would take about 3 MB more
+    assert peak < 1_000_000 < path.stat().st_size + 3_000_000
+
+
 def test_results_file_may_start_with_a_bom(tmp_path, subjects_file, capsys):
     # some editors write a UTF-8 byte order mark before the header
     results = _run_results(tmp_path, subjects_file)
@@ -486,6 +570,23 @@ def test_out_files_are_utf8_in_any_locale(tmp_path, subjects_file):
         written[name] = out.read_bytes()
     assert "±".encode() in written["utf-8"]
     assert written["C"] == written["utf-8"]
+
+
+def test_reports_on_standard_output_are_utf8_in_any_locale(tmp_path, subjects_file):
+    results = _run_results(tmp_path, subjects_file)
+    src = str(Path(spideradapt.__file__).resolve().parent.parent)
+    printed = {}
+    for argv in (("summarize", "--format", "markdown"), ("summarize", "--format", "csv"), ("compare",)):
+        out = tmp_path / "report"
+        assert main([*argv, "--results", str(results), "--out", str(out)]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "spideradapt", *argv, "--results", str(results)], capture_output=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        printed[argv] = proc.stdout
+        assert printed[argv] == out.read_bytes()  # the bytes of the --out file
+    assert "±".encode() in printed["summarize", "--format", "markdown"]
 
 
 def test_compare_outputs_pvalues(tmp_path, subjects_file, capsys):

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import dataclasses
 import functools
@@ -7,13 +8,14 @@ import itertools
 import math
 import operator
 import pickle
+import random
 import statistics
 import sys
 import tracemalloc
 
 import pytest
 import scipy.stats
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import spideradapt.grid
@@ -26,6 +28,7 @@ from spideradapt.grid import (
     RESULT_COLUMNS,
     ResultsFileError,
     RunRecord,
+    _file_lines,
     _lines,
     _record_key,
     _stdev,
@@ -33,12 +36,14 @@ from spideradapt.grid import (
     category_of,
     column_blocks,
     comparisons_to_csv,
+    file_column_blocks,
     mark_significance,
     paired_ttest,
     results_from_csv,
     results_to_csv,
     run_grid,
     summarize,
+    summarize_columns,
     summary_to_csv,
     summary_to_markdown,
 )
@@ -813,6 +818,94 @@ def test_line_source_holds_a_window_not_the_text():
         tracemalloc.stop()
     # one StringIO over the text keeps four bytes a character; the windows keep a quarter megabyte
     assert lines_peak < len(text) < 4 * len(text) <= whole_peak
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.text(_LINE_CHARS + "\ufeff", max_size=40), bom=st.booleans(), window=st.integers(1, 8))
+@example(text="a\r\nb\rc\n", bom=True, window=2)
+def test_file_lines_are_the_lines_of_its_text(tmp_path, text, bom, window):
+    # the alphabet holds characters of two and three bytes, a CR that a window could cut from its LF, and a BOM
+    path = tmp_path / "results.csv"
+    path.write_bytes(codecs.BOM_UTF8 * bom + text.encode())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spideradapt.grid, "_WINDOW_CHARS", window)
+        assert list(_file_lines(path)) == list(_lines(path.read_text(encoding="utf-8-sig")))
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("window", [1, 5, 1 << 14])
+def test_a_file_parses_as_its_text(end, window, tmp_path, monkeypatch):
+    rows = [",".join(RESULT_COLUMNS) + ",note", "random,min,1,0,0,true,3,1,plain"]
+    rows += [f'random,min,1,{i},0,false,4,2,"a{odd}b"' for i, odd in enumerate(["\r\n", "\x0b", "\x85", "\u2028"], 1)]
+    path = tmp_path / "results.csv"
+    monkeypatch.setattr(spideradapt.grid, "_WINDOW_CHARS", window)
+    for prefix in (b"", codecs.BOM_UTF8):
+        path.write_bytes(prefix + end.join(rows).encode() + end.encode())
+        text = path.read_text(encoding="utf-8-sig")
+        assert len(_reference_results_from_csv(text)) == 5
+        assert list(file_column_blocks(path)) == list(column_blocks(text))
+
+
+def _canonical_records():
+    """Runs on every method and initial state in ``_record_key`` order, of subjects whose numerals sort apart."""
+    coords = itertools.product(POLICY_NAMES, INITIAL_KINDS, (1, 5, 9), (2, 10, 11, 30), range(3))
+    return [RunRecord(*c, success=i % 5 > 0, spiders_presented=i % 40 + 1, iterations_used=i % 9)
+            for i, c in enumerate(coords)]
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 256])
+def test_a_file_in_canonical_order_is_read_once(block_rows, monkeypatch):
+    records = _canonical_records()
+    assert records == sorted(records, key=_record_key)
+    opened = []
+
+    def lines(text):
+        opened.append(text)
+        return _lines(text)
+
+    monkeypatch.setattr(spideradapt.grid, "_lines", lines)
+    monkeypatch.setattr(spideradapt.grid, "_BLOCK_ROWS", block_rows)
+    text = results_to_csv(random.Random(block_rows).sample(records, len(records)))
+    assert results_from_csv(text) == records
+    assert len(opened) == 1  # no block broke the order, so no set of runs was built
+    header, *rows = text.splitlines(keepends=True)
+    assert results_from_csv(header + "".join(reversed(rows))) == records[::-1]
+    # the reversed file breaks the order at its second row, and only a block before that one is read again
+    assert len(opened) == (3 if block_rows == 1 else 2)
+
+
+def _out_of_order(case):
+    """The text of ``_canonical_records``'s file, with its rows changed as ``case`` names."""
+    header, *rows = results_to_csv(_canonical_records()).splitlines(keepends=True)
+    if case == "shuffled":
+        rows = random.Random(7).sample(rows, len(rows))
+    elif case == "one-moved-to-end":
+        rows = rows[:7] + rows[8:] + rows[7:8]
+    elif case == "first-block-row-repeated":
+        rows = rows[:300] + rows[1:2] + rows[300:]
+    elif case == "last-row-repeated":
+        rows = rows + rows[-1:]
+    return header + "".join(rows)
+
+
+@pytest.mark.parametrize("case", ["shuffled", "one-moved-to-end", "first-block-row-repeated", "last-row-repeated"])
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 256])
+def test_a_file_out_of_canonical_order_parses_as_the_reference(case, block_rows, tmp_path, monkeypatch):
+    text = _out_of_order(case)
+    path = tmp_path / "results.csv"
+    path.write_text(text)
+
+    def outcome(parse):
+        try:
+            return parse()
+        except ResultsFileError as exc:
+            return str(exc)
+
+    expected = outcome(lambda: summarize(_reference_results_from_csv(text)))
+    assert isinstance(expected, str) is case.endswith("repeated")
+    monkeypatch.setattr(spideradapt.grid, "_BLOCK_ROWS", block_rows)
+    assert outcome(lambda: summarize_columns(file_column_blocks(path))) == expected
+    assert outcome(lambda: results_from_csv(text)) == outcome(lambda: _reference_results_from_csv(text))
 
 
 def test_summary_emission_formats():
