@@ -6,16 +6,11 @@ subjects, with a reproducible evaluation grid and significance testing.
 """
 
 from .domain import (
-    ACTIONS,
     INITIAL_KINDS,
     INITIAL_STATES,
-    Action,
     SpiderState,
-    apply_action,
     enumerate_states,
-    neighbors,
     state_index,
-    valid_actions,
 )
 from .grid import (
     CellSummary,

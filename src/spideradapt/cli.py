@@ -319,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, SubjectFileError, ResultsFileError, UnicodeDecodeError, OSError) as exc:
+    except (ConfigError, SubjectFileError, ResultsFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

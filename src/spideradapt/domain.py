@@ -9,7 +9,6 @@ enumerable and indexable, which the adaptation policies and oracles rely on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 SpiderState = tuple[int, ...]
@@ -40,71 +39,12 @@ INITIAL_STATES: dict[str, SpiderState] = {
 INITIAL_KINDS = tuple(INITIAL_STATES)
 
 
-@dataclass(frozen=True)
-class Action:
-    """Change one attribute by one step in either direction."""
-
-    attribute_index: int
-    direction: int  # +1 or -1
-
-    @property
-    def index(self) -> int:
-        """Nominal action id in [0, 12): attribute-major, -1 before +1."""
-        return self.attribute_index * 2 + (1 if self.direction > 0 else 0)
-
-
-# All 12 nominal actions in canonical order (attribute ascending, -1 first).
-ACTIONS: tuple[Action, ...] = tuple(
-    Action(i, d) for i in range(N_ATTRIBUTES) for d in (-1, +1)
-)
-
-
 def is_valid_state(state: SpiderState) -> bool:
     return (
         len(state) == N_ATTRIBUTES
         and all(isinstance(v, int) for v in state)
         and all(MIN_VALUES[i] <= state[i] <= MAX_VALUES[i] for i in range(N_ATTRIBUTES))
     )
-
-
-def _check_state(state: SpiderState) -> None:
-    if not is_valid_state(state):
-        raise ValueError(f"invalid spider state: {state!r}")
-
-
-def is_valid_action(state: SpiderState, action: Action) -> bool:
-    """True iff applying the action keeps the attribute in range."""
-    if action.attribute_index not in range(N_ATTRIBUTES):
-        return False
-    if action.direction not in (-1, +1):
-        return False
-    value = state[action.attribute_index] + action.direction
-    return MIN_VALUES[action.attribute_index] <= value <= MAX_VALUES[action.attribute_index]
-
-
-def valid_actions(state: SpiderState) -> list[Action]:
-    """Legal moves from ``state`` in canonical order.
-
-    Boundary moves are masked entirely rather than clamped, so the result
-    has between 6 and 11 entries.
-    """
-    _check_state(state)
-    return [a for a in ACTIONS if is_valid_action(state, a)]
-
-
-def apply_action(state: SpiderState, action: Action) -> SpiderState:
-    """Apply one legal move; raises on out-of-range moves, never clamps."""
-    _check_state(state)
-    if not is_valid_action(state, action):
-        raise ValueError(f"action {action!r} is not valid in state {state!r}")
-    values = list(state)
-    values[action.attribute_index] += action.direction
-    return tuple(values)
-
-
-def neighbors(state: SpiderState) -> list[SpiderState]:
-    """All states one legal move away, in canonical action order."""
-    return [apply_action(state, a) for a in valid_actions(state)]
 
 
 @lru_cache(maxsize=1)
@@ -116,7 +56,7 @@ def enumerate_states() -> tuple[SpiderState, ...]:
     return tuple(states)
 
 
-# Mixed-radix strides for state_index, derived from the attribute range sizes.
+# Mixed-radix strides of state_index and of the move graph, derived from the attribute range sizes.
 STRIDES = tuple(
     math.prod(MAX_VALUES[j] - MIN_VALUES[j] + 1 for j in range(i + 1, N_ATTRIBUTES))
     for i in range(N_ATTRIBUTES)
@@ -124,27 +64,33 @@ STRIDES = tuple(
 
 
 def state_index(state: SpiderState) -> int:
-    """Position of ``state`` in ``enumerate_states()`` (lexicographic rank)."""
-    _check_state(state)
+    """Position of ``state`` in ``enumerate_states()`` (lexicographic rank); raises on an invalid state."""
+    if not is_valid_state(state):
+        raise ValueError(f"invalid spider state: {state!r}")
     return sum((state[i] - MIN_VALUES[i]) * STRIDES[i] for i in range(N_ATTRIBUTES))
 
 
 class StateSpace:
     """Precomputed index-based view of the full state graph.
 
-    The session runner and policies work on integer state indices for speed;
-    everything here is derived from the tuple-level operations above.
+    The session runner and policies work on integer state indices and action
+    ids. Action id ``2 * i + (d > 0)`` moves attribute ``i`` by ``d``, -1 or
+    +1: from the state at index ``idx`` it leads to ``idx + d * STRIDES[i]``
+    while the attribute stays in range, and is masked otherwise.
     """
 
     def __init__(self) -> None:
         self.states: tuple[SpiderState, ...] = enumerate_states()
         self.n_states = len(self.states)
         self.index_of: dict[SpiderState, int] = {s: i for i, s in enumerate(self.states)}
-        # next_state[s][a] is the successor index, or -1 when the move is masked;
-        # ACTIONS[a].index == a, so a row is indexed by action id
+        # next_state[s][a] is the successor index, or -1 when the move is masked
         self.next_state: list[list[int]] = [
-            [self.index_of[apply_action(s, a)] if is_valid_action(s, a) else -1 for a in ACTIONS]
-            for s in self.states
+            [
+                idx + d * STRIDES[i] if MIN_VALUES[i] <= s[i] + d <= MAX_VALUES[i] else -1
+                for i in range(N_ATTRIBUTES)
+                for d in (-1, +1)
+            ]
+            for idx, s in enumerate(self.states)
         ]
         # views of next_state, in canonical action order
         self.valid_action_ids: list[list[int]] = [

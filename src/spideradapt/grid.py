@@ -25,7 +25,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain, compress, islice, product
 from operator import attrgetter, itemgetter, lt
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import betainc
@@ -381,9 +381,9 @@ class ResultsFileError(ValueError):
 # passes outweigh the per-block work, few enough that a block's columns add
 # nothing measurable to peak memory next to the records.
 _BLOCK_ROWS = 256
-# Characters of a text, or bytes of a file, the parse reads through one
-# StringIO at a time: at four bytes a character, a window costs 64 KB.
-_WINDOW_CHARS = 1 << 14
+# Bytes of a results file the parse decodes and reads through one StringIO
+# at a time: at four bytes a character, a window costs at most 64 KB.
+_WINDOW_BYTES = 1 << 14
 # each name maps to the one string every record shares
 _METHODS = {name: name for name in POLICY_NAMES}
 _INITIAL_KINDS = {kind: kind for kind in INITIAL_KINDS}
@@ -408,53 +408,43 @@ def column_blocks(text: str) -> Iterator[tuple[list, ...]]:
     """The columns of each block of a results CSV's rows, in ``RESULT_COLUMNS`` order.
 
     The rows are checked as ``results_from_csv`` checks them, but no record
-    is built and no column spans the file.
+    is built and no column spans the file. The text is read as a file of
+    its UTF-8 bytes is, so a lone surrogate is refused at its line as an
+    undecodable byte is.
     """
-    return _parse(lambda: _lines(text), _BLOCK_ROWS)
+    data = text.encode(errors="surrogatepass")
+    return _parse(lambda: io.BytesIO(data), _BLOCK_ROWS)
 
 
 def file_column_blocks(path: str | os.PathLike) -> Iterator[tuple[list, ...]]:
-    """``column_blocks`` of the text ``Path(path).read_text(encoding="utf-8-sig")`` reads, read from the file.
+    """``column_blocks`` of the text whose UTF-8 bytes the file holds, read from the file.
 
     The file is read a window at a time and its text is never held whole. A
     byte that is not UTF-8 is refused at its line, like a row that breaks a
     rule; a missing or unreadable file raises its ``OSError``. A rejected
-    file, or one out of ``run``'s order, is read again, so the text of what
-    is not a regular file, such as a pipe, is read whole first.
+    file, or one out of ``run``'s order, is read again, so the bytes of what
+    is not a regular file, such as a pipe, are read whole first.
     """
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        return column_blocks(pathlib.Path(path).read_text(encoding="utf-8-sig"))
-    return _parse(lambda: _file_lines(path), _BLOCK_ROWS)
+    if stat.S_ISREG(os.stat(path).st_mode):
+        return _parse(lambda: open(path, "rb"), _BLOCK_ROWS)
+    data = pathlib.Path(path).read_bytes()
+    return _parse(lambda: io.BytesIO(data), _BLOCK_ROWS)
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The lines ``io.StringIO(text)`` yields, read through windows of about ``_WINDOW_CHARS`` cut just after a newline.
+def _file_lines(open_file: Callable[[], BinaryIO]) -> Iterator[str]:
+    """The lines of the binary stream ``open_file()`` opens, as ``Path.read_text(encoding="utf-8-sig")`` reads them.
 
-    A StringIO keeps four bytes a character, so one over the whole text
-    would cost four times the text. Only a newline ends a line, as in the
-    StringIO: ``str.splitlines`` also breaks at characters such as a
-    vertical tab or U+2028, which csv keeps inside a field.
-    """
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _WINDOW_CHARS)
-        end = len(text) if end < 0 else end + 1
-        yield from io.StringIO(text[start:end])
-        start = end
-
-
-def _file_lines(path: str | os.PathLike) -> Iterator[str]:
-    """The lines ``_lines`` yields of the file's text as ``Path.read_text(encoding="utf-8-sig")`` reads it.
-
-    The file is read in windows of about ``_WINDOW_CHARS`` bytes, each cut
+    The stream is read in windows of about ``_WINDOW_BYTES`` bytes, each cut
     just after a newline byte, so no window splits a character or a CRLF.
     As in ``read_text``, a leading byte order mark is dropped, and a CRLF
-    and a lone CR each end a line, read as a newline. An undecodable byte
-    raises its ``UnicodeDecodeError``, with its position in its line, once
-    every line before that one has been yielded.
+    and a lone CR each end a line, read as a newline; nothing else does
+    (``str.splitlines`` also breaks at characters such as a vertical tab or
+    U+2028, which csv keeps inside a field). An undecodable byte raises its
+    ``UnicodeDecodeError``, with its position in its line, once every line
+    before that one has been yielded.
     """
-    with open(path, "rb") as file:
-        windows = iter(lambda: file.read(_WINDOW_CHARS) + file.readline(), b"")
+    with open_file() as file:
+        windows = iter(lambda: file.read(_WINDOW_BYTES) + file.readline(), b"")
         for window in chain([next(windows, b"").removeprefix(codecs.BOM_UTF8)], windows):
             try:
                 text = window.decode()
@@ -483,10 +473,10 @@ def _ints(column: Sequence[str]) -> list[int]:
         return list(map(int, column))
 
 
-def _parse(open_lines: Callable[[], Iterator[str]], block_rows: int) -> Iterator[tuple[list, ...]]:
+def _parse(open_file: Callable[[], BinaryIO], block_rows: int) -> Iterator[tuple[list, ...]]:
     """The columns of each ``block_rows`` rows of a results CSV in ``RESULT_COLUMNS`` order, checked column-wise.
 
-    ``open_lines`` returns a new source of the file's lines each call. The
+    ``open_file`` opens a new binary stream of the file each call. The
     rules are checked over a block's columns in their documented order,
     and the first one broken raises its message for a row of the block at
     the line the reader has reached: with one row per block, that is the
@@ -500,7 +490,7 @@ def _parse(open_lines: Callable[[], Iterator[str]], block_rows: int) -> Iterator
     """
     collecting = gc.isenabled()
     gc.disable()  # blocks and records hold only str, int and bool: the read makes no cycles for a collection to free
-    lines = open_lines()  # a generator: a file is opened at its first line, inside the try
+    lines = _file_lines(open_file)  # a generator: a file is opened at its first line, inside the try
     reader = csv.reader(lines)
     last: tuple = ()  # the greatest key so far while the keys increase
     seen: set[tuple] | None = None  # the runs so far, once the keys have stopped increasing
@@ -537,7 +527,7 @@ def _parse(open_lines: Callable[[], Iterator[str]], block_rows: int) -> Iterator
                     last = keys[-1]
                 else:  # the first block out of order: the runs before it, which cannot repeat, start the set
                     seen = set()
-                    for earlier in islice(_parse(open_lines, block_rows), blocks):
+                    for earlier in islice(_parse(open_file, block_rows), blocks):
                         seen |= set(zip(*earlier[:5]))
             if seen is not None:
                 runs = len(seen)
@@ -550,7 +540,7 @@ def _parse(open_lines: Callable[[], Iterator[str]], block_rows: int) -> Iterator
             yield method, initial_kind, target, subject_id, repeat, success, presented, iterations
     except (ValueError, csv.Error) as exc:
         if block_rows > 1:
-            for _ in _parse(open_lines, 1):  # raises at the first bad row
+            for _ in _parse(open_file, 1):  # raises at the first bad row
                 pass
         # an undecodable line raised before the reader counted it
         line = reader.line_num + isinstance(exc, UnicodeDecodeError)

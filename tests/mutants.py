@@ -44,6 +44,9 @@ _ORDER = "tests/test_grid.py::test_a_file_out_of_canonical_order_parses_as_the_r
 _SESSION, _GRID, _CLI = "src/spideradapt/session.py", "src/spideradapt/grid.py", "src/spideradapt/cli.py"
 
 MUTANTS = (
+    # the move graph, built from the strides
+    Mutant("stride-graph-masks-each-maximum", "src/spideradapt/domain.py", "s[i] + d <= MAX_VALUES[i]",
+           "s[i] + d < MAX_VALUES[i]", ("tests/test_domain.py::test_state_space_tables_agree_with_tuple_ops",)),
     # the sequential session loop
     Mutant("greedy-shows-every-neighbour", _SESSION,
            "present(space.neighbor_ids[s], it, True)", "present(space.neighbor_ids[s], it, False)", _SEQUENTIAL),
@@ -77,22 +80,22 @@ MUTANTS = (
     Mutant("parser-lets-one-repeat-per-block-through", _GRID, "if len(seen) - runs < len(block):",
            "if len(seen) - runs < len(block) - 1:", (_PARSE.format("duplicate"),)),
     # the results line source
-    Mutant("line-window-cut-before-its-newline", _GRID, "end = len(text) if end < 0 else end + 1",
-           "end = len(text) if end < 0 else end", (_LINES,)),
-    Mutant("lines-split-by-splitlines", _GRID, "yield from io.StringIO(text[start:end])",
-           "yield from text[start:end].splitlines(keepends=True)",
+    Mutant("line-window-cut-before-its-newline", _GRID, "file.read(_WINDOW_BYTES) + file.readline()",
+           "file.read(_WINDOW_BYTES) + file.readline()[:-1]", (_LINES,)),
+    Mutant("lines-split-by-splitlines", _GRID, "yield from io.StringIO(text, newline=None)",
+           "yield from text.splitlines(keepends=True)",
            (_LINES, "tests/test_grid.py::test_extra_column_keeps_the_characters_splitlines_breaks_at[1]")),
-    Mutant("one-window-over-the-text", _GRID, "_WINDOW_CHARS = 1 << 14", "_WINDOW_CHARS = 1 << 30",
+    Mutant("one-window-over-the-text", _GRID, "_WINDOW_BYTES = 1 << 14", "_WINDOW_BYTES = 1 << 30",
            ("tests/test_grid.py::test_line_source_holds_a_window_not_the_text",)),
-    Mutant("file-window-cut-mid-line", _GRID, "file.read(_WINDOW_CHARS) + file.readline()",
-           "file.read(_WINDOW_CHARS)", ("tests/test_grid.py::test_file_lines_are_the_lines_of_its_text",)),
+    Mutant("file-window-cut-mid-line", _GRID, "file.read(_WINDOW_BYTES) + file.readline()",
+           "file.read(_WINDOW_BYTES)", ("tests/test_grid.py::test_file_lines_are_the_lines_of_its_text",)),
     Mutant("undecodable-byte-named-a-line-early", _GRID, "reader.line_num + isinstance(exc, UnicodeDecodeError)",
            "reader.line_num", ("tests/test_cli.py::test_an_undecodable_byte_is_refused_at_its_line",)),
     # rule 8 as an order check, with a set of runs only from the first block out of order
     Mutant("order-check-lets-an-equal-key-through", _GRID, "all(map(lt, chain((last,), keys), keys))",
            "all(map(lambda a, b: a <= b, chain((last,), keys), keys))", (_ORDER.format("last-row-repeated"),)),
-    Mutant("prefix-rebuild-one-block-short", _GRID, "islice(_parse(open_lines, block_rows), blocks)",
-           "islice(_parse(open_lines, block_rows), max(blocks - 1, 0))", (_ORDER.format("last-row-repeated"),)),
+    Mutant("prefix-rebuild-one-block-short", _GRID, "islice(_parse(open_file, block_rows), blocks)",
+           "islice(_parse(open_file, block_rows), max(blocks - 1, 0))", (_ORDER.format("last-row-repeated"),)),
     # block-wise aggregation
     Mutant("aggregation-keeps-the-last-blocks-successes-only", _GRID,
            "in blocks:\n        cells = ",

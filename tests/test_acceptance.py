@@ -14,7 +14,7 @@ import pytest
 import scipy.stats
 
 from spideradapt.cli import main
-from spideradapt.domain import enumerate_states, neighbors, state_index
+from spideradapt.domain import enumerate_states, state_index
 from spideradapt.grid import (
     GridConfig,
     comparisons_to_csv,
@@ -37,6 +37,7 @@ from spideradapt.subjects import (
     stress_table,
 )
 from tests.conftest import EXAMPLE_WEIGHTS
+from tests.reference import neighbors
 
 POPULATION_SEED = 4242
 MASTER_SEED = 99

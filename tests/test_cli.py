@@ -407,7 +407,7 @@ def test_an_undecodable_byte_is_refused_at_its_line(tmp_path, subjects_file, cap
     results = _run_results(tmp_path, subjects_file, ("--targets", "1,2,3,4,5,6,7,8,9", "--initials", "min,avg,max",
                                                      "--repeats", "3"))
     lines = results.read_bytes().split(b"\n")
-    monkeypatch.setattr(spideradapt.grid, "_WINDOW_CHARS", window)
+    monkeypatch.setattr(spideradapt.grid, "_WINDOW_BYTES", window)
     capsys.readouterr()
     bad = tmp_path / "bad.csv"
     for line, broken, fault in (
@@ -434,19 +434,24 @@ def test_an_undecodable_byte_is_refused_at_its_line(tmp_path, subjects_file, cap
 
 def test_a_results_pipe_reads_as_its_file(tmp_path, subjects_file, capsys):
     # a pipe can be read only once, and these files are read again: one leaves run's order after its first
-    # block, so the rows before are read into a set of runs, and the other repeats a run, so it is read one row a block
+    # block, so the rows before are read into a set of runs, another repeats a run, so it is read one row a
+    # block, and the last holds a byte that is not UTF-8, which is named at its line
     results = _run_results(tmp_path, subjects_file, ("--targets", "1,2,3,4,5,6,7,8,9", "--initials", "min,avg,max"))
-    header, *rows = results.read_text().splitlines(keepends=True)
+    header, *rows = results.read_bytes().splitlines(keepends=True)
     src = str(Path(spideradapt.__file__).resolve().parent.parent)
-    for text in (header + "".join(rows[:300] + rows[:299:-1]), header + "".join(rows) + rows[0]):
-        results.write_text(text)
+    for data in (header + b"".join(rows[:300] + rows[:299:-1]), header + b"".join(rows) + rows[0],
+                 header + b"".join(rows[:400] + [b"\xff" + rows[400]] + rows[401:])):
+        results.write_bytes(data)
         capsys.readouterr()
         code = main(["compare", "--results", str(results)])
         expected = capsys.readouterr()
         piped = subprocess.run([sys.executable, "-m", "spideradapt", "compare", "--results", "/dev/stdin"],
-                               input=text, capture_output=True, text=True, timeout=60,
-                               env={**os.environ, "PYTHONPATH": src})
-        assert (piped.returncode, piped.stdout, piped.stderr) == (code, expected.out, expected.err)
+                               input=data, capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert (piped.returncode, piped.stdout.decode(), piped.stderr.decode()) == (code, expected.out, expected.err)
+    assert expected.err == (
+        "error: malformed results CSV at line 402: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
 
 
 def test_summaries_hold_neither_the_file_nor_its_runs(tmp_path):

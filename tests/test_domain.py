@@ -3,21 +3,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spideradapt.domain import (
-    ACTIONS,
     ATTRIBUTE_NAMES,
     IMPACT_MEANS,
     IMPACT_STDS,
     MAX_VALUES,
     MIN_VALUES,
-    Action,
-    apply_action,
     enumerate_states,
     is_valid_state,
-    neighbors,
     state_index,
     state_space,
-    valid_actions,
 )
+from tests.reference import ACTIONS, Action, apply_action, is_valid_action, neighbors, valid_actions
 
 ALL_MIN = (0, 0, 0, 0, 0, 0)
 ALL_MAX = (2, 2, 2, 2, 1, 2)
@@ -64,6 +60,10 @@ def test_enumerate_states_count_and_order():
 def test_state_index_bijection():
     for k, state in enumerate(enumerate_states()):
         assert state_index(state) == k
+    # out of range on either side, the binary attribute past 1, and too few or too many attributes
+    for bad in [(3, 0, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 2, 0), (0,) * 5, (0,) * 7, ()]:
+        with pytest.raises(ValueError):
+            state_index(bad)
 
 
 def test_valid_actions_boundaries():
@@ -136,11 +136,10 @@ def test_neighbors_differ_in_exactly_one_attribute(state):
 def test_state_space_tables_agree_with_tuple_ops():
     space = state_space()
     assert space.n_states == 486
-    for idx in (0, 17, 242, 485):
-        state = space.states[idx]
-        ids = space.valid_action_ids[idx]
-        assert ids == [a.index for a in valid_actions(state)]
-        nbrs = [space.states[t] for t in space.neighbor_ids[idx]]
-        assert nbrs == neighbors(state)
-        for aid, a in zip(ids, valid_actions(state)):
-            assert space.states[space.next_state[idx][aid]] == apply_action(state, a)
+    for idx, state in enumerate(space.states):
+        # every action id, a masked move (-1) included, against the tuple-level spec
+        assert [None if t == -1 else space.states[t] for t in space.next_state[idx]] == [
+            apply_action(state, a) if is_valid_action(state, a) else None for a in ACTIONS
+        ]
+        assert space.valid_action_ids[idx] == [a.index for a in valid_actions(state)]
+        assert [space.states[t] for t in space.neighbor_ids[idx]] == neighbors(state)

@@ -29,7 +29,6 @@ from spideradapt.grid import (
     ResultsFileError,
     RunRecord,
     _file_lines,
-    _lines,
     _record_key,
     _stdev,
     _student_t_sf,
@@ -604,6 +603,9 @@ def test_results_from_csv_rejects_bad_input():
     runs = [f"random,min,1,{subject},0,true,3,1\n" for subject in range(300)]
     with pytest.raises(ResultsFileError, match=r"at line 302: duplicate run \('random', 'min', 1, 0, 0\)$"):
         results_from_csv(header + "".join(runs) + runs[0])
+    # a lone surrogate, which UTF-8 cannot encode, is refused at its line as a file's undecodable byte is
+    with pytest.raises(ResultsFileError, match="at line 3: 'utf-8' codec can't decode byte 0xed in position 26"):
+        results_from_csv(header + good + "random,min,1,1,0,true,3,1,\ud800\n")
 
 
 def _reference_results_from_csv(text):
@@ -783,9 +785,11 @@ _LINE_CHARS = 'a,"\n\r\x0b\x0c\x1c\x85\u2028'
 @example(text="", end="", window=1)
 @example(text="aaaaaaaaaaaa\na", end="", window=3)  # a line longer than the window, and no final newline
 def test_line_source_yields_the_lines_of_one_stringio(text, end, window):
+    # a CRLF and a lone CR each end a line, as in a StringIO that translates newlines
+    data = (text + end).encode()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spideradapt.grid, "_WINDOW_CHARS", window)
-        assert list(_lines(text + end)) == list(io.StringIO(text + end))
+        mp.setattr(spideradapt.grid, "_WINDOW_BYTES", window)
+        assert list(_file_lines(lambda: io.BytesIO(data))) == list(io.StringIO(text + end, newline=None))
 
 
 @pytest.mark.parametrize("window", [1, 5, 1 << 16])
@@ -798,16 +802,17 @@ def test_extra_column_keeps_the_characters_splitlines_breaks_at(window, monkeypa
     ])
     expected = _reference_results_from_csv(text)
     assert len(expected) == 3
-    monkeypatch.setattr(spideradapt.grid, "_WINDOW_CHARS", window)
+    monkeypatch.setattr(spideradapt.grid, "_WINDOW_BYTES", window)
     assert results_from_csv(text) == expected
 
 
 def test_line_source_holds_a_window_not_the_text():
     line = "rl_random,max,9,19,9,false,486,100\n"
     text = line * (2_000_000 // len(line))
+    stream = io.BytesIO(text.encode())
     tracemalloc.start()
     try:
-        for _ in _lines(text):
+        for _ in _file_lines(lambda: stream):
             pass
         lines_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
@@ -828,8 +833,8 @@ def test_file_lines_are_the_lines_of_its_text(tmp_path, text, bom, window):
     path = tmp_path / "results.csv"
     path.write_bytes(codecs.BOM_UTF8 * bom + text.encode())
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spideradapt.grid, "_WINDOW_CHARS", window)
-        assert list(_file_lines(path)) == list(_lines(path.read_text(encoding="utf-8-sig")))
+        mp.setattr(spideradapt.grid, "_WINDOW_BYTES", window)
+        assert list(_file_lines(lambda: open(path, "rb"))) == list(io.StringIO(path.read_text(encoding="utf-8-sig")))
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
@@ -838,11 +843,12 @@ def test_a_file_parses_as_its_text(end, window, tmp_path, monkeypatch):
     rows = [",".join(RESULT_COLUMNS) + ",note", "random,min,1,0,0,true,3,1,plain"]
     rows += [f'random,min,1,{i},0,false,4,2,"a{odd}b"' for i, odd in enumerate(["\r\n", "\x0b", "\x85", "\u2028"], 1)]
     path = tmp_path / "results.csv"
-    monkeypatch.setattr(spideradapt.grid, "_WINDOW_CHARS", window)
-    for prefix in (b"", codecs.BOM_UTF8):
-        path.write_bytes(prefix + end.join(rows).encode() + end.encode())
-        text = path.read_text(encoding="utf-8-sig")
-        assert len(_reference_results_from_csv(text)) == 5
+    monkeypatch.setattr(spideradapt.grid, "_WINDOW_BYTES", window)
+    for prefix in ("", "\ufeff"):
+        text = prefix + end.join(rows) + end
+        path.write_bytes(text.encode())
+        assert len(_reference_results_from_csv(path.read_text(encoding="utf-8-sig"))) == 5
+        # a text is read as a file of its bytes is: a lone CR ends a line, and a leading BOM is dropped
         assert list(file_column_blocks(path)) == list(column_blocks(text))
 
 
@@ -859,11 +865,11 @@ def test_a_file_in_canonical_order_is_read_once(block_rows, monkeypatch):
     assert records == sorted(records, key=_record_key)
     opened = []
 
-    def lines(text):
-        opened.append(text)
-        return _lines(text)
+    def lines(open_file):
+        opened.append(open_file)
+        return _file_lines(open_file)
 
-    monkeypatch.setattr(spideradapt.grid, "_lines", lines)
+    monkeypatch.setattr(spideradapt.grid, "_file_lines", lines)
     monkeypatch.setattr(spideradapt.grid, "_BLOCK_ROWS", block_rows)
     text = results_to_csv(random.Random(block_rows).sample(records, len(records)))
     assert results_from_csv(text) == records

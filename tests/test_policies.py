@@ -7,15 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spideradapt.domain import (
-    ACTIONS,
     N_ACTIONS,
     N_STATES,
-    Action,
     enumerate_states,
     is_valid_state,
-    neighbors,
     state_index,
-    valid_actions,
 )
 from spideradapt.policies import (
     GAConfig,
@@ -30,6 +26,7 @@ from spideradapt.policies import (
 )
 from spideradapt.reward_model import RewardSpec, reward
 from spideradapt.subjects import stress
+from tests.reference import ACTIONS, Action, neighbors, valid_actions
 
 STATES = enumerate_states()
 ALL_MIN = (0, 0, 0, 0, 0, 0)

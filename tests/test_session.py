@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spideradapt.domain import apply_action, neighbors, state_index, state_space, valid_actions
+from spideradapt.domain import state_index, state_space
 from spideradapt.policies import GAConfig, RLConfig
 from spideradapt.reward_model import RewardSpec, is_success, reward
 from spideradapt.session import (
@@ -19,6 +19,7 @@ from spideradapt.session import (
     run_session,
 )
 from spideradapt.subjects import VirtualSubject, bfs_distance, sample_subject, scale_coefficient, stress
+from tests.reference import apply_action, neighbors, valid_actions
 
 ALL_MIN = (0, 0, 0, 0, 0, 0)
 ALL_MAX = (2, 2, 2, 2, 1, 2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spideradapt.domain import enumerate_states, neighbors, state_space, valid_actions
+from spideradapt.domain import enumerate_states, state_space
 from spideradapt.reward_model import is_success
 from spideradapt.subjects import (
     SubjectFileError,
@@ -21,6 +21,7 @@ from spideradapt.subjects import (
     success_states,
 )
 from tests.conftest import EXAMPLE_WEIGHTS
+from tests.reference import neighbors, valid_actions
 
 ALL_MIN = (0, 0, 0, 0, 0, 0)
 ALL_MAX = (2, 2, 2, 2, 1, 2)
