@@ -496,7 +496,7 @@ def _parse(open_file: Callable[[], BinaryIO], block_rows: int) -> Iterator[tuple
     seen: set[tuple] | None = None  # the runs so far, once the keys have stopped increasing
     blocks = 0
     try:
-        header = next(reader, [])
+        header = next(reader, RESULT_COLUMNS)  # a file without a line has no runs, and says so below
         if missing := set(RESULT_COLUMNS) - set(header):
             raise ValueError(f"missing columns {sorted(missing)}")
         picks = [header.index(name) for name in RESULT_COLUMNS]

@@ -26,7 +26,7 @@ from spideradapt.grid import (
     summary_to_csv,
     summary_to_markdown,
 )
-from spideradapt.policies import GAConfig, ga_initial_population
+from spideradapt.policies import GAConfig, RLConfig, ga_initial_population
 from spideradapt.reward_model import RewardSpec, reward
 from spideradapt.session import INITIAL_STATES
 from spideradapt.subjects import (
@@ -59,6 +59,10 @@ TRACE_SHA256 = {
     "rl_random": ("9c1534028c0d40bf945c6ff0e025549e518a9385f71eae27956c028f1260f932", 12),
     "rl_zero": ("0303492f7e5ca2840426986d5900930cd9076d782c5de18475e60580372720a6", 22),
 }
+# sha256 of the results of a small grid off every default: 6 subjects of
+# population seed 4242, 2 repeats, cap 40, RL and GA settings of its own, and
+# a master seed of two 32-bit words
+SMALL_RESULTS_SHA256 = "8461aaa1b913a376ec58031b61c79c70718db51acd1ef2d23fc799e85b66b2d3"
 ALL_MIN = (0, 0, 0, 0, 0, 0)
 
 
@@ -258,6 +262,13 @@ def test_golden_digests(grid_serial):
     summary = summary_to_csv(summaries, mark_significance(records, summaries))
     assert hashlib.sha256(results_to_csv(records).encode()).hexdigest() == RESULTS_SHA256
     assert hashlib.sha256(summary.encode()).hexdigest() == SUMMARY_SHA256
+
+
+def test_golden_digest_of_a_small_grid_off_the_defaults():
+    cfg = GridConfig(population=generate_population(6, POPULATION_SEED), master_seed=2**40, repeats=2,
+                     iteration_cap=40, rl=RLConfig(epsilon=0.3, learning_rate=0.5, discount=0.5),
+                     ga=GAConfig(population_size=6, mutation_prob=0.6))
+    assert hashlib.sha256(results_to_csv(run_grid(cfg)).encode()).hexdigest() == SMALL_RESULTS_SHA256
 
 
 def test_golden_report_and_subjects_digests(grid_serial, tmp_path, capsys):

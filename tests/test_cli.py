@@ -376,6 +376,13 @@ def test_summarize_empty_results_is_data_error(tmp_path, capsys):
     bogus = tmp_path / "bogus.csv"
     bogus.write_text(empty.read_text() + "bogus,min,1,0,0,true,3,1\n")
     assert main(["summarize", "--results", str(bogus)]) == 2
+    # a file `run` was stopped in before it wrote the header: no bytes, or only a byte order mark
+    for data in (b"", codecs.BOM_UTF8):
+        empty.write_bytes(data)
+        for command in ("summarize", "compare"):
+            capsys.readouterr()
+            assert main([command, "--results", str(empty)]) == 2
+            assert capsys.readouterr().err == "error: results CSV contains no runs\n"
 
 
 def test_summarize_missing_columns_is_data_error(tmp_path):

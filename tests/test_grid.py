@@ -568,6 +568,11 @@ def test_results_from_csv_rejects_bad_input():
     header = "method,initial_kind,target,subject_id,repeat,success,spiders_presented,iterations_used\n"
     good = "random,min,1,0,0,true,3,1\n"
     assert len(results_from_csv(header + good + "\n")) == 1  # blank lines are skipped
+    for text in ("", "\ufeff"):  # no line at all, so no header either
+        with pytest.raises(ResultsFileError, match="^results CSV contains no runs$"):
+            results_from_csv(text)
+    with pytest.raises(ResultsFileError, match="^results CSV contains no runs$"):
+        _reference_results_from_csv("")
     for rows in (
         "random,min\n",  # short row
         "random,min,1,0,0,true,3," + "1" * 200_000 + "\n",  # field over the csv module's limit
@@ -614,7 +619,7 @@ def _reference_results_from_csv(text):
     records = []
     seen = set()
     try:
-        header = next(reader, [])
+        header = next(reader, RESULT_COLUMNS)  # an empty file holds no runs
         if missing := set(RESULT_COLUMNS) - set(header):
             raise ValueError(f"missing columns {sorted(missing)}")
         picks = [header.index(name) for name in RESULT_COLUMNS]

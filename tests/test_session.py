@@ -5,24 +5,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spideradapt.domain import state_index, state_space
-from spideradapt.policies import GAConfig, RLConfig
-from spideradapt.reward_model import RewardSpec, is_success, reward
-from spideradapt.session import (
-    INITIAL_KINDS,
-    INITIAL_STATES,
-    PresentedSpider,
-    RunConfig,
-    RunResult,
-    pcg64_states,
-    run_seed_sequence,
-    run_session,
+from spideradapt.domain import state_space
+from spideradapt.policies import POLICY_NAMES, GAConfig, RLConfig
+from spideradapt.reward_model import RewardSpec, is_success
+from spideradapt.session import INITIAL_KINDS, INITIAL_STATES, RunConfig, pcg64_states, run_seed_sequence, run_session
+from spideradapt.subjects import (
+    VirtualSubject,
+    bfs_distance,
+    generate_population,
+    sample_subject,
+    scale_coefficient,
+    stress,
 )
-from spideradapt.subjects import VirtualSubject, bfs_distance, sample_subject, scale_coefficient, stress
-from tests.reference import apply_action, neighbors, valid_actions
+from tests.reference import neighbors, reference_session
 
 ALL_MIN = (0, 0, 0, 0, 0, 0)
-ALL_MAX = (2, 2, 2, 2, 1, 2)
 
 
 def _cfg(**overrides) -> RunConfig:
@@ -248,111 +245,6 @@ def test_rounded_reward_flag_changes_rewards(example_subject):
     assert plain.success and rounded.success
 
 
-# The fixed draw protocol, rebuilt from the stream and the domain's tuple-level
-# functions without the policies module: iteration i >= 1 owns uniforms
-# [k(i-1), k*i) after a fresh rl_random table's 486 * 12.
-
-
-def _stream(cfg, n):
-    return np.random.default_rng(run_seed_sequence(cfg)).random(n).tolist()
-
-
-def _shown(result, iteration=None):
-    return [(p.state, p.iteration) for p in result.presented_sequence
-            if iteration is None or p.iteration == iteration]
-
-
-def _rebuild_sequential(cfg, subject, choose):
-    """The ``RunResult`` of a random, greedy or RL run whose iteration ``i`` is ``choose(state, i)``.
-
-    ``choose`` returns the iteration's batch and the state the run moves to.
-    The batch's unseen members are shown in order, and the first success
-    ends the run.
-    """
-    spec = RewardSpec(cfg.target)
-    shown = []
-
-    def show(batch, i):
-        for state in batch:
-            if state not in [p.state for p in shown]:
-                x = stress(subject, state)
-                shown.append(PresentedSpider(state, x, reward(x, spec), i))
-                if is_success(x, cfg.target):
-                    return True
-        return False
-
-    state = INITIAL_STATES[cfg.initial_kind]
-    if show([state], 0):
-        return RunResult(True, 1, 0, state, shown)
-    for i in range(1, cfg.iteration_cap + 1):
-        batch, state = choose(state, i)
-        if show(batch, i):
-            return RunResult(True, len(shown), i, shown[-1].state, shown)
-    return RunResult(False, len(shown), cfg.iteration_cap, state, shown)
-
-
-def _reference_chooser(cfg, subject):
-    """``_rebuild_sequential``'s ``choose`` for ``cfg``'s method, reading README's slots from the run's stream."""
-    spec = RewardSpec(cfg.target)
-    if cfg.method == "greedy":  # k = 0: every neighbour, then the best by reward; no stream
-
-        def choose(state, i):
-            nbrs = neighbors(state)
-            return nbrs, max(nbrs, key=lambda nb: reward(stress(subject, nb), spec))
-
-        return choose
-    table = 486 * 12 if cfg.method == "rl_random" else 0
-    stream = _stream(cfg, table + 2 * cfg.iteration_cap)  # random reads only the first cap
-    if cfg.method == "random":  # k = 1: the move
-
-        def choose(state, i):
-            nbrs = neighbors(state)
-            nxt = nbrs[int(stream[i - 1] * len(nbrs))]
-            return [nxt], nxt
-
-        return choose
-    q = np.array(stream[:table]).reshape(486, 12) if table else np.zeros((486, 12))
-    u = stream[table:]  # k = 2: the explore test, then the choice
-
-    def choose(state, i):
-        s, actions = state_index(state), valid_actions(state)
-        if u[2 * i - 2] < cfg.rl.epsilon:
-            action = actions[int(u[2 * i - 1] * len(actions))]
-        else:
-            best = max(q[s, a.index] for a in actions)
-            ties = [a for a in actions if q[s, a.index] == best]
-            action = ties[int(u[2 * i - 1] * len(ties))]
-        nxt = apply_action(state, action)
-        best_next = max(q[state_index(nxt), a.index] for a in valid_actions(nxt))
-        r = reward(stress(subject, nxt), spec)
-        q[s, action.index] += cfg.rl.learning_rate * (r + cfg.rl.discount * best_next - q[s, action.index])
-        return [nxt], nxt
-
-    return choose
-
-
-def test_random_run_follows_the_draw_protocol(small_population):
-    subject = small_population.subjects[4]
-    cfg = _cfg(method="random", subject_id=4, target=9)
-    expected = _rebuild_sequential(cfg, subject, _reference_chooser(cfg, subject))
-    assert len(expected.presented_sequence) > 5
-    assert run_session(cfg, subject) == expected
-
-
-@pytest.mark.parametrize("method, epsilon", [("rl_zero", 0.05), ("rl_zero", 0.5), ("rl_random", 0.05)])
-def test_rl_run_follows_the_draw_protocol(small_population, method, epsilon):
-    subject = small_population.subjects[5]
-    cfg = _cfg(method=method, subject_id=5, target=8, rl=RLConfig(epsilon=epsilon))
-    expected = _rebuild_sequential(cfg, subject, _reference_chooser(cfg, subject))
-    table = 486 * 12 if method == "rl_random" else 0
-    explore_tests = _stream(cfg, table + 2 * expected.iterations_used)[table::2]
-    assert len(expected.presented_sequence) > 5 and min(explore_tests) < epsilon  # some iteration explored
-    assert run_session(cfg, subject) == expected
-
-
-_EMPTY_BAND = _subject_with_an_empty_band()
-
-
 @st.composite
 def _subjects(draw):
     subject_id = draw(st.integers(0, 2**40))
@@ -362,9 +254,24 @@ def _subjects(draw):
     return VirtualSubject(id=subject_id, weights=weights, coefficient=scale_coefficient(weights))
 
 
-# an empty band forces greedy through a full failing run
-@example(subject=_EMPTY_BAND[0], target=_EMPTY_BAND[1], initial_kind="min", repeat=0, master_seed=42,
-         cap=5, epsilon=0.1)
+_EMPTY_BAND = _subject_with_an_empty_band()
+_SUBJECTS = generate_population(10, 4242).subjects  # the small_population fixture's
+
+
+# an empty band forces every method through a full failing run
+@example(subject=_EMPTY_BAND[0], target=_EMPTY_BAND[1], initial_kind="min", repeat=0, master_seed=42, cap=5,
+         rl=RLConfig(epsilon=0.1), ga=GAConfig())
+# runs that explore, and a GA that mutates every child, from a corner and at cap 0
+@example(subject=_SUBJECTS[4], target=9, initial_kind="min", repeat=0, master_seed=42, cap=100,
+         rl=RLConfig(), ga=GAConfig())
+@example(subject=_SUBJECTS[5], target=8, initial_kind="min", repeat=0, master_seed=42, cap=100,
+         rl=RLConfig(), ga=GAConfig())
+@example(subject=_SUBJECTS[5], target=8, initial_kind="min", repeat=0, master_seed=42, cap=100,
+         rl=RLConfig(epsilon=0.5), ga=GAConfig())
+@example(subject=_SUBJECTS[0], target=6, initial_kind="min", repeat=0, master_seed=42, cap=100,
+         rl=RLConfig(), ga=GAConfig(mutation_prob=1.0))
+@example(subject=_SUBJECTS[0], target=6, initial_kind="max", repeat=0, master_seed=42, cap=0,
+         rl=RLConfig(), ga=GAConfig(mutation_prob=1.0))
 @settings(max_examples=300, deadline=None)
 @given(
     subject=_subjects(),
@@ -373,51 +280,15 @@ def _subjects(draw):
     repeat=st.integers(0, 2**32 - 1),
     master_seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
     cap=st.integers(0, 150),
-    epsilon=st.floats(0.0, 1.0),
+    rl=st.builds(RLConfig, epsilon=st.floats(0.0, 1.0), learning_rate=st.floats(0.0, 1.0, exclude_min=True),
+                 discount=st.floats(0.0, 1.0)),
+    ga=st.builds(GAConfig, population_size=st.integers(2, 12), mutation_prob=st.floats(0.0, 1.0)),
 )
-def test_sequential_runs_equal_the_reference(subject, target, initial_kind, repeat, master_seed, cap, epsilon):
-    for method in ("random", "greedy", "rl_zero", "rl_random"):
+def test_runs_equal_the_reference_session(subject, target, initial_kind, repeat, master_seed, cap, rl, ga):
+    for method in POLICY_NAMES:
         cfg = _cfg(method=method, subject_id=subject.id, target=target, initial_kind=initial_kind,
-                   repeat_index=repeat, iteration_cap=cap, master_seed=master_seed, rl=RLConfig(epsilon=epsilon))
-        assert run_session(cfg, subject) == _rebuild_sequential(cfg, subject, _reference_chooser(cfg, subject))
-
-
-@pytest.mark.parametrize("mutation_prob", [0.1, 1.0])
-def test_ga_first_generation_follows_the_draw_protocol(small_population, mutation_prob):
-    population = [ALL_MIN] + neighbors(ALL_MIN)  # a corner: 7 candidates, no trimming
-    u_mutation = []
-    new_children = 0
-    for subject in small_population.subjects:
-        cfg = _cfg(method="ga", subject_id=subject.id, target=6, ga=GAConfig(mutation_prob=mutation_prob))
-        if any(is_success(stress(subject, p), cfg.target) for p in population):
-            continue
-        spec = RewardSpec(cfg.target)
-        cum = np.cumsum([reward(stress(subject, p), spec) + 1.0 for p in population]).tolist()
-        u = _stream(cfg, 16)  # k = 16: per pair, parent 1, parent 2, then (test, attribute, value) per child
-
-        def parent(x):
-            return population[min(sum(c <= x * cum[-1] for c in cum), len(population) - 1)]
-
-        def mutate(child, test, attribute, value):
-            child = list(child)
-            u_mutation.append(test < mutation_prob)
-            if u_mutation[-1]:
-                i = int(attribute * 6)
-                child[i] = int(value * (ALL_MAX[i] + 1))
-            return tuple(child)
-
-        children = []
-        for b in (0, 8):
-            p1, p2 = parent(u[b]), parent(u[b + 1])
-            children.append(mutate(p1[:3] + p2[3:], *u[b + 2 : b + 5]))
-            children.append(mutate(p2[:3] + p1[3:], *u[b + 5 : b + 8]))
-        unseen = []
-        for child in children:
-            if child not in population and child not in unseen:
-                unseen.append(child)
-        new_children += len(unseen)
-        assert _shown(run_session(cfg, subject), 1) == [(c, 1) for c in unseen]
-    assert new_children >= 5 and any(u_mutation)
+                   repeat_index=repeat, iteration_cap=cap, master_seed=master_seed, rl=rl, ga=ga)
+        assert run_session(cfg, subject) == reference_session(cfg, subject)
 
 
 def test_slot_positions_do_not_depend_on_the_cap(small_population):
