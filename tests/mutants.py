@@ -35,7 +35,8 @@ class Mutant(NamedTuple):
     nodes: tuple[str, ...]  # pytest node ids, one of which must fail
 
 
-_REFERENCE = "tests/test_session.py::test_runs_equal_the_reference_session"
+_SEQUENTIAL = "tests/test_session.py::test_sequential_runs_equal_the_reference"
+_GA = "tests/test_session.py::test_ga_runs_equal_the_reference"
 _SMALL_GRID = "tests/test_acceptance.py::test_golden_digest_of_a_small_grid_off_the_defaults"
 _GRID_RECORDS = ("tests/test_grid.py::test_run_grid_runs_greedy_once_per_initial_state",)
 _PARSE = "tests/test_grid.py::test_block_parse_agrees_with_the_row_by_row_rules[{}]"
@@ -50,21 +51,21 @@ MUTANTS = (
            "s[i] + d < MAX_VALUES[i]", ("tests/test_domain.py::test_state_space_tables_agree_with_tuple_ops",)),
     # the sequential session loop
     Mutant("greedy-shows-every-neighbour", _SESSION,
-           "present(space.neighbor_ids[s], it, True)", "present(space.neighbor_ids[s], it, False)", (_REFERENCE,)),
+           "present(space.neighbor_ids[s], it, True)", "present(space.neighbor_ids[s], it, False)", (_SEQUENTIAL,)),
     Mutant("greedy-ignores-a-hit", _SESSION,
            "present(space.neighbor_ids[s], it, True)\n            if hit is not None:",
-           "present(space.neighbor_ids[s], it, True)\n            if False:", (_REFERENCE,)),
-    Mutant("no-slots-yield-once", _SESSION, "yield from repeat(())", "yield ()", (_REFERENCE,)),
+           "present(space.neighbor_ids[s], it, True)\n            if False:", (_SEQUENTIAL,)),
+    Mutant("no-slots-yield-once", _SESSION, "yield from repeat(())", "yield ()", (_SEQUENTIAL,)),
     Mutant("inline-shows-at-the-previous-iteration", _SESSION,
            "PresentedSpider(states[t], stresses[t], rewards[t], it)",
-           "PresentedSpider(states[t], stresses[t], rewards[t], it - 1)", (_REFERENCE,)),
+           "PresentedSpider(states[t], stresses[t], rewards[t], it - 1)", (_SEQUENTIAL,)),
     # the GA's generations
     Mutant("ga-failed-run-ends-on-its-last-member", _SESSION, "max(population, key=rewards.__getitem__))",
-           "population[-1])", (_REFERENCE,)),
+           "population[-1])", (_GA,)),
     Mutant("ga-selects-from-offspring-first", _SESSION, "ga_select(population + offspring,",
-           "ga_select(offspring + population,", (_REFERENCE, _SMALL_GRID)),
+           "ga_select(offspring + population,", (_GA, _SMALL_GRID)),
     Mutant("ga-parents-swap-their-slots", "src/spideradapt/policies.py", "picks = (u[0], u[1], u[8], u[9])",
-           "picks = (u[1], u[0], u[8], u[9])", (_REFERENCE, _SMALL_GRID)),
+           "picks = (u[1], u[0], u[8], u[9])", (_GA, _SMALL_GRID)),
     # one-pass seeding of a grid unit
     Mutant("seed-hash-multiplier-off-by-two", _SESSION, "_MULT_B = 0x8B51F9DD, 0x58F38DED",
            "_MULT_B = 0x8B51F9DD, 0x58F38DEF",

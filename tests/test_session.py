@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spideradapt.domain import state_space
-from spideradapt.policies import POLICY_NAMES, GAConfig, RLConfig
+from spideradapt.policies import GAConfig, RLConfig
 from spideradapt.reward_model import RewardSpec, is_success
 from spideradapt.session import INITIAL_KINDS, INITIAL_STATES, RunConfig, pcg64_states, run_seed_sequence, run_session
 from spideradapt.subjects import (
@@ -256,39 +256,82 @@ def _subjects(draw):
 
 _EMPTY_BAND = _subject_with_an_empty_band()
 _SUBJECTS = generate_population(10, 4242).subjects  # the small_population fixture's
-
-
-# an empty band forces every method through a full failing run
-@example(subject=_EMPTY_BAND[0], target=_EMPTY_BAND[1], initial_kind="min", repeat=0, master_seed=42, cap=5,
-         rl=RLConfig(epsilon=0.1), ga=GAConfig())
-# runs that explore, and a GA that mutates every child, from a corner and at cap 0
-@example(subject=_SUBJECTS[4], target=9, initial_kind="min", repeat=0, master_seed=42, cap=100,
-         rl=RLConfig(), ga=GAConfig())
-@example(subject=_SUBJECTS[5], target=8, initial_kind="min", repeat=0, master_seed=42, cap=100,
-         rl=RLConfig(), ga=GAConfig())
-@example(subject=_SUBJECTS[5], target=8, initial_kind="min", repeat=0, master_seed=42, cap=100,
-         rl=RLConfig(epsilon=0.5), ga=GAConfig())
-@example(subject=_SUBJECTS[0], target=6, initial_kind="min", repeat=0, master_seed=42, cap=100,
-         rl=RLConfig(), ga=GAConfig(mutation_prob=1.0))
-@example(subject=_SUBJECTS[0], target=6, initial_kind="max", repeat=0, master_seed=42, cap=0,
-         rl=RLConfig(), ga=GAConfig(mutation_prob=1.0))
-@settings(max_examples=300, deadline=None)
-@given(
+_SESSIONS = dict(
     subject=_subjects(),
     target=st.integers(1, 9),
     initial_kind=st.sampled_from(INITIAL_KINDS),
     repeat=st.integers(0, 2**32 - 1),
     master_seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
     cap=st.integers(0, 150),
-    rl=st.builds(RLConfig, epsilon=st.floats(0.0, 1.0), learning_rate=st.floats(0.0, 1.0, exclude_min=True),
-                 discount=st.floats(0.0, 1.0)),
-    ga=st.builds(GAConfig, population_size=st.integers(2, 12), mutation_prob=st.floats(0.0, 1.0)),
 )
-def test_runs_equal_the_reference_session(subject, target, initial_kind, repeat, master_seed, cap, rl, ga):
-    for method in POLICY_NAMES:
-        cfg = _cfg(method=method, subject_id=subject.id, target=target, initial_kind=initial_kind,
-                   repeat_index=repeat, iteration_cap=cap, master_seed=master_seed, rl=rl, ga=ga)
-        assert run_session(cfg, subject) == reference_session(cfg, subject)
+
+
+def _session_cfg(method, subject, target, initial_kind, repeat, master_seed, cap, **policy):
+    return _cfg(method=method, subject_id=subject.id, target=target, initial_kind=initial_kind,
+                repeat_index=repeat, iteration_cap=cap, master_seed=master_seed, **policy)
+
+
+def _stream(cfg, n):
+    return np.random.default_rng(run_seed_sequence(cfg)).random(n).tolist()
+
+
+# an empty band forces every method through a full failing run
+@example(subject=_EMPTY_BAND[0], target=_EMPTY_BAND[1], initial_kind="min", repeat=0, master_seed=42, cap=5,
+         rl=RLConfig(epsilon=0.1))
+@settings(max_examples=300, deadline=None)
+@given(**_SESSIONS, rl=st.builds(RLConfig, epsilon=st.floats(0.0, 1.0),
+                                 learning_rate=st.floats(0.0, 1.0, exclude_min=True), discount=st.floats(0.0, 1.0)))
+def test_sequential_runs_equal_the_reference(rl, **session):
+    for method in ("random", "greedy", "rl_zero", "rl_random"):
+        cfg = _session_cfg(method, **session, rl=rl)
+        assert run_session(cfg, session["subject"]) == reference_session(cfg, session["subject"])
+
+
+@example(subject=_EMPTY_BAND[0], target=_EMPTY_BAND[1], initial_kind="min", repeat=0, master_seed=42, cap=5,
+         ga=GAConfig())
+# a GA that mutates every child, from a corner at cap 0
+@example(subject=_SUBJECTS[0], target=6, initial_kind="max", repeat=0, master_seed=42, cap=0,
+         ga=GAConfig(mutation_prob=1.0))
+@settings(max_examples=300, deadline=None)
+@given(**_SESSIONS, ga=st.builds(GAConfig, population_size=st.integers(2, 12), mutation_prob=st.floats(0.0, 1.0)))
+def test_ga_runs_equal_the_reference(ga, **session):
+    cfg = _session_cfg("ga", **session, ga=ga)
+    assert run_session(cfg, session["subject"]) == reference_session(cfg, session["subject"])
+
+
+def test_random_run_follows_the_draw_protocol(small_population):
+    subject = small_population.subjects[4]
+    cfg = _cfg(method="random", subject_id=4, target=9)
+    expected = reference_session(cfg, subject)
+    assert len(expected.presented_sequence) > 5
+    assert run_session(cfg, subject) == expected
+
+
+@pytest.mark.parametrize("method, epsilon", [("rl_zero", 0.05), ("rl_zero", 0.5), ("rl_random", 0.05)])
+def test_rl_run_follows_the_draw_protocol(small_population, method, epsilon):
+    subject = small_population.subjects[5]
+    cfg = _cfg(method=method, subject_id=5, target=8, rl=RLConfig(epsilon=epsilon))
+    expected = reference_session(cfg, subject)
+    table = 486 * 12 if method == "rl_random" else 0
+    explore_tests = _stream(cfg, table + 2 * expected.iterations_used)[table::2]
+    assert len(expected.presented_sequence) > 5 and min(explore_tests) < epsilon  # some iteration explored
+    assert run_session(cfg, subject) == expected
+
+
+@pytest.mark.parametrize("mutation_prob", [0.1, 1.0])
+def test_ga_first_generation_follows_the_draw_protocol(small_population, mutation_prob):
+    population = [ALL_MIN] + neighbors(ALL_MIN)  # a corner: 7 candidates, no trimming
+    new_children, mutated = 0, False
+    for subject in small_population.subjects:
+        cfg = _cfg(method="ga", subject_id=subject.id, target=6, ga=GAConfig(mutation_prob=mutation_prob))
+        if any(is_success(stress(subject, p), cfg.target) for p in population):
+            continue
+        expected = reference_session(cfg, subject)
+        new_children += sum(p.iteration == 1 for p in expected.presented_sequence)
+        u = _stream(cfg, 16)  # per pair: parent 1, parent 2, then (test, attribute, value) per child
+        mutated |= any(u[b] < mutation_prob for b in (2, 5, 10, 13))
+        assert run_session(cfg, subject) == expected
+    assert new_children >= 5 and mutated
 
 
 def test_slot_positions_do_not_depend_on_the_cap(small_population):
