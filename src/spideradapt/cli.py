@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, fields, is_dataclass, replace
@@ -209,15 +210,25 @@ def _cmd_run(args) -> int:
                   f"{done / elapsed:.0f} runs/s, eta {elapsed * (total - done) / done:.0f}s",
                   file=sys.stderr)
 
-    # an unwritable --out fails here, before any session runs
-    with open(args.out, "w", encoding="utf-8") as out:
-        axes = (len(cfg.methods), len(population.subjects), len(cfg.initial_kinds), len(cfg.targets), cfg.repeats)
-        print(f"running {math.prod(axes)} sessions "
-              "({} methods x {} subjects x {} initials x {} targets x {} repeats)".format(*axes),
-              file=sys.stderr)
-        start = time.perf_counter()
-        records = run_grid(cfg, progress=progress)
-        out.write(results_to_csv(records))
+    # the results go to a file beside --out that replaces it once complete, so a stopped
+    # run leaves the old file as it was; an unwritable --out fails here, before any session
+    out = Path(args.out).resolve()  # a symlinked --out keeps its link and gets the new file behind it
+    if out.exists():
+        open(out, "a").close()  # writable, and not truncated
+    part = out.with_name(out.name + ".part")
+    try:
+        with open(part, "w", encoding="utf-8") as handle:
+            axes = (len(cfg.methods), len(population.subjects), len(cfg.initial_kinds), len(cfg.targets), cfg.repeats)
+            print(f"running {math.prod(axes)} sessions "
+                  "({} methods x {} subjects x {} initials x {} targets x {} repeats)".format(*axes),
+                  file=sys.stderr)
+            start = time.perf_counter()
+            records = run_grid(cfg, progress=progress)
+            handle.write(results_to_csv(records))
+        os.replace(part, out)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
     print(f"wrote {len(records)} runs to {args.out}")
     return 0
 

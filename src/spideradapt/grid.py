@@ -27,13 +27,12 @@ from itertools import chain, compress, islice, product
 from operator import attrgetter, itemgetter, lt
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
-import numpy as np
 from scipy.special import betainc
 
 from .domain import INITIAL_KINDS, N_STATES
 from .policies import GAConfig, POLICY_NAMES, RLConfig, SLOTS_PER_ITERATION
 from .reward_model import TARGETS
-from .session import RunConfig, pcg64_states, run_session
+from .session import RunConfig, run_sessions
 from .subjects import SubjectPopulation, VirtualSubject
 
 DEFAULT_TARGETS = tuple(TARGETS)
@@ -87,10 +86,14 @@ class GridConfig:
         )
 
     def validate(self) -> None:
-        """Check the grid's axes and counts, then one run configuration per method, initial state and target."""
+        """Check the axes, subject ids and counts, then one run configuration per method, initial state and target."""
         for axis in (self.methods, self.initial_kinds, self.targets):
             if not axis or len(set(axis)) != len(axis):
                 raise ValueError(f"grid axes must be non-empty without repeats, got {axis}")
+        # a run's coordinates, and so its stream and its record, hold the subject id
+        ids = Counter(s.id for s in self.population.subjects)
+        if bad := sorted(i for i, n in ids.items() if i < 0 or n > 1):
+            raise ValueError(f"subject ids must be non-negative and distinct, got {bad}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         if self.workers < 1:
@@ -156,10 +159,9 @@ def _run_unit(unit: tuple[GridConfig, VirtualSubject, int]) -> list[RunRecord]:
     """All runs of one subject at one target: the grid's work unit.
 
     The unit covers every method, initial state and repeat, so all its runs
-    read one response table. The streams of its runs are derived in one pass
-    and assigned in turn to one generator, which a run that draws nothing
-    ignores. A method that draws nothing never reads its repeat index, so it
-    runs once per initial state and that outcome is every repeat's record.
+    read one response table. A method that draws nothing never reads its
+    repeat index, so it runs once per initial state and that outcome is
+    every repeat's record.
     """
     cfg, subject, target = unit
     runs = [
@@ -167,17 +169,12 @@ def _run_unit(unit: tuple[GridConfig, VirtualSubject, int]) -> list[RunRecord]:
         for method, initial_kind in product(cfg.methods, cfg.initial_kinds)
         for repeat in (range(cfg.repeats) if SLOTS_PER_ITERATION[method] else (0,))
     ]
-    rng = np.random.default_rng(0)  # every run sets its own state first
-    records = []
-    for rc, state in zip(runs, pcg64_states(runs)):
-        rng.bit_generator.state = state
-        result = run_session(rc, subject, record_sequence=False, rng=rng)
-        records.extend(
-            RunRecord(rc.method, rc.initial_kind, target, subject.id, repeat,
-                      result.success, result.spiders_presented, result.iterations_used)
-            for repeat in ((rc.repeat_index,) if SLOTS_PER_ITERATION[rc.method] else range(cfg.repeats))
-        )
-    return records
+    return [
+        RunRecord(rc.method, rc.initial_kind, target, subject.id, repeat,
+                  result.success, result.spiders_presented, result.iterations_used)
+        for rc, result in zip(runs, run_sessions(runs, subject))
+        for repeat in ((rc.repeat_index,) if SLOTS_PER_ITERATION[rc.method] else range(cfg.repeats))
+    ]
 
 
 def run_grid(

@@ -11,18 +11,17 @@ offspring. Sequential batches stop at the first success; a GA batch is
 presented whole and checked for success at its end. The GA has its own
 iteration loop; random, greedy and RL share the other.
 
-Every run owns an rng stream derived from the full run coordinates, and
-an RL run builds its own fresh Q-table, so a run depends on nothing but its
-coordinates and results are bit-reproducible regardless of scheduling.
+Every run owns an rng stream, ``run_seed_sequence`` of its full coordinates,
+and an RL run builds its own fresh Q-table, so a run depends on nothing but
+its coordinates and results are bit-reproducible regardless of scheduling.
 The session draws every uniform and the policies draw none. The stream is
 read by a fixed draw protocol: an ``rl_random`` table takes the first
 5,832 uniforms, row-major over (state, action), and after that iteration
 ``i >= 1`` owns the next ``k`` uniforms, ``[k(i-1), k*i)``, with
 ``k = SLOTS_PER_ITERATION[method]``, whether the policy reads them or not.
 Greedy's ``k`` is 0: ``_slots`` then yields empty tuples without touching
-the generator, so greedy draws nothing and opens no stream.
-``run_seed_sequence`` defines each stream; ``pcg64_states`` derives the same
-streams for many runs in one pass.
+the generator, so greedy draws nothing and opens no stream. ``run_session``
+seeds one run; ``run_sessions`` seeds many in one ``pcg64_states`` pass.
 """
 
 from __future__ import annotations
@@ -135,6 +134,8 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 def _uint32_words(n: int) -> list[int]:
     """The little-endian 32-bit words SeedSequence splits an entropy integer into."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
     words = [n & _MASK32]
     while n := n >> 32:
         words.append(n & _MASK32)
@@ -233,23 +234,33 @@ def _response_tables(
     return stresses, rewards, successes
 
 
-def run_session(
-    cfg: RunConfig,
-    subject: VirtualSubject,
-    record_sequence: bool = True,
-    rng: np.random.Generator | None = None,
-) -> RunResult:
+def run_session(cfg: RunConfig, subject: VirtualSubject, record_sequence: bool = True) -> RunResult:
     """Execute one adaptation run and report what the subject was shown.
 
     Setting ``record_sequence`` to False skips building the presentation
     trace, which large grids use to save memory; the counts are unaffected.
-    ``rng``, when given, must sit at the start of the run's own stream, as
-    ``np.random.default_rng(run_seed_sequence(cfg))`` does, or a generator
-    given a state from ``pcg64_states``; without it the run seeds itself.
-    A run that draws nothing ignores it, so the grid passes its generator
-    to every run.
     """
     cfg.validate()
+    rng = np.random.default_rng(run_seed_sequence(cfg)) if SLOTS_PER_ITERATION[cfg.method] else None
+    return _run(cfg, subject, record_sequence, rng)
+
+
+def run_sessions(cfgs: Sequence[RunConfig], subject: VirtualSubject) -> Iterator[RunResult]:
+    """``run_session(cfg, subject, False)`` for each config, all validated before the first run.
+
+    One ``pcg64_states`` pass derives the streams, and each is assigned in
+    turn to one reused generator, which a run that draws nothing ignores.
+    """
+    for cfg in cfgs:
+        cfg.validate()
+    rng = np.random.default_rng(0)  # every run sets its own state first
+    for cfg, state in zip(cfgs, pcg64_states(cfgs)):
+        rng.bit_generator.state = state
+        yield _run(cfg, subject, False, rng)
+
+
+def _run(cfg: RunConfig, subject: VirtualSubject, record_sequence: bool, rng: np.random.Generator | None) -> RunResult:
+    """The session engine; ``rng`` sits at the start of the run's own stream, or is None if it draws nothing."""
     if subject.id != cfg.subject_id:
         raise ValueError(f"subject id {subject.id} does not match config subject_id {cfg.subject_id}")
     space = state_space()
@@ -257,8 +268,6 @@ def run_session(
     stresses, rewards, successes = _response_tables(subject, cfg.target, cfg.rounded_reward)
     method = cfg.method
     k = SLOTS_PER_ITERATION[method]
-    if k and rng is None:
-        rng = np.random.default_rng(run_seed_sequence(cfg))
     presented = bytearray(space.n_states)
     sequence: list[PresentedSpider] = []
 

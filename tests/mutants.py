@@ -59,19 +59,25 @@ MUTANTS = (
     Mutant("inline-shows-at-the-previous-iteration", _SESSION,
            "PresentedSpider(states[t], stresses[t], rewards[t], it)",
            "PresentedSpider(states[t], stresses[t], rewards[t], it - 1)", (_SEQUENTIAL,)),
+    Mutant("rl-reads-the-default-epsilon", _SESSION, "epsilon = cfg.rl.epsilon", "epsilon = 0.05",
+           (_SEQUENTIAL, _SMALL_GRID)),
     # the GA's generations
     Mutant("ga-failed-run-ends-on-its-last-member", _SESSION, "max(population, key=rewards.__getitem__))",
            "population[-1])", (_GA,)),
     Mutant("ga-selects-from-offspring-first", _SESSION, "ga_select(population + offspring,",
            "ga_select(offspring + population,", (_GA, _SMALL_GRID)),
+    Mutant("ga-select-ties-toward-later-positions", "src/spideradapt/policies.py",
+           "sorted(range(len(pool)),", "sorted(reversed(range(len(pool))),",
+           ("tests/test_policies.py::test_ga_select_rules", _GA)),
     Mutant("ga-parents-swap-their-slots", "src/spideradapt/policies.py", "picks = (u[0], u[1], u[8], u[9])",
            "picks = (u[1], u[0], u[8], u[9])", (_GA, _SMALL_GRID)),
     # one-pass seeding of a grid unit
     Mutant("seed-hash-multiplier-off-by-two", _SESSION, "_MULT_B = 0x8B51F9DD, 0x58F38DED",
            "_MULT_B = 0x8B51F9DD, 0x58F38DEF",
            ("tests/test_session.py::test_pcg64_states_match_the_seed_sequence", *_GRID_RECORDS)),
-    Mutant("unit-states-in-reverse", _GRID, "zip(runs, pcg64_states(runs))",
-           "zip(runs, reversed(pcg64_states(runs)))", _GRID_RECORDS),
+    Mutant("unit-states-in-reverse", _SESSION, "zip(cfgs, pcg64_states(cfgs))",
+           "zip(cfgs, reversed(pcg64_states(cfgs)))",
+           ("tests/test_session.py::test_run_sessions_equal_one_run_session_each", *_GRID_RECORDS)),
     # README's slot table
     Mutant("readme-random-takes-two-slots", "README.md", "| `random` | 1 |", "| `random` | 2 |",
            ("tests/test_cli.py::test_readme_pins_the_slot_table_and_the_results_header",)),

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spideradapt
+import spideradapt.cli
 from spideradapt.cli import _summaries, main
 from spideradapt.domain import INITIAL_KINDS, MAX_VALUES
 from spideradapt.grid import (
@@ -129,12 +130,28 @@ def test_run_missing_subjects_is_data_error(tmp_path, capsys):
 
 
 def test_run_checks_out_before_any_session(tmp_path, subjects_file, capsys):
-    out = tmp_path / "missing" / "r.csv"
-    code = main(["run", "--subjects", str(subjects_file), "--out", str(out), "--seed", "1"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "progress:" not in err
+    # a missing directory, and a directory where the file belongs
+    for out in (tmp_path / "missing" / "r.csv", tmp_path):
+        code = main(["run", "--subjects", str(subjects_file), "--out", str(out), "--seed", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "progress:" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["subjects.json"]
+
+
+def test_a_stopped_run_keeps_the_old_results(tmp_path, subjects_file, monkeypatch):
+    results = _run_results(tmp_path, subjects_file)
+    old = results.read_bytes()
+
+    def interrupted(cfg, progress=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(spideradapt.cli, "run_grid", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _run_results(tmp_path, subjects_file)
+    assert results.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv", "subjects.json"]
 
 
 def test_run_reproducible_bytes(tmp_path, subjects_file):
@@ -285,6 +302,10 @@ def test_summarize_markdown_and_csv(tmp_path, subjects_file, capsys):
     out = tmp_path / "summary.md"
     assert main(["summarize", "--results", str(results), "--out", str(out)]) == 0
     assert out.read_text().startswith("| Initial |")
+    # a standard output of text alone, with no .buffer for the bytes, gets the file's text
+    with contextlib.redirect_stdout(io.StringIO()) as text_only:
+        assert main(["summarize", "--results", str(results)]) == 0
+    assert text_only.getvalue() == out.read_text(encoding="utf-8")
     with pytest.raises(SystemExit) as err:  # the summary always pools; the flag is gone
         main(["summarize", "--results", str(results), "--aggregation", "pooled"])
     assert err.value.code == 1

@@ -1,3 +1,4 @@
+import ast
 import codecs
 import csv
 import dataclasses
@@ -7,8 +8,10 @@ import io
 import itertools
 import math
 import operator
+import pathlib
 import pickle
 import random
+import re
 import statistics
 import sys
 import tracemalloc
@@ -47,7 +50,7 @@ from spideradapt.grid import (
     summary_to_markdown,
 )
 from spideradapt.policies import POLICY_NAMES
-from spideradapt.session import INITIAL_KINDS, run_session
+from spideradapt.session import INITIAL_KINDS, run_session, run_sessions
 from spideradapt.subjects import SubjectPopulation
 
 # Frozen oracle for differences (1, 2, 3, 4, 5), computed independently.
@@ -119,6 +122,15 @@ def test_run_grid_validation(small_population):
         cfg = GridConfig(population=small_population, master_seed=1, **overrides)
         with pytest.raises(ValueError):
             run_grid(cfg, progress=lambda done, total: seen.append(done))
+    # a negative id has no stream, and a repeated one gives two runs the same coordinates
+    first = small_population.subjects[0]
+    for ids, bad_ids in (((0, -1), [-1]), ((0, 1, 1), [1])):
+        subjects = tuple(dataclasses.replace(first, id=i) for i in ids)
+        cfg = GridConfig(population=SubjectPopulation(small_population.seed, subjects), master_seed=1,
+                         methods=("random",), initial_kinds=("min",), targets=(1,), repeats=1)
+        message = f"subject ids must be non-negative and distinct, got {bad_ids}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_grid(cfg, progress=lambda done, total: seen.append(done))
     assert seen == []
 
 
@@ -152,11 +164,11 @@ def test_run_grid_runs_greedy_once_per_initial_state(small_population, monkeypat
     # it once per (subject, target, initial state) and copies the outcome
     calls = []
 
-    def counting(cfg, subject, record_sequence=True, rng=None):
-        calls.append(cfg.method)
-        return run_session(cfg, subject, record_sequence, rng)
+    def counting(cfgs, subject):
+        calls.extend(cfg.method for cfg in cfgs)
+        return run_sessions(cfgs, subject)
 
-    monkeypatch.setattr(spideradapt.grid, "run_session", counting)
+    monkeypatch.setattr(spideradapt.grid, "run_sessions", counting)
     two = SubjectPopulation(small_population.seed, small_population.subjects[:2])
     # a master seed above 2**32 takes the multi-word seeding path
     cfg = GridConfig(population=two, master_seed=2**40 + 5, targets=(2, 6),
@@ -171,6 +183,24 @@ def test_run_grid_runs_greedy_once_per_initial_state(small_population, monkeypat
                              two.subjects[r.subject_id], record_sequence=False)
         assert (r.success, r.spiders_presented, r.iterations_used) == (
             result.success, result.spiders_presented, result.iterations_used)
+
+
+def test_grid_leaves_every_runs_stream_to_the_session_module():
+    # session derives and assigns the streams; grid only hands it a unit's configs
+    tree = ast.parse(pathlib.Path(spideradapt.grid.__file__).read_text(encoding="utf-8"))
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not [m for m in modules if m.split(".")[0] == "numpy"]
+    assert not names & {"pcg64_states", "default_rng", "bit_generator"}
 
 
 def test_run_grid_asks_for_no_more_workers_than_units(small_population, monkeypatch):
@@ -934,6 +964,18 @@ def test_summary_emission_formats():
 
     cmp_csv = comparisons_to_csv(comparisons)
     assert "rl_zero" in cmp_csv and "best_method" in cmp_csv.splitlines()[0]
+
+
+def test_summary_markdown_shows_n_a_where_a_cell_has_no_success_or_no_runs():
+    # in min/high random fails every run, and greedy has no run at all
+    records = [_rec("random", 3 + i % 2, i) for i in range(4)] + [_rec("greedy", 5, i) for i in range(4)]
+    records += [_rec("random", 9, i, target=7, success=False) for i in range(4)]
+    summaries = summarize(records)
+    md = summary_to_markdown(summaries, mark_significance(records, summaries))
+    assert md.splitlines()[4:6] == [
+        "| Min | High | Spiders Presented | n/a | n/a |",
+        "| | | Accuracy | 0.00 | n/a |",
+    ]
 
 
 def test_summary_markdown_marks_excluded_cells():

@@ -63,6 +63,8 @@ def test_config_validation():
         RLConfig(epsilon=1.5).validate()
     with pytest.raises(ValueError):
         RLConfig(learning_rate=0.0).validate()
+    with pytest.raises(ValueError, match=r"^discount must be in \[0, 1\], got 1\.5$"):
+        RLConfig(discount=1.5).validate()
     with pytest.raises(ValueError):
         GAConfig(population_size=1).validate()
     with pytest.raises(ValueError):

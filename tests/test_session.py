@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spideradapt.domain import state_space
-from spideradapt.policies import GAConfig, RLConfig
+from spideradapt.policies import GAConfig, POLICY_NAMES, RLConfig
 from spideradapt.reward_model import RewardSpec, is_success
-from spideradapt.session import INITIAL_KINDS, INITIAL_STATES, RunConfig, pcg64_states, run_seed_sequence, run_session
+from spideradapt.session import (
+    INITIAL_KINDS, INITIAL_STATES, RunConfig, pcg64_states, run_seed_sequence, run_session, run_sessions,
+)
 from spideradapt.subjects import (
     VirtualSubject,
     bfs_distance,
@@ -117,6 +119,28 @@ def test_pcg64_states_reject_rows_of_different_word_counts():
     assert pcg64_states([]) == []
     with pytest.raises(ValueError, match="32-bit words"):
         pcg64_states([_cfg(repeat_index=0), _cfg(repeat_index=2**32)])
+
+
+@pytest.mark.parametrize("field", ["master_seed", "subject_id", "target", "repeat_index"])
+@pytest.mark.parametrize("value", [-1, -(2**40)])
+def test_pcg64_states_refuse_a_negative_coordinate_as_the_seed_sequence_does(field, value):
+    cfg = _cfg(**{field: value})
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        run_seed_sequence(cfg)
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        pcg64_states([_cfg(), cfg])
+
+
+def test_run_sessions_equal_one_run_session_each(small_population):
+    # one seeding pass over mixed methods, initial states, targets and repeats,
+    # at a master seed past 2**32 so that it splits into two words
+    subject = small_population.subjects[3]
+    cfgs = [_cfg(method=m, subject_id=3, target=t, initial_kind=i, repeat_index=r, master_seed=2**40 + 7,
+                 iteration_cap=60) for m in POLICY_NAMES for t in (2, 8) for i in ("min", "max") for r in (0, 5)]
+    assert list(run_sessions(cfgs, subject)) == [run_session(c, subject, False) for c in cfgs]
+    # every config is checked before the first run
+    with pytest.raises(ValueError, match="target"):
+        next(run_sessions([cfgs[0], replace(cfgs[1], target=0)], subject))
 
 
 def test_presented_states_are_unique(small_population):

@@ -152,6 +152,8 @@ def test_success_states_with_edge_bands_cover_everything(example_subject):
 def test_bfs_distance_cases(example_subject):
     assert bfs_distance(example_subject, (1, 0, 0, 0, 0, 0), 1) == 0
     assert bfs_distance(example_subject, ALL_MIN, 1) == 1
+    with pytest.raises(ValueError, match=r"^invalid spider state: \(9, 0, 0, 0, 0, 0\)$"):
+        bfs_distance(example_subject, (9, 0, 0, 0, 0, 0), 1)
 
 
 def test_bfs_distance_none_when_unreachable():
@@ -241,6 +243,10 @@ def test_load_population_rejects_garbage(tmp_path):
         path.write_text(json.dumps(payload))
         with pytest.raises(SubjectFileError):
             load_population(path)
+    # ids are the positions, so a gap is refused where it occurs
+    path.write_text(json.dumps({"seed": 1, "subjects": [good, {**good, "id": 2}]}))
+    with pytest.raises(SubjectFileError, match=r": subject ids must be 0\.\.n-1, found 2 at position 1$"):
+        load_population(path)
     # a list where an object belongs is named as such, not indexed by a key
     for payload, name in (([], "top level"), ({"seed": 1, "subjects": [[1, 2]]}, "subject")):
         path.write_text(json.dumps(payload))
