@@ -86,10 +86,12 @@ class GridConfig:
         )
 
     def validate(self) -> None:
-        """Check the axes, subject ids and counts, then one run configuration per method, initial state and target."""
+        """Check the axes, subjects and counts, then one run configuration per method, initial state and target."""
         for axis in (self.methods, self.initial_kinds, self.targets):
             if not axis or len(set(axis)) != len(axis):
                 raise ValueError(f"grid axes must be non-empty without repeats, got {axis}")
+        if not self.population.subjects:
+            raise ValueError("grid population must be non-empty, got no subjects")
         # a run's coordinates, and so its stream and its record, hold the subject id
         ids = Counter(s.id for s in self.population.subjects)
         if bad := sorted(i for i, n in ids.items() if i < 0 or n > 1):
@@ -102,7 +104,7 @@ class GridConfig:
             self.run_config(method, initial_kind, target, 0, 0).validate()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRecord:
     """One grid run's coordinates and outcome."""
 
@@ -115,8 +117,13 @@ class RunRecord:
     spiders_presented: int
     iterations_used: int
 
+    def __reduce__(self):
+        # through the constructor: no field names, and none of the slots' state methods
+        return RunRecord, _record_values(self)
+
 
 RESULT_COLUMNS = tuple(f.name for f in fields(RunRecord))
+_record_values = attrgetter(*RESULT_COLUMNS)
 
 
 @dataclass
@@ -216,7 +223,7 @@ def run_grid(
 
 def summarize(records: Sequence[RunRecord]) -> list[CellSummary]:
     """``summarize_columns`` over the records' fields, ``_BLOCK_ROWS`` records at a time."""
-    rows = map(attrgetter(*RESULT_COLUMNS), records)
+    rows = map(_record_values, records)
     return summarize_columns(zip(*block) for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []))
 
 

@@ -41,6 +41,7 @@ _SMALL_GRID = "tests/test_acceptance.py::test_golden_digest_of_a_small_grid_off_
 _GRID_RECORDS = ("tests/test_grid.py::test_run_grid_runs_greedy_once_per_initial_state",)
 _PARSE = "tests/test_grid.py::test_block_parse_agrees_with_the_row_by_row_rules[{}]"
 _STDEV = ("tests/test_grid.py::test_exact_stdev_is_statistics_stdev_bit_for_bit",)
+_RECORD_PICKLE = "tests/test_grid.py::test_record_has_slots_and_pickles_as_its_values"
 _LINES = "tests/test_grid.py::test_line_source_yields_the_lines_of_one_stringio"
 _ORDER = "tests/test_grid.py::test_a_file_out_of_canonical_order_parses_as_the_reference[1-{}]"
 _SESSION, _GRID, _CLI = "src/spideradapt/session.py", "src/spideradapt/grid.py", "src/spideradapt/cli.py"
@@ -119,6 +120,15 @@ MUTANTS = (
     Mutant("warning-axes-from-the-last-block", _CLI, "            values.update(column)",
            "            values.clear()\n            values.update(column)",
            ("tests/test_cli.py::test_incomplete_grid_warning_counts_runs_across_blocks",)),
+    # records pickle as their values through the constructor
+    Mutant("record-pickles-its-state", _GRID,
+           "    def __reduce__(self):\n"
+           "        # through the constructor: no field names, and none of the slots' state methods\n"
+           "        return RunRecord, _record_values(self)\n",
+           "", (_RECORD_PICKLE,)),
+    Mutant("record-pickles-fields-rotated", _GRID, "return RunRecord, _record_values(self)",
+           "return RunRecord, _record_values(self)[1:] + _record_values(self)[:1]",
+           (_RECORD_PICKLE, "tests/test_grid.py::test_run_grid_units_do_not_carry_the_population")),
     # the exact stdev
     Mutant("stdev-divides-by-n-squared", _GRID, "n * (n - 1)", "n * n", _STDEV),
     Mutant("stdev-drops-the-odd-bit", _GRID, "root | (root * root * den != num)", "root", _STDEV),

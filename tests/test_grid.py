@@ -1,5 +1,6 @@
 import ast
 import codecs
+import copy
 import csv
 import dataclasses
 import functools
@@ -131,6 +132,11 @@ def test_run_grid_validation(small_population):
         message = f"subject ids must be non-negative and distinct, got {bad_ids}"
         with pytest.raises(ValueError, match=re.escape(message)):
             run_grid(cfg, progress=lambda done, total: seen.append(done))
+    # no subjects means no runs, and so no pool to size, at every worker count
+    for workers in (1, 2):
+        cfg = GridConfig(population=SubjectPopulation(small_population.seed, ()), master_seed=1, workers=workers)
+        with pytest.raises(ValueError, match="grid population must be non-empty, got no subjects"):
+            run_grid(cfg, progress=lambda done, total: seen.append(done))
     assert seen == []
 
 
@@ -249,7 +255,8 @@ def test_run_grid_units_do_not_carry_the_population(small_population, monkeypatc
         def map(self, fn, items):
             units = [pickle.loads(pickle.dumps(unit)) for unit in items]
             sizes.append(max(len(pickle.dumps(unit)) for unit in units))
-            return map(fn, units)
+            # and each unit's records are pickled back, as a worker's are
+            return (pickle.loads(pickle.dumps(fn(unit))) for unit in units)
 
     monkeypatch.setattr(spideradapt.grid, "ProcessPoolExecutor", PicklingPool)
     for n in (1, 10):
@@ -258,6 +265,20 @@ def test_run_grid_units_do_not_carry_the_population(small_population, monkeypatc
                          initial_kinds=("min",), targets=(1,), repeats=1)
         assert run_grid(dataclasses.replace(cfg, workers=2)) == run_grid(cfg)
     assert sizes[0] == sizes[1]
+
+
+def test_record_has_slots_and_pickles_as_its_values():
+    r = _rec("rl_zero", 7, 3, target=9, success=False, initial="max", repeat=4)
+    values = tuple(getattr(r, name) for name in RESULT_COLUMNS)
+    assert not hasattr(r, "__dict__")
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        # through the constructor, not the slots' generated state methods
+        assert r.__reduce_ex__(protocol) == (RunRecord, values)
+        back = pickle.loads(pickle.dumps(r, protocol))
+        assert type(back) is RunRecord and back == r and hash(back) == hash(r)
+    assert dataclasses.replace(r, repeat=5) == RunRecord(*values[:4], 5, *values[5:])
+    assert copy.copy(r) == r
+    assert not any(name.encode() in pickle.dumps(r) for name in RESULT_COLUMNS)
 
 
 def test_summarize_basic_arithmetic():
