@@ -210,12 +210,14 @@ def _cmd_run(args) -> int:
                   f"{done / elapsed:.0f} runs/s, eta {elapsed * (total - done) / done:.0f}s",
                   file=sys.stderr)
 
-    # the results go to a file beside --out that replaces it once complete, so a stopped
-    # run leaves the old file as it was; an unwritable --out fails here, before any session
+    # the results go to a file beside --out that replaces it once complete, so a stopped run leaves
+    # the old file as it was; an unwritable --out fails here, before any session. What exists and is
+    # not a regular file, such as a FIFO, is written in place instead, since a rename would replace it
+    regular = os.path.isfile(args.out) or not os.path.exists(args.out)  # both follow a symlink
     out = Path(args.out).resolve()  # a symlinked --out keeps its link and gets the new file behind it
-    if out.exists():
+    if regular and out.exists():
         open(out, "a").close()  # writable, and not truncated
-    part = out.with_name(out.name + ".part")
+    part = out.with_name(out.name + ".part") if regular else Path(args.out)
     try:
         with open(part, "w", encoding="utf-8") as handle:
             axes = (len(cfg.methods), len(population.subjects), len(cfg.initial_kinds), len(cfg.targets), cfg.repeats)
@@ -225,9 +227,11 @@ def _cmd_run(args) -> int:
             start = time.perf_counter()
             records = run_grid(cfg, progress=progress)
             handle.write(results_to_csv(records))
-        os.replace(part, out)
+        if regular:
+            os.replace(part, out)
     except BaseException:
-        part.unlink(missing_ok=True)
+        if regular:
+            part.unlink(missing_ok=True)
         raise
     print(f"wrote {len(records)} runs to {args.out}")
     return 0

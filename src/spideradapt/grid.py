@@ -399,35 +399,35 @@ _NUMERALS = {str(i): i for i in range(N_STATES + 1)}
 def results_from_csv(text: str) -> list[RunRecord]:
     """Parse a results CSV, rejecting any row the report could not label.
 
-    Every row must have a field for each column, name a known method and
-    initial state, and hold a target in 1..9, non-negative numbers, between
-    1 and ``N_STATES`` spiders presented, ``success`` of true or false and
-    coordinates that no other row repeats. An error names the line of the
-    first row that breaks a rule. The records are built a block at a time.
-    """
-    return list(chain.from_iterable(map(RunRecord, *block) for block in column_blocks(text)))
-
-
-def column_blocks(text: str) -> Iterator[tuple[list, ...]]:
-    """The columns of each block of a results CSV's rows, in ``RESULT_COLUMNS`` order.
-
-    The rows are checked as ``results_from_csv`` checks them, but no record
-    is built and no column spans the file. The text is read as a file of
-    its UTF-8 bytes is, so a lone surrogate is refused at its line as an
-    undecodable byte is.
+    Every row must be well-formed CSV, have a field for each column, name a
+    known method and initial state, and hold a target in 1..9, non-negative
+    numbers, between 1 and ``N_STATES`` spiders presented, ``success`` of
+    true or false and coordinates that no other row repeats. An error names
+    the line of the first row that breaks a rule. The text is read as a file
+    of its UTF-8 bytes is, so a lone surrogate is refused at its line as an
+    undecodable byte is. The cyclic garbage collector is paused while the
+    records are built, a block at a time, and then set back as it was.
     """
     data = text.encode(errors="surrogatepass")
-    return _parse(lambda: io.BytesIO(data), _BLOCK_ROWS)
+    collecting = gc.isenabled()
+    gc.disable()  # records hold only str, int and bool: building them makes no cycles for a collection to free
+    try:
+        blocks = _parse(lambda: io.BytesIO(data), _BLOCK_ROWS)
+        return list(chain.from_iterable(map(RunRecord, *block) for block in blocks))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def file_column_blocks(path: str | os.PathLike) -> Iterator[tuple[list, ...]]:
-    """``column_blocks`` of the text whose UTF-8 bytes the file holds, read from the file.
+    """The columns of each block of the results file's rows, in ``RESULT_COLUMNS`` order.
 
-    The file is read a window at a time and its text is never held whole. A
-    byte that is not UTF-8 is refused at its line, like a row that breaks a
-    rule; a missing or unreadable file raises its ``OSError``. A rejected
-    file, or one out of ``run``'s order, is read again, so the bytes of what
-    is not a regular file, such as a pipe, are read whole first.
+    The rows are checked as ``results_from_csv`` checks them, but no record
+    is built, no column spans the file, and the file is read a window at a
+    time. A byte that is not UTF-8 is refused at its line, like a row that
+    breaks a rule; a missing or unreadable file raises its ``OSError``. A
+    rejected file, or one out of ``run``'s order, is read again, so the bytes
+    of what is not a regular file, such as a pipe, are read whole first.
     """
     if stat.S_ISREG(os.stat(path).st_mode):
         return _parse(lambda: open(path, "rb"), _BLOCK_ROWS)
@@ -488,14 +488,10 @@ def _parse(open_file: Callable[[], BinaryIO], block_rows: int) -> Iterator[tuple
     read again one row per block. While each run's ``_record_key`` exceeds
     the one before, as in a file ``run`` wrote, no run can repeat and none
     is kept; from the first block out of that order, the runs before it are
-    read again into a set that finds repeats. The cyclic
-    garbage collector is paused until the last block is taken, and then set
-    back as the caller left it.
+    read again into a set that finds repeats.
     """
-    collecting = gc.isenabled()
-    gc.disable()  # blocks and records hold only str, int and bool: the read makes no cycles for a collection to free
     lines = _file_lines(open_file)  # a generator: a file is opened at its first line, inside the try
-    reader = csv.reader(lines)
+    reader = csv.reader(lines, strict=True)  # a quote that never closes, or text after a closing one, is an error
     last: tuple = ()  # the greatest key so far while the keys increase
     seen: set[tuple] | None = None  # the runs so far, once the keys have stopped increasing
     blocks = 0
@@ -551,8 +547,6 @@ def _parse(open_file: Callable[[], BinaryIO], block_rows: int) -> Iterator[tuple
         raise ResultsFileError(f"malformed results CSV at line {line}: {exc}") from exc
     finally:
         lines.close()
-        if collecting:
-            gc.enable()
     if not blocks:
         raise ResultsFileError("results CSV contains no runs")
 

@@ -112,6 +112,20 @@ MUTANTS = (
            "all(map(lambda a, b: a <= b, chain((last,), keys), keys))", (_ORDER.format("last-row-repeated"),)),
     Mutant("prefix-rebuild-one-block-short", _GRID, "islice(_parse(open_file, block_rows), blocks)",
            "islice(_parse(open_file, block_rows), max(blocks - 1, 0))", (_ORDER.format("last-row-repeated"),)),
+    # the collector, paused only while results_from_csv builds its records
+    Mutant("reader-pauses-the-collector-across-its-blocks", _GRID,
+           "    lines = _file_lines(open_file)  # a generator",
+           "    gc.disable()\n    lines = _file_lines(open_file)  # a generator",
+           ("tests/test_grid.py::test_a_held_block_reader_leaves_the_collector_as_the_caller_set_it",)),
+    Mutant("results-from-csv-leaves-the-collector-off", _GRID, "            gc.enable()", "            pass",
+           (_PARSE.format("None"),)),
+    # the csv module's strict quoting
+    Mutant("reader-reads-quotes-loosely", _GRID, "csv.reader(lines, strict=True)", "csv.reader(lines)",
+           ("tests/test_grid.py::test_results_from_csv_rejects_bad_input", _PARSE.format("bad quote"))),
+    # run --out on what is not a regular file
+    Mutant("run-renames-over-a-fifo", _CLI, "regular = os.path.isfile(args.out) or not os.path.exists(args.out)",
+           "regular = True",
+           ("tests/test_cli.py::test_run_writes_into_a_fifo_in_place",)),
     # block-wise aggregation
     Mutant("aggregation-keeps-the-last-blocks-successes-only", _GRID,
            "in blocks:\n        cells = ",

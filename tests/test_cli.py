@@ -7,8 +7,10 @@ import itertools
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -152,6 +154,47 @@ def test_a_stopped_run_keeps_the_old_results(tmp_path, subjects_file, monkeypatc
         _run_results(tmp_path, subjects_file)
     assert results.read_bytes() == old
     assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv", "subjects.json"]
+
+
+def _read_in_background(open_reader):
+    """A started daemon thread that reads the stream ``open_reader()`` opens to its end, and the list it appends to."""
+    received = []
+
+    def read():
+        with open_reader() as reader:
+            received.append(reader.read())
+
+    thread = threading.Thread(target=read, daemon=True)  # a run that never opens the stream leaves it waiting
+    thread.start()
+    return thread, received
+
+
+def test_run_writes_into_a_fifo_in_place(tmp_path, subjects_file):
+    expected = _run_results(tmp_path, subjects_file).read_bytes()
+    (tmp_path / "fifo").mkdir()
+    fifo = tmp_path / "fifo" / "results.csv"
+    os.mkfifo(fifo)
+    thread, received = _read_in_background(lambda: open(fifo, "rb"))
+    _run_results(tmp_path / "fifo", subjects_file)
+    thread.join(timeout=60)
+    assert received == [expected]
+    # nothing was renamed over the FIFO, and no part file was left beside it
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path / "fifo") == ["results.csv"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs a path for each open file descriptor")
+def test_run_writes_into_a_pipe_by_its_descriptor_path(tmp_path, subjects_file):
+    # as `run --out /dev/stdout` does when standard output is a pipe; the path resolves to no file
+    expected = _run_results(tmp_path, subjects_file).read_bytes()
+    read_end, write_end = os.pipe()
+    thread, received = _read_in_background(lambda: os.fdopen(read_end, "rb"))
+    try:
+        _run_results(tmp_path, subjects_file, ("--out", f"/proc/self/fd/{write_end}"))  # the last --out counts
+    finally:
+        os.close(write_end)
+    thread.join(timeout=60)
+    assert received == [expected]
 
 
 def test_run_reproducible_bytes(tmp_path, subjects_file):
@@ -414,6 +457,22 @@ def test_summarize_missing_columns_is_data_error(tmp_path):
     assert main(["summarize", "--results", str(bad)]) == 2
 
 
+def test_malformed_quoting_is_a_data_error(tmp_path, capsys):
+    header = ",".join(RESULT_COLUMNS) + ",note\n"
+    results = tmp_path / "results.csv"
+    for rows, error in (
+        # an unclosed quote in the extra column would swallow both later rows: one run, and 100% accuracy
+        ('random,min,1,0,0,true,3,1,"oops\nrandom,min,1,1,0,true,3,1,\nrandom,min,1,2,0,false,4,2,\n',
+         "at line 4: unexpected end of data"),
+        # text after a closing quote would be joined to the field: subject 3
+        ('random,min,1,0,0,true,3,1,\nrandom,min,1,"0"3,0,true,3,1,\n', "at line 3: ',' expected after '\"'"),
+    ):
+        results.write_text(header + rows)
+        for command in ("summarize", "compare"):
+            assert main([command, "--results", str(results)]) == 2
+            assert capsys.readouterr().err == f"error: malformed results CSV {error}\n"
+
+
 @pytest.mark.parametrize("collecting", [True, False])
 def test_a_missing_results_file_is_a_data_error(tmp_path, capsys, collecting):
     missing = tmp_path / "missing.csv"
@@ -423,7 +482,7 @@ def test_a_missing_results_file_is_a_data_error(tmp_path, capsys, collecting):
         for command in ("summarize", "compare"):
             assert main([command, "--results", str(missing)]) == 2
             assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
-            assert gc.isenabled() is collecting  # the parse's pause of the collector ends with the failed open
+            assert gc.isenabled() is collecting  # the failed read leaves the collector as the caller set it
     finally:
         gc.enable()
 

@@ -37,7 +37,6 @@ from spideradapt.grid import (
     _stdev,
     _student_t_sf,
     category_of,
-    column_blocks,
     comparisons_to_csv,
     file_column_blocks,
     mark_significance,
@@ -624,6 +623,15 @@ def test_results_from_csv_rejects_bad_input():
             results_from_csv(text)
     with pytest.raises(ResultsFileError, match="^results CSV contains no runs$"):
         _reference_results_from_csv("")
+    # a quote that never closes is refused at the last line, and text after a closing quote at its own
+    note = header.rstrip("\n") + ",note\n"
+    unclosed = note + 'random,min,1,0,0,true,3,1,"oops\nrandom,min,1,1,0,true,3,1,\nrandom,min,1,2,0,false,4,2,\n'
+    after = header + good + 'random,min,1,"0"3,0,true,3,1\n'
+    for text, error in ((unclosed, "at line 4: unexpected end of data$"),
+                        (after, "at line 3: ',' expected after '\"'$")):
+        for parse in (results_from_csv, _reference_results_from_csv):
+            with pytest.raises(ResultsFileError, match=error):
+                parse(text)
     for rows in (
         "random,min\n",  # short row
         "random,min,1,0,0,true,3," + "1" * 200_000 + "\n",  # field over the csv module's limit
@@ -666,7 +674,7 @@ def test_results_from_csv_rejects_bad_input():
 
 def _reference_results_from_csv(text):
     """The reference for the results rules and their order: each row is checked against each rule in turn."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text), strict=True)
     records = []
     seen = set()
     try:
@@ -707,8 +715,8 @@ def _reference_results_from_csv(text):
     return records
 
 
-# cells that each break one rule, by rule; the other rules, a repeated run,
-# a short row and a field the csv module refuses, are made by _results_csv itself
+# cells that each break one rule, by rule; the other rules, a repeated run, a short
+# row and fields the csv module refuses, too long or badly quoted, are made by _results_csv itself
 _BAD_CELLS = {
     "bad int": [("target", "x"), ("target", "1.5"), ("subject_id", ""), ("repeat", "1e3"),
                 ("spiders_presented", "x"), ("iterations_used", "2.0")],
@@ -718,7 +726,7 @@ _BAD_CELLS = {
     "negative": [("subject_id", "-1"), ("repeat", "-2"), ("spiders_presented", "-3"), ("iterations_used", "-1")],
     "bad success": [("success", "maybe"), ("success", "True"), ("success", "")],
 }
-_FAULTS = (*_BAD_CELLS, "duplicate", "short row", "csv error")
+_FAULTS = (*_BAD_CELLS, "duplicate", "short row", "csv error", "bad quote")
 
 
 @st.composite
@@ -726,7 +734,8 @@ def _results_csv(draw, fault):
     """A results CSV with shuffled rows and columns, blank lines, quoted fields and either line ending.
 
     Some files have an extra column, sometimes spanning two lines in quotes,
-    and some write integers zero-padded or with a plus sign.
+    and some write integers zero-padded or with a plus sign. A badly quoted
+    field is written as it is, never in quotes of its own.
     Given a ``fault``, the file breaks that rule, and one or two more faults
     of any kind follow; a bad cell may come with a second of its kind, so
     that a method and an initial kind can both be unknown. Three faults in
@@ -765,13 +774,16 @@ def _results_csv(draw, fault):
             lengths[i] = draw(st.integers(1, max(map(columns.index, RESULT_COLUMNS))))
         elif kind == "csv error":
             rows[i][draw(st.sampled_from(columns))] = "1" * (csv.field_size_limit() + 1)
+        elif kind == "bad quote":  # written raw: a quote that never closes, or text after a closing quote
+            rows[i][draw(st.sampled_from(columns))] = draw(st.sampled_from(['"x', '"x"y']))
         else:
             for column, value in draw(st.lists(st.sampled_from(_BAD_CELLS[kind]), min_size=1, max_size=2)):
                 rows[i][column] = value
 
     def line(values):
         # a lone empty field unquoted would be a blank line, which the parse skips
-        return ",".join(f'"{v}"' if "\n" in v or draw(st.booleans()) else v for v in values) or '""'
+        return ",".join(v if v.startswith('"') else f'"{v}"' if "\n" in v or draw(st.booleans()) else v
+                        for v in values) or '""'
 
     lines = [line(columns)]
     for row, length in zip(rows, lengths):
@@ -809,7 +821,7 @@ def test_block_parse_agrees_with_the_row_by_row_rules(fault, data):
 
 
 @pytest.mark.parametrize("block_rows", [1, 256])
-def test_integer_cells_parse_as_int_reads_them(block_rows, monkeypatch):
+def test_integer_cells_parse_as_int_reads_them(block_rows, tmp_path, monkeypatch):
     # each row but the last holds an integer cell that is not a canonical numeral up to 486, which int() reads
     header = ",".join(RESULT_COLUMNS) + "\n"
     rows = [
@@ -828,7 +840,9 @@ def test_integer_cells_parse_as_int_reads_them(block_rows, monkeypatch):
     assert [r.target for r in expected[:6]] == [7, 7, 7, 1, 1, 3]
     monkeypatch.setattr(spideradapt.grid, "_BLOCK_ROWS", block_rows)
     assert results_from_csv(text) == expected
-    columns = [list(itertools.chain.from_iterable(column)) for column in zip(*column_blocks(text))]
+    path = tmp_path / "results.csv"
+    path.write_bytes(text.encode())
+    columns = [list(itertools.chain.from_iterable(column)) for column in zip(*file_column_blocks(path))]
     assert columns == [[getattr(r, name) for r in expected] for name in RESULT_COLUMNS]
 
 
@@ -905,7 +919,25 @@ def test_a_file_parses_as_its_text(end, window, tmp_path, monkeypatch):
         path.write_bytes(text.encode())
         assert len(_reference_results_from_csv(path.read_text(encoding="utf-8-sig"))) == 5
         # a text is read as a file of its bytes is: a lone CR ends a line, and a leading BOM is dropped
-        assert list(file_column_blocks(path)) == list(column_blocks(text))
+        assert [RunRecord(*run) for block in file_column_blocks(path) for run in zip(*block)] == results_from_csv(text)
+
+
+@pytest.mark.parametrize("caller_collects", [True, False])
+def test_a_held_block_reader_leaves_the_collector_as_the_caller_set_it(caller_collects, tmp_path, monkeypatch):
+    # the caller's own code runs between blocks, so the reader must not pause the collector across them
+    path = tmp_path / "results.csv"
+    path.write_text(results_to_csv(_canonical_records()))
+    monkeypatch.setattr(spideradapt.grid, "_BLOCK_ROWS", 2)
+    if not caller_collects:
+        gc.disable()
+    try:
+        blocks = file_column_blocks(path)
+        next(blocks)
+        assert gc.isenabled() is caller_collects
+        assert sum(len(block[0]) for block in blocks) == len(_canonical_records()) - 2
+        assert gc.isenabled() is caller_collects
+    finally:
+        gc.enable()
 
 
 def _canonical_records():
