@@ -3,11 +3,13 @@
 A session presents spiders to a subject until one lands in the target stress
 band or an iteration cap is hit. Presentations are counted uniquely: showing
 a configuration the subject has already seen is free, because its response is
-already known. The engine works on state indices and per-subject response
-tables and leaves every decision to the functions in ``policies``. Each
-iteration presents one batch: a sequential move is a batch of one, greedy's
-ranking is the batch of every neighbour, and a GA generation is its
-offspring. Sequential batches stop at the first success; a GA batch is
+already known. A run keeps one ordered record of the spiders it showed, each
+with the iteration it was first shown at: Spiders Presented is that record's
+length, and the trace is that record. The engine works on state indices and
+per-subject response tables and leaves every decision to the functions in
+``policies``. Each iteration presents one batch: a sequential move is a batch
+of one, greedy's ranking is the batch of every neighbour, and a GA generation
+is its offspring. Sequential batches stop at the first success; a GA batch is
 presented whole and checked for success at its end. The GA has its own
 iteration loop; random, greedy and RL share the other.
 
@@ -268,18 +270,16 @@ def _run(cfg: RunConfig, subject: VirtualSubject, record_sequence: bool, rng: np
     stresses, rewards, successes = _response_tables(subject, cfg.target, cfg.rounded_reward)
     method = cfg.method
     k = SLOTS_PER_ITERATION[method]
-    presented = bytearray(space.n_states)
-    sequence: list[PresentedSpider] = []
+    # every state shown, in the order shown, mapped to the iteration it was first shown at
+    shown: dict[int, int] = {}
 
     def present(batch: Sequence[int], iteration: int, stop_early: bool) -> int | None:
         """Show the unseen members of ``batch``; return the first success, or None."""
         hit = None
         for idx in batch:
-            if presented[idx]:
+            if idx in shown:
                 continue
-            presented[idx] = 1
-            if record_sequence:
-                sequence.append(PresentedSpider(states[idx], stresses[idx], rewards[idx], iteration))
+            shown[idx] = iteration
             if hit is None and successes[idx]:
                 hit = idx
                 if stop_early:
@@ -287,16 +287,19 @@ def _run(cfg: RunConfig, subject: VirtualSubject, record_sequence: bool, rng: np
         return hit
 
     def result(success: bool, iterations: int, final_idx: int) -> RunResult:
-        return RunResult(success, presented.count(1), iterations, states[final_idx], sequence)
+        sequence = [PresentedSpider(states[i], stresses[i], rewards[i], it)
+                    for i, it in shown.items()] if record_sequence else []
+        return RunResult(success, len(shown), iterations, states[final_idx], sequence)
 
     start = space.index_of[INITIAL_STATES[cfg.initial_kind]]
     iterations = range(1, cfg.iteration_cap + 1)
+    # the subject sees the initial spider, or the GA's seed population, first
+    population = ga_initial_population(start, rewards, cfg.ga.population_size) if method == "ga" else (start,)
+    hit = present(population, 0, False)
+    if hit is not None:
+        return result(True, 0, hit)
 
     if method == "ga":
-        population = ga_initial_population(start, rewards, cfg.ga.population_size)
-        hit = present(population, 0, False)
-        if hit is not None:
-            return result(True, 0, hit)
         for gen, u in zip(iterations, _slots(rng, k)):
             offspring = ga_generation(population, rewards, cfg.ga, u)
             hit = present(offspring, gen, False)
@@ -305,9 +308,6 @@ def _run(cfg: RunConfig, subject: VirtualSubject, record_sequence: bool, rng: np
             population = ga_select(population + offspring, rewards, cfg.ga.population_size)
         return result(False, cfg.iteration_cap, max(population, key=rewards.__getitem__))
 
-    # Sequential methods: the subject sees the initial spider first.
-    if present((start,), 0, True) is not None:
-        return result(True, 0, start)
     s = start
     greedy, learning = method == "greedy", method in RL_METHODS
     if learning:
@@ -330,10 +330,8 @@ def _run(cfg: RunConfig, subject: VirtualSubject, record_sequence: bool, rng: np
         else:
             t = random_step(s, u[0])
         # random and RL show their one spider here, inline; greedy has shown t already
-        if not presented[t]:
-            presented[t] = 1
-            if record_sequence:
-                sequence.append(PresentedSpider(states[t], stresses[t], rewards[t], it))
+        if t not in shown:
+            shown[t] = it
             if successes[t]:
                 return result(True, it, t)
         if learning:

@@ -57,12 +57,13 @@ MUTANTS = (
            "present(space.neighbor_ids[s], it, True)\n            if hit is not None:",
            "present(space.neighbor_ids[s], it, True)\n            if False:", (_SEQUENTIAL,)),
     Mutant("no-slots-yield-once", _SESSION, "yield from repeat(())", "yield ()", (_SEQUENTIAL,)),
-    Mutant("inline-shows-at-the-previous-iteration", _SESSION,
-           "PresentedSpider(states[t], stresses[t], rewards[t], it)",
-           "PresentedSpider(states[t], stresses[t], rewards[t], it - 1)", (_SEQUENTIAL,)),
+    Mutant("inline-shows-at-the-previous-iteration", _SESSION, "shown[t] = it", "shown[t] = it - 1", (_SEQUENTIAL,)),
+    Mutant("a-reshown-spider-takes-a-later-iteration", _SESSION, "if t not in shown:", "if True:", (_SEQUENTIAL,)),
     Mutant("rl-reads-the-default-epsilon", _SESSION, "epsilon = cfg.rl.epsilon", "epsilon = 0.05",
            (_SEQUENTIAL, _SMALL_GRID)),
     # the GA's generations
+    Mutant("ga-seed-population-stops-at-its-first-success", _SESSION, "present(population, 0, False)",
+           "present(population, 0, True)", ("tests/test_session.py::test_ga_corner_first_batch_is_seven", _GA)),
     Mutant("ga-failed-run-ends-on-its-last-member", _SESSION, "max(population, key=rewards.__getitem__))",
            "population[-1])", (_GA,)),
     Mutant("ga-selects-from-offspring-first", _SESSION, "ga_select(population + offspring,",

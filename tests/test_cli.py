@@ -38,7 +38,15 @@ from spideradapt.grid import (
     summary_to_markdown,
 )
 from spideradapt.policies import POLICY_NAMES, SLOTS_PER_ITERATION, GAConfig, RLConfig
-from spideradapt.subjects import _weighted, generate_population, load_population
+from spideradapt.subjects import (
+    SubjectPopulation,
+    VirtualSubject,
+    _weighted,
+    generate_population,
+    load_population,
+    save_population,
+    scale_coefficient,
+)
 
 
 @pytest.fixture()
@@ -698,6 +706,18 @@ def test_oracle_report(subjects_file, capsys):
     out = capsys.readouterr().out
     assert "success states:" in out
     assert "bfs distance" in out
+
+
+def test_oracle_reports_an_empty_success_band(tmp_path, capsys):
+    # one dominant weight leaves no state whose stress rounds to 1
+    weights = (2.0, 1e-6, 1e-6, 1e-6, 1e-6, 1e-6)
+    path = tmp_path / "subjects.json"
+    save_population(SubjectPopulation(0, (VirtualSubject(0, weights, scale_coefficient(weights)),)), path)
+    assert load_population(path).subjects[0].weights == weights
+    assert main(["oracle", "--subjects", str(path), "--subject-id", "0", "--target", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "success states: 0 of 486\n" in out
+    assert "bfs distance: unreachable (empty success set)\n" in out
 
 
 def test_oracle_validates_ids(subjects_file, capsys):

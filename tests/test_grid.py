@@ -454,6 +454,18 @@ def test_mark_significance_skips_unconsidered_cells():
     assert mark_significance(records) == []
 
 
+def _reference_p(a, b):
+    """Two-tailed p of scipy's paired t-test; ``statistics`` decides the cases where it is undefined."""
+    if len(a) < 2:
+        return None
+    diffs = [x - y for x, y in zip(a, b)]
+    if not any(diffs):
+        return 1.0
+    if statistics.stdev(diffs) == 0.0:  # a constant nonzero difference
+        return None
+    return float(scipy.stats.ttest_rel(a, b).pvalue)
+
+
 def _reference_report(records):
     """Summaries and comparisons rebuilt from the records alone, by the documented rules."""
     cells = {}
@@ -489,11 +501,8 @@ def _reference_report(records):
             if s.method == best.method:
                 continue
             shared = sorted(set(best.subject_means) & set(s.subject_means))
-            try:
-                p_values[s.method] = paired_ttest([best.subject_means[i] for i in shared],
-                                                  [s.subject_means[i] for i in shared])[1]
-            except ValueError:
-                p_values[s.method] = None
+            p_values[s.method] = _reference_p([best.subject_means[i] for i in shared],
+                                              [s.subject_means[i] for i in shared])
         tied = [m for m, p in p_values.items() if not (p is not None and p < 0.05)]
         markers = {}
         if p_values and not tied:
@@ -536,11 +545,15 @@ def _report_records(draw):
 def test_report_matches_reference(records, block_rows):
     # up to 240 runs are drawn, so small blocks split cells and subjects across blocks
     summaries, comparisons = _reference_report(records)
+    # best methods and markers exactly; p-values to the last bits the two t-tests differ in
+    want = [(c.initial_kind, c.stress_category, c.best_method, c.markers) for c in comparisons]
+    p_values = [pytest.approx(c.p_values, rel=1e-9) for c in comparisons]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spideradapt.grid, "_BLOCK_ROWS", block_rows)
         assert summarize(records) == summaries
-        assert mark_significance(records) == comparisons
-        assert mark_significance(records, summarize(records)) == comparisons
+        for got in (mark_significance(records), mark_significance(records, summarize(records))):
+            assert [(c.initial_kind, c.stress_category, c.best_method, c.markers) for c in got] == want
+            assert [c.p_values for c in got] == p_values
     assert all("subject_means" not in repr(s) for s in summaries)
 
 

@@ -145,7 +145,7 @@ def test_run_sessions_equal_one_run_session_each(small_population):
 
 def test_presented_states_are_unique(small_population):
     subject = small_population.subjects[1]
-    for method in ("random", "rl_zero", "greedy", "ga"):
+    for method in POLICY_NAMES:
         result = run_session(_cfg(method=method, subject_id=1, target=8), subject)
         states = [p.state for p in result.presented_sequence]
         assert len(states) == len(set(states))
@@ -230,16 +230,17 @@ def test_presented_lower_bounded_by_bfs(small_population):
 
 
 def test_record_sequence_off_keeps_counts(example_subject):
-    cfg = _cfg(method="rl_zero", target=6)
-    full = run_session(cfg, example_subject)
-    lean = run_session(cfg, example_subject, record_sequence=False)
-    assert lean.presented_sequence == []
-    assert (lean.success, lean.spiders_presented, lean.iterations_used, lean.final_state) == (
-        full.success,
-        full.spiders_presented,
-        full.iterations_used,
-        full.final_state,
-    )
+    for method in POLICY_NAMES:
+        cfg = _cfg(method=method, target=6)
+        full = run_session(cfg, example_subject)
+        lean = run_session(cfg, example_subject, record_sequence=False)
+        assert lean.presented_sequence == []
+        assert (lean.success, lean.spiders_presented, lean.iterations_used, lean.final_state) == (
+            full.success,
+            full.spiders_presented,
+            full.iterations_used,
+            full.final_state,
+        ), method
 
 
 def test_epsilon_zero_is_deterministic(example_subject):
