@@ -22,13 +22,10 @@ class RewardSpec:
     """Target stress plus the derived shape parameters of the reward curve.
 
     ``sigma`` is half the stress range; ``alpha`` is whichever stress extreme
-    lies farther from the target (the reward there is exactly -1). When
-    ``use_rounded_stress`` is set, the reward is evaluated on the stress
-    rounded to the nearest integer instead of the raw value.
+    lies farther from the target (the reward there is exactly -1).
     """
 
     target: int
-    use_rounded_stress: bool = False
     sigma: float = field(init=False)
     alpha: float = field(init=False)
 
@@ -45,8 +42,6 @@ def reward(x: float, spec: RewardSpec) -> float:
     """Reward in [-1, 1] for stress ``x``: 1 at the target, -1 at ``alpha``."""
     if not MIN_STRESS <= x <= MAX_STRESS:
         raise ValueError(f"stress {x!r} outside [{MIN_STRESS}, {MAX_STRESS}]")
-    if spec.use_rounded_stress:
-        x = float(math.floor(x + 0.5))
     mu, sigma = float(spec.target), spec.sigma
     edge = math.exp(-0.5 * ((spec.alpha - mu) / sigma) ** 2)
     return (2 * math.exp(-0.5 * ((x - mu) / sigma) ** 2) - edge - 1) / (1 - edge)

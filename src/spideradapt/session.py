@@ -6,7 +6,7 @@ a configuration the subject has already seen is free, because its response is
 already known. A run keeps one ordered record of the spiders it showed, each
 with the iteration it was first shown at: Spiders Presented is that record's
 length, and the trace is that record. The engine works on state indices and
-per-subject response tables and leaves every decision to the functions in
+``subjects.response_tables`` and leaves every decision to the functions in
 ``policies``. Each iteration presents one batch: a sequential move is a batch
 of one, greedy's ranking is the batch of every neighbour, and a GA generation
 is its offspring. Sequential batches stop at the first success; a GA batch is
@@ -29,7 +29,6 @@ seeds one run; ``run_sessions`` seeds many in one ``pcg64_states`` pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import repeat
 from typing import Iterator, Sequence
 
@@ -50,8 +49,8 @@ from .policies import (
     rl_select_action,
     rl_update,
 )
-from .reward_model import TARGETS, RewardSpec, is_success, reward
-from .subjects import VirtualSubject, stress_table
+from .reward_model import TARGETS
+from .subjects import VirtualSubject, response_tables
 
 @dataclass
 class RunConfig:
@@ -220,22 +219,6 @@ def _slots(rng: np.random.Generator | None, k: int) -> Iterator[tuple[float, ...
         yield from zip(*[iter(rng.random(k * _CHUNK_ITERATIONS).tolist())] * k)
 
 
-@lru_cache(maxsize=4096)
-def _response_tables(
-    subject: VirtualSubject, target: int, rounded: bool
-) -> tuple[tuple[float, ...], tuple[float, ...], tuple[bool, ...]]:
-    """Per-state (stress, reward, success) lookups for one subject and target.
-
-    Built from the scalar stress/reward functions so that sessions and the
-    oracles see identical floats.
-    """
-    spec = RewardSpec(target, use_rounded_stress=rounded)
-    stresses = stress_table(subject)
-    rewards = tuple(reward(x, spec) for x in stresses)
-    successes = tuple(is_success(x, target) for x in stresses)
-    return stresses, rewards, successes
-
-
 def run_session(cfg: RunConfig, subject: VirtualSubject, record_sequence: bool = True) -> RunResult:
     """Execute one adaptation run and report what the subject was shown.
 
@@ -267,7 +250,7 @@ def _run(cfg: RunConfig, subject: VirtualSubject, record_sequence: bool, rng: np
         raise ValueError(f"subject id {subject.id} does not match config subject_id {cfg.subject_id}")
     space = state_space()
     states = space.states
-    stresses, rewards, successes = _response_tables(subject, cfg.target, cfg.rounded_reward)
+    stresses, rewards, successes = response_tables(subject, cfg.target, cfg.rounded_reward)
     method = cfg.method
     k = SLOTS_PER_ITERATION[method]
     # every state shown, in the order shown, mapped to the iteration it was first shown at

@@ -6,9 +6,10 @@ subject's stress spans exactly [0, 10] over the state space. Subjects stand
 in for human participants: stress is a pure linear function of the attribute
 values, with no noise and no drift over time.
 
-This module also hosts the brute-force oracles (success-set enumeration and
-BFS shortest distance) that the tests and the CLI use to sanity-check the
-adaptation methods.
+This module also builds each subject's per-state response to a target, which
+sessions and the brute-force oracles (success-set enumeration and BFS
+shortest distance) all read; the tests and the CLI use the oracles to
+sanity-check the adaptation methods.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,7 @@ from .domain import (
     is_valid_state,
     state_space,
 )
-from .reward_model import MAX_STRESS, TARGETS, is_success
+from .reward_model import MAX_STRESS, RewardSpec, is_success, reward
 
 
 @dataclass(frozen=True)
@@ -124,11 +126,28 @@ def stress_table(subject: VirtualSubject) -> tuple[float, ...]:
     return tuple(c * _weighted(weights, s) for s in enumerate_states())
 
 
+@lru_cache(maxsize=4096)
+def response_tables(
+    subject: VirtualSubject, target: int, rounded: bool
+) -> tuple[tuple[float, ...], tuple[float, ...], tuple[bool, ...]]:
+    """Per-state (stress, reward, success) lookups for one subject and target.
+
+    The one place a subject's response is built, from the scalar reward and
+    success functions, so sessions and the oracles see identical values. A
+    ``rounded`` table rewards each stress rounded half up; its stress and
+    success stay raw. ``rounded`` has no default, so a table has one cache
+    key whoever asks for it.
+    """
+    spec = RewardSpec(target)
+    stresses = stress_table(subject)
+    rewards = tuple(reward(float(math.floor(x + 0.5)) if rounded else x, spec) for x in stresses)
+    successes = tuple(is_success(x, target) for x in stresses)
+    return stresses, rewards, successes
+
+
 def success_states(subject: VirtualSubject, target: int) -> set[SpiderState]:
     """All states whose stress rounds to ``target`` (brute-force enumeration)."""
-    if target not in TARGETS:
-        raise ValueError(f"target must be in 1..9, got {target!r}")
-    return {s for s, x in zip(enumerate_states(), stress_table(subject)) if is_success(x, target)}
+    return set(compress(enumerate_states(), response_tables(subject, target, False)[2]))
 
 
 def bfs_distance(subject: VirtualSubject, initial: SpiderState, target: int) -> int | None:
@@ -141,8 +160,7 @@ def bfs_distance(subject: VirtualSubject, initial: SpiderState, target: int) -> 
     if not is_valid_state(initial):
         raise ValueError(f"invalid spider state: {initial!r}")
     space = state_space()
-    table = stress_table(subject)
-    ok = [is_success(x, target) for x in table]
+    ok = response_tables(subject, target, False)[2]
     if not any(ok):
         return None
     start = space.index_of[initial]

@@ -44,12 +44,28 @@ _STDEV = ("tests/test_grid.py::test_exact_stdev_is_statistics_stdev_bit_for_bit"
 _RECORD_PICKLE = "tests/test_grid.py::test_record_has_slots_and_pickles_as_its_values"
 _LINES = "tests/test_grid.py::test_line_source_yields_the_lines_of_one_stringio"
 _ORDER = "tests/test_grid.py::test_a_file_out_of_canonical_order_parses_as_the_reference[1-{}]"
+_REFERENCE_GRID = "tests/test_grid.py::test_run_grid_equals_the_reference_grid"
+_ROUNDED_TABLE = "tests/test_subjects.py::test_rounded_table_rewards_the_stress_rounded_half_up"
 _SESSION, _GRID, _CLI = "src/spideradapt/session.py", "src/spideradapt/grid.py", "src/spideradapt/cli.py"
+_SUBJECTS = "src/spideradapt/subjects.py"
 
 MUTANTS = (
     # the move graph, built from the strides
     Mutant("stride-graph-masks-each-maximum", "src/spideradapt/domain.py", "s[i] + d <= MAX_VALUES[i]",
            "s[i] + d < MAX_VALUES[i]", ("tests/test_domain.py::test_state_space_tables_agree_with_tuple_ops",)),
+    # the one response table, rounded or not
+    Mutant("rounded-table-ignores-its-switch", _SUBJECTS, "if rounded else x", "if False else x",
+           (_ROUNDED_TABLE, "tests/test_session.py::test_rounded_reward_flag_changes_rewards")),
+    Mutant("rounded-table-rounds-half-down", _SUBJECTS, "math.floor(x + 0.5)", "math.ceil(x - 0.5)",
+           (_ROUNDED_TABLE,)),
+    # the grid's work units: only a method that draws nothing runs once for every repeat
+    Mutant("grid-runs-random-once-for-every-repeat", _GRID,
+           "from .policies import GAConfig, POLICY_NAMES, RLConfig, SLOTS_PER_ITERATION\n",
+           "from .policies import GAConfig, POLICY_NAMES, RLConfig, SLOTS_PER_ITERATION\n"
+           "SLOTS_PER_ITERATION = {**SLOTS_PER_ITERATION, \"random\": 0}\n", (_REFERENCE_GRID,)),
+    Mutant("grid-writes-greedy-repeats-as-zero", _GRID, "RunRecord(rc.method, rc.initial_kind, target, subject.id, repeat,",
+           "RunRecord(rc.method, rc.initial_kind, target, subject.id, repeat if SLOTS_PER_ITERATION[rc.method] else 0,",
+           (_REFERENCE_GRID,)),
     # the sequential session loop
     Mutant("greedy-shows-every-neighbour", _SESSION,
            "present(space.neighbor_ids[s], it, True)", "present(space.neighbor_ids[s], it, False)", (_SEQUENTIAL,)),

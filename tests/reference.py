@@ -1,19 +1,28 @@
-"""The specs the engine is checked against: the tuple-level move graph and one whole session.
+"""The specs the program is checked against: the move graph, a session, a grid, the report and the results rules.
 
 A move changes one attribute of a spider state by one step. It is masked,
 never clamped, when the attribute would leave its range; ``domain.StateSpace``'s
 index tables are checked against these functions. ``reference_session``
-rebuilds a run of any method from them and README's protocol. Pytest does
-not collect this file; the tests import it as ``tests.reference``.
+rebuilds a run of any method from them and README's protocol, and
+``reference_grid`` a whole grid from such runs. ``reference_report`` and
+``reference_results_from_csv`` rebuild the summaries, comparisons and parsed
+records by the documented rules. Pytest does not collect this file; the
+tests import it as ``tests.reference``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import operator
+import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
+from typing import Sequence
 
 import numpy as np
+import scipy.stats
 
 from spideradapt.domain import (
     INITIAL_STATES,
@@ -24,8 +33,19 @@ from spideradapt.domain import (
     is_valid_state,
     state_index,
 )
+from spideradapt.grid import (
+    CATEGORY_ORDER,
+    CellSummary,
+    ComparisonResult,
+    GridConfig,
+    RESULT_COLUMNS,
+    ResultsFileError,
+    RunRecord,
+    category_of,
+)
+from spideradapt.policies import POLICY_NAMES
 from spideradapt.reward_model import RewardSpec, is_success, reward
-from spideradapt.session import PresentedSpider, RunConfig, RunResult, run_seed_sequence
+from spideradapt.session import INITIAL_KINDS, PresentedSpider, RunConfig, RunResult, run_seed_sequence
 from spideradapt.subjects import VirtualSubject, stress
 
 
@@ -171,3 +191,129 @@ def reference_session(cfg: RunConfig, subject: VirtualSubject) -> RunResult:
         return RunResult(True, len(shown), i, hit, list(shown.values()))
     final = max(state, key=fitness) if cfg.method == "ga" else state  # a GA ends on its first best member
     return RunResult(False, len(shown), i, final, list(shown.values()))
+
+
+def reference_grid(cfg: GridConfig) -> list[RunRecord]:
+    """Every run of ``cfg`` in canonical order, each rebuilt by ``reference_session``, every repeat run.
+
+    Canonical order is method, initial state, target, subject id and repeat,
+    methods and initial states ranked as the package lists them.
+    """
+    if cfg.rounded_reward:
+        raise ValueError("the reference session does not round rewards")
+    records = []
+    for method, initial_kind, target, subject, repeat in product(
+        sorted(cfg.methods, key=POLICY_NAMES.index),
+        sorted(cfg.initial_kinds, key=INITIAL_KINDS.index),
+        sorted(cfg.targets),
+        sorted(cfg.population.subjects, key=lambda s: s.id),
+        range(cfg.repeats),
+    ):
+        run = RunConfig(method, subject.id, target, initial_kind, repeat, cfg.iteration_cap, cfg.master_seed,
+                        cfg.rl, cfg.ga)
+        result = reference_session(run, subject)
+        records.append(RunRecord(method, initial_kind, target, subject.id, repeat,
+                                 result.success, result.spiders_presented, result.iterations_used))
+    return records
+
+
+def _reference_p(a, b):
+    """Two-tailed p of scipy's paired t-test; ``statistics`` decides the cases where it is undefined."""
+    if len(a) < 2:
+        return None
+    diffs = [x - y for x, y in zip(a, b)]
+    if not any(diffs):
+        return 1.0
+    if statistics.stdev(diffs) == 0.0:  # a constant nonzero difference
+        return None
+    return float(scipy.stats.ttest_rel(a, b).pvalue)
+
+
+def reference_report(records: Sequence[RunRecord]) -> tuple[list[CellSummary], list[ComparisonResult]]:
+    """Summaries and comparisons rebuilt from the records alone, by the documented rules."""
+    cells = {}
+    for r in records:
+        cells.setdefault((r.initial_kind, category_of(r.target), r.method), []).append(r)
+    summaries = {}
+    for cell, runs in cells.items():
+        counts = [r.spiders_presented for r in runs if r.success]
+        by_subject = {}
+        for r in runs:
+            if r.success:
+                by_subject.setdefault(r.subject_id, []).append(r.spiders_presented)
+        accuracy = 100.0 * len(counts) / len(runs)
+        summaries[cell] = CellSummary(
+            *cell,
+            mean_presented=statistics.fmean(counts) if counts else None,
+            std_presented=statistics.stdev(counts) if len(counts) >= 2 else None,
+            accuracy_percent=accuracy,
+            n_success=len(counts),
+            considered=accuracy >= 75.0,
+            subject_means={sid: statistics.fmean(v) for sid, v in by_subject.items()},
+        )
+    order = sorted(summaries, key=lambda c: (INITIAL_KINDS.index(c[0]), CATEGORY_ORDER.index(c[1]),
+                                             POLICY_NAMES.index(c[2])))
+    comparisons = []
+    for initial_kind, category in dict.fromkeys(c[:2] for c in order):
+        considered = [summaries[c] for c in order if c[:2] == (initial_kind, category) and summaries[c].considered]
+        if not considered:
+            continue
+        best = min(considered, key=lambda s: (s.mean_presented, POLICY_NAMES.index(s.method)))
+        p_values = {}
+        for s in considered:
+            if s.method == best.method:
+                continue
+            shared = sorted(set(best.subject_means) & set(s.subject_means))
+            p_values[s.method] = _reference_p([best.subject_means[i] for i in shared],
+                                              [s.subject_means[i] for i in shared])
+        tied = [m for m, p in p_values.items() if not (p is not None and p < 0.05)]
+        markers = {}
+        if p_values and not tied:
+            markers[best.method] = "**"
+        elif tied:
+            markers = {best.method: "*", **{m: "*" for m in tied}}
+        comparisons.append(ComparisonResult(initial_kind, category, best.method, p_values, markers))
+    return [summaries[c] for c in order], comparisons
+
+
+def reference_results_from_csv(text: str) -> list[RunRecord]:
+    """The reference for the results rules and their order: each row is checked against each rule in turn."""
+    reader = csv.reader(io.StringIO(text), strict=True)
+    records = []
+    seen = set()
+    try:
+        header = next(reader, RESULT_COLUMNS)  # an empty file holds no runs
+        if missing := set(RESULT_COLUMNS) - set(header):
+            raise ValueError(f"missing columns {sorted(missing)}")
+        picks = [header.index(name) for name in RESULT_COLUMNS]
+        fields_of = operator.itemgetter(*picks)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) <= max(picks):
+                raise ValueError(f"row has {len(row)} fields, the header has {len(header)}")
+            method, initial_kind, target, subject_id, repeat, success, presented, iterations = fields_of(row)
+            target, subject_id, repeat = int(target), int(subject_id), int(repeat)
+            presented, iterations = int(presented), int(iterations)
+            if method not in POLICY_NAMES:
+                raise ValueError(f"unknown method {method!r}")
+            if initial_kind not in INITIAL_KINDS:
+                raise ValueError(f"unknown initial kind {initial_kind!r}")
+            if target not in range(1, 10):
+                raise ValueError(f"target {target} not in 1..9")
+            if subject_id < 0 or repeat < 0 or presented < 0 or iterations < 0:
+                raise ValueError("subject_id, repeat, spiders_presented and iterations_used must be non-negative")
+            if not 1 <= presented <= 486:
+                raise ValueError(f"spiders_presented {presented} not in 1..486")
+            coords = (method, initial_kind, target, subject_id, repeat)
+            if coords in seen:
+                raise ValueError(f"duplicate run {coords}")
+            seen.add(coords)
+            if success not in ("true", "false"):
+                raise ValueError(f"success must be true or false, got {success!r}")
+            records.append(RunRecord(*coords, success == "true", presented, iterations))
+    except (ValueError, csv.Error) as exc:
+        raise ResultsFileError(f"malformed results CSV at line {reader.line_num}: {exc}") from exc
+    if not records:
+        raise ResultsFileError("results CSV contains no runs")
+    return records

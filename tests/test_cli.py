@@ -724,6 +724,8 @@ def test_oracle_validates_ids(subjects_file, capsys):
     assert main(["oracle", "--subjects", str(subjects_file), "--subject-id", "99", "--target", "1"]) == 2
     assert main(["oracle", "--subjects", str(subjects_file), "--subject-id", "-1", "--target", "1"]) == 1
     assert main(["oracle", "--subjects", str(subjects_file), "--subject-id", "0", "--target", "12"]) == 1
+    for target in ("0", "10"):
+        assert main(["oracle", "--subjects", str(subjects_file), "--subject-id", "0", "--target", target]) == 1
 
 
 @pytest.mark.parametrize("weight, coefficient", [("NaN", "NaN"), ("Infinity", "0")])

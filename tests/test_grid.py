@@ -8,7 +8,6 @@ import gc
 import io
 import itertools
 import math
-import operator
 import pathlib
 import pickle
 import random
@@ -24,10 +23,8 @@ from hypothesis import strategies as st
 
 import spideradapt.grid
 import spideradapt.session
+import spideradapt.subjects
 from spideradapt.grid import (
-    CATEGORY_ORDER,
-    CellSummary,
-    ComparisonResult,
     GridConfig,
     RESULT_COLUMNS,
     ResultsFileError,
@@ -49,9 +46,10 @@ from spideradapt.grid import (
     summary_to_csv,
     summary_to_markdown,
 )
-from spideradapt.policies import POLICY_NAMES
+from spideradapt.policies import GAConfig, POLICY_NAMES, RLConfig
 from spideradapt.session import INITIAL_KINDS, run_session, run_sessions
 from spideradapt.subjects import SubjectPopulation
+from tests.reference import reference_grid, reference_report, reference_results_from_csv
 
 # Frozen oracle for differences (1, 2, 3, 4, 5), computed independently.
 TTEST_T = 4.242640687119285
@@ -153,10 +151,10 @@ def test_run_grid_progress_callback(small_population):
 def test_run_grid_builds_each_table_once_at_any_cache_size(small_population, monkeypatch):
     # a unit is one subject at one target, and a subject's units run back to
     # back, so one-entry caches still build every table only once
-    responses = functools.lru_cache(maxsize=1)(spideradapt.session._response_tables.__wrapped__)
-    stresses = functools.lru_cache(maxsize=1)(spideradapt.session.stress_table.__wrapped__)
-    monkeypatch.setattr(spideradapt.session, "_response_tables", responses)
-    monkeypatch.setattr(spideradapt.session, "stress_table", stresses)
+    responses = functools.lru_cache(maxsize=1)(spideradapt.subjects.response_tables.__wrapped__)
+    stresses = functools.lru_cache(maxsize=1)(spideradapt.subjects.stress_table.__wrapped__)
+    monkeypatch.setattr(spideradapt.session, "response_tables", responses)
+    monkeypatch.setattr(spideradapt.subjects, "stress_table", stresses)
     three = SubjectPopulation(small_population.seed, small_population.subjects[:3])
     run_grid(GridConfig(population=three, master_seed=1, methods=("greedy",),
                         initial_kinds=("min", "max"), repeats=1))
@@ -188,6 +186,38 @@ def test_run_grid_runs_greedy_once_per_initial_state(small_population, monkeypat
                              two.subjects[r.subject_id], record_sequence=False)
         assert (r.success, r.spiders_presented, r.iterations_used) == (
             result.success, result.spiders_presented, result.iterations_used)
+
+
+def _subset(values, n):
+    """A non-empty subset of ``values`` with at most ``n`` members, in drawn order."""
+    return st.lists(st.sampled_from(values), min_size=1, max_size=n, unique=True).map(tuple)
+
+
+@st.composite
+def _small_grids(draw, population):
+    """A grid of one or two subjects, with its axes drawn as subsets in any order and its settings drawn."""
+    return GridConfig(
+        population=SubjectPopulation(population.seed, draw(_subset(population.subjects, 2))),
+        master_seed=draw(st.integers(0, 2**40)),
+        methods=draw(_subset(POLICY_NAMES, 5)),
+        initial_kinds=draw(_subset(INITIAL_KINDS, 3)),
+        targets=draw(_subset(range(1, 10), 3)),
+        repeats=draw(st.integers(1, 3)),
+        iteration_cap=draw(st.integers(0, 40)),
+        rl=draw(st.builds(RLConfig, epsilon=st.floats(0.0, 1.0),
+                          learning_rate=st.floats(0.0, 1.0, exclude_min=True), discount=st.floats(0.0, 1.0))),
+        ga=draw(st.builds(GAConfig, population_size=st.integers(2, 12), mutation_prob=st.floats(0.0, 1.0))),
+        # a pool only now and then: each one costs a fork per worker
+        workers=draw(st.sampled_from((1,) * 7 + (2,))),
+    )
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_run_grid_equals_the_reference_grid(small_population, data):
+    # every run of every repeat, greedy's included, rebuilt by reference_session, in canonical order
+    cfg = data.draw(_small_grids(small_population))
+    assert run_grid(cfg) == reference_grid(cfg)
 
 
 def test_grid_leaves_every_runs_stream_to_the_session_module():
@@ -454,65 +484,6 @@ def test_mark_significance_skips_unconsidered_cells():
     assert mark_significance(records) == []
 
 
-def _reference_p(a, b):
-    """Two-tailed p of scipy's paired t-test; ``statistics`` decides the cases where it is undefined."""
-    if len(a) < 2:
-        return None
-    diffs = [x - y for x, y in zip(a, b)]
-    if not any(diffs):
-        return 1.0
-    if statistics.stdev(diffs) == 0.0:  # a constant nonzero difference
-        return None
-    return float(scipy.stats.ttest_rel(a, b).pvalue)
-
-
-def _reference_report(records):
-    """Summaries and comparisons rebuilt from the records alone, by the documented rules."""
-    cells = {}
-    for r in records:
-        cells.setdefault((r.initial_kind, category_of(r.target), r.method), []).append(r)
-    summaries = {}
-    for cell, runs in cells.items():
-        counts = [r.spiders_presented for r in runs if r.success]
-        by_subject = {}
-        for r in runs:
-            if r.success:
-                by_subject.setdefault(r.subject_id, []).append(r.spiders_presented)
-        accuracy = 100.0 * len(counts) / len(runs)
-        summaries[cell] = CellSummary(
-            *cell,
-            mean_presented=statistics.fmean(counts) if counts else None,
-            std_presented=statistics.stdev(counts) if len(counts) >= 2 else None,
-            accuracy_percent=accuracy,
-            n_success=len(counts),
-            considered=accuracy >= 75.0,
-            subject_means={sid: statistics.fmean(v) for sid, v in by_subject.items()},
-        )
-    order = sorted(summaries, key=lambda c: (INITIAL_KINDS.index(c[0]), CATEGORY_ORDER.index(c[1]),
-                                             POLICY_NAMES.index(c[2])))
-    comparisons = []
-    for initial_kind, category in dict.fromkeys(c[:2] for c in order):
-        considered = [summaries[c] for c in order if c[:2] == (initial_kind, category) and summaries[c].considered]
-        if not considered:
-            continue
-        best = min(considered, key=lambda s: (s.mean_presented, POLICY_NAMES.index(s.method)))
-        p_values = {}
-        for s in considered:
-            if s.method == best.method:
-                continue
-            shared = sorted(set(best.subject_means) & set(s.subject_means))
-            p_values[s.method] = _reference_p([best.subject_means[i] for i in shared],
-                                              [s.subject_means[i] for i in shared])
-        tied = [m for m, p in p_values.items() if not (p is not None and p < 0.05)]
-        markers = {}
-        if p_values and not tied:
-            markers[best.method] = "**"
-        elif tied:
-            markers = {best.method: "*", **{m: "*" for m in tied}}
-        comparisons.append(ComparisonResult(initial_kind, category, best.method, p_values, markers))
-    return [summaries[c] for c in order], comparisons
-
-
 @st.composite
 def _report_records(draw):
     """A shuffled, possibly incomplete grid with few subjects and small counts.
@@ -544,7 +515,7 @@ def _report_records(draw):
 @given(_report_records(), st.sampled_from([1, 2, 3, 7, 256]))
 def test_report_matches_reference(records, block_rows):
     # up to 240 runs are drawn, so small blocks split cells and subjects across blocks
-    summaries, comparisons = _reference_report(records)
+    summaries, comparisons = reference_report(records)
     # best methods and markers exactly; p-values to the last bits the two t-tests differ in
     want = [(c.initial_kind, c.stress_category, c.best_method, c.markers) for c in comparisons]
     p_values = [pytest.approx(c.p_values, rel=1e-9) for c in comparisons]
@@ -599,7 +570,7 @@ def test_summarize_is_the_same_in_any_record_order(drawn, random):
     random.shuffle(shuffled)
     summaries = summarize(records)
     assert summarize(shuffled) == summaries
-    assert summaries == _reference_report(records)[0]
+    assert summaries == reference_report(records)[0]
     for s in summaries:
         assert (s.mean_presented is None) is (s.n_success == 0)
         assert (s.std_presented is None) is (s.n_success < 2)
@@ -635,14 +606,14 @@ def test_results_from_csv_rejects_bad_input():
         with pytest.raises(ResultsFileError, match="^results CSV contains no runs$"):
             results_from_csv(text)
     with pytest.raises(ResultsFileError, match="^results CSV contains no runs$"):
-        _reference_results_from_csv("")
+        reference_results_from_csv("")
     # a quote that never closes is refused at the last line, and text after a closing quote at its own
     note = header.rstrip("\n") + ",note\n"
     unclosed = note + 'random,min,1,0,0,true,3,1,"oops\nrandom,min,1,1,0,true,3,1,\nrandom,min,1,2,0,false,4,2,\n'
     after = header + good + 'random,min,1,"0"3,0,true,3,1\n'
     for text, error in ((unclosed, "at line 4: unexpected end of data$"),
                         (after, "at line 3: ',' expected after '\"'$")):
-        for parse in (results_from_csv, _reference_results_from_csv):
+        for parse in (results_from_csv, reference_results_from_csv):
             with pytest.raises(ResultsFileError, match=error):
                 parse(text)
     for rows in (
@@ -683,49 +654,6 @@ def test_results_from_csv_rejects_bad_input():
     # a lone surrogate, which UTF-8 cannot encode, is refused at its line as a file's undecodable byte is
     with pytest.raises(ResultsFileError, match="at line 3: 'utf-8' codec can't decode byte 0xed in position 26"):
         results_from_csv(header + good + "random,min,1,1,0,true,3,1,\ud800\n")
-
-
-def _reference_results_from_csv(text):
-    """The reference for the results rules and their order: each row is checked against each rule in turn."""
-    reader = csv.reader(io.StringIO(text), strict=True)
-    records = []
-    seen = set()
-    try:
-        header = next(reader, RESULT_COLUMNS)  # an empty file holds no runs
-        if missing := set(RESULT_COLUMNS) - set(header):
-            raise ValueError(f"missing columns {sorted(missing)}")
-        picks = [header.index(name) for name in RESULT_COLUMNS]
-        fields_of = operator.itemgetter(*picks)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) <= max(picks):
-                raise ValueError(f"row has {len(row)} fields, the header has {len(header)}")
-            method, initial_kind, target, subject_id, repeat, success, presented, iterations = fields_of(row)
-            target, subject_id, repeat = int(target), int(subject_id), int(repeat)
-            presented, iterations = int(presented), int(iterations)
-            if method not in POLICY_NAMES:
-                raise ValueError(f"unknown method {method!r}")
-            if initial_kind not in INITIAL_KINDS:
-                raise ValueError(f"unknown initial kind {initial_kind!r}")
-            if target not in range(1, 10):
-                raise ValueError(f"target {target} not in 1..9")
-            if subject_id < 0 or repeat < 0 or presented < 0 or iterations < 0:
-                raise ValueError("subject_id, repeat, spiders_presented and iterations_used must be non-negative")
-            if not 1 <= presented <= 486:
-                raise ValueError(f"spiders_presented {presented} not in 1..486")
-            coords = (method, initial_kind, target, subject_id, repeat)
-            if coords in seen:
-                raise ValueError(f"duplicate run {coords}")
-            seen.add(coords)
-            if success not in ("true", "false"):
-                raise ValueError(f"success must be true or false, got {success!r}")
-            records.append(RunRecord(*coords, success == "true", presented, iterations))
-    except (ValueError, csv.Error) as exc:
-        raise ResultsFileError(f"malformed results CSV at line {reader.line_num}: {exc}") from exc
-    if not records:
-        raise ResultsFileError("results CSV contains no runs")
-    return records
 
 
 # cells that each break one rule, by rule; the other rules, a repeated run, a short
@@ -820,7 +748,7 @@ def test_block_parse_agrees_with_the_row_by_row_rules(fault, data):
         except ResultsFileError as exc:
             return str(exc)
 
-    expected = outcome(_reference_results_from_csv)
+    expected = outcome(reference_results_from_csv)
     assert fault is None or isinstance(expected, str)  # every fault breaks a rule
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spideradapt.grid, "_BLOCK_ROWS", block_rows)
@@ -849,7 +777,7 @@ def test_integer_cells_parse_as_int_reads_them(block_rows, tmp_path, monkeypatch
         "random,min,1,0,2,false,486,100",
     ]
     text = header + "\n".join(rows) + "\n"
-    expected = _reference_results_from_csv(text)
+    expected = reference_results_from_csv(text)
     assert [r.target for r in expected[:6]] == [7, 7, 7, 1, 1, 3]
     monkeypatch.setattr(spideradapt.grid, "_BLOCK_ROWS", block_rows)
     assert results_from_csv(text) == expected
@@ -883,7 +811,7 @@ def test_extra_column_keeps_the_characters_splitlines_breaks_at(window, monkeypa
         f'random,min,1,1,0,true,3,1,"{odd}\r\n{odd}"\n',  # quoted, over two lines
         f'random,min,1,2,0,false,4,2,"\r{odd}"\r\n',
     ])
-    expected = _reference_results_from_csv(text)
+    expected = reference_results_from_csv(text)
     assert len(expected) == 3
     monkeypatch.setattr(spideradapt.grid, "_WINDOW_BYTES", window)
     assert results_from_csv(text) == expected
@@ -930,7 +858,7 @@ def test_a_file_parses_as_its_text(end, window, tmp_path, monkeypatch):
     for prefix in ("", "\ufeff"):
         text = prefix + end.join(rows) + end
         path.write_bytes(text.encode())
-        assert len(_reference_results_from_csv(path.read_text(encoding="utf-8-sig"))) == 5
+        assert len(reference_results_from_csv(path.read_text(encoding="utf-8-sig"))) == 5
         # a text is read as a file of its bytes is: a lone CR ends a line, and a leading BOM is dropped
         assert [RunRecord(*run) for block in file_column_blocks(path) for run in zip(*block)] == results_from_csv(text)
 
@@ -1008,11 +936,11 @@ def test_a_file_out_of_canonical_order_parses_as_the_reference(case, block_rows,
         except ResultsFileError as exc:
             return str(exc)
 
-    expected = outcome(lambda: summarize(_reference_results_from_csv(text)))
+    expected = outcome(lambda: summarize(reference_results_from_csv(text)))
     assert isinstance(expected, str) is case.endswith("repeated")
     monkeypatch.setattr(spideradapt.grid, "_BLOCK_ROWS", block_rows)
     assert outcome(lambda: summarize_columns(file_column_blocks(path))) == expected
-    assert outcome(lambda: results_from_csv(text)) == outcome(lambda: _reference_results_from_csv(text))
+    assert outcome(lambda: results_from_csv(text)) == outcome(lambda: reference_results_from_csv(text))
 
 
 def test_summary_emission_formats():

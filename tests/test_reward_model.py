@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -107,11 +105,3 @@ def test_success_band_contains_reward_maximum():
     assert inside > outside
     assert is_success(6.4, 6) and not is_success(6.6, 6)
 
-
-def test_rounded_stress_option():
-    spec = RewardSpec(3, use_rounded_stress=True)
-    # 3.4 rounds to 3, so the rounded reward is exactly the peak value
-    assert reward(3.4, spec) == reward(3.0, RewardSpec(3))
-    assert reward(2.5, spec) == reward(3.0, RewardSpec(3))  # half rounds up
-    assert reward(2.4, spec) == reward(2.0, RewardSpec(3))
-    assert math.isclose(reward(3.0, spec), 1.0, abs_tol=1e-12)

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spideradapt.domain import enumerate_states, state_space
-from spideradapt.reward_model import is_success
+from spideradapt.domain import enumerate_states, state_index, state_space
+from spideradapt.reward_model import RewardSpec, is_success, reward
 from spideradapt.subjects import (
     SubjectFileError,
     VirtualSubject,
     bfs_distance,
     generate_population,
     load_population,
+    response_tables,
     sample_subject,
     save_population,
     scale_coefficient,
@@ -154,6 +155,27 @@ def test_bfs_distance_cases(example_subject):
     assert bfs_distance(example_subject, ALL_MIN, 1) == 1
     with pytest.raises(ValueError, match=r"^invalid spider state: \(9, 0, 0, 0, 0, 0\)$"):
         bfs_distance(example_subject, (9, 0, 0, 0, 0, 0), 1)
+    # the oracles read the sessions' success table, so they refuse what RewardSpec refuses
+    for bad in (0, 10, 2.5):
+        with pytest.raises(ValueError, match=r"^target must be an integer in 1\.\.9"):
+            bfs_distance(example_subject, ALL_MIN, bad)
+
+
+def test_rounded_table_rewards_the_stress_rounded_half_up():
+    # stresses 0, 1.25 and 2.5 along the first attribute
+    subject = VirtualSubject(0, (1.25, 0, 0, 0, 0, 0), 1.0)
+    spec = RewardSpec(3)
+    first = [state_index((v, 0, 0, 0, 0, 0)) for v in range(3)]
+    stresses, rewards, successes = response_tables(subject, 3, True)
+    raw = response_tables(subject, 3, False)
+    assert [stresses[i] for i in first] == [0.0, 1.25, 2.5]
+    # 1.25 rounds down and 2.5, a half, up
+    assert [rewards[i] for i in first] == [reward(0.0, spec), reward(1.0, spec), reward(3.0, spec)]
+    assert [reward(x, spec) for x in stresses] == list(raw[1]) != list(rewards)
+    # the stress and success tables read the raw stress
+    assert (stresses, successes) == (raw[0], raw[2])
+    assert (stresses, successes) == (stress_table(subject), tuple(is_success(x, 3) for x in stresses))
+    assert [successes[i] for i in first] == [False, False, True]
 
 
 def test_bfs_distance_none_when_unreachable():
