@@ -162,22 +162,24 @@ def _record_key(r: RunRecord) -> tuple:
     return (_METHOD_RANK[r.method], _KIND_RANK[r.initial_kind], r.target, r.subject_id, r.repeat)
 
 
-def _run_unit(unit: tuple[GridConfig, VirtualSubject, int]) -> list[RunRecord]:
-    """All runs of one subject at one target: the grid's work unit.
+def _run_unit(unit: tuple[GridConfig, VirtualSubject]) -> list[RunRecord]:
+    """All runs of one subject: the grid's work unit.
 
-    The unit covers every method, initial state and repeat, so all its runs
-    read one response table. A method that draws nothing never reads its
-    repeat index, so it runs once per initial state and that outcome is
+    The unit covers every method, target, initial state and repeat, so its
+    GA runs advance together as one block, and it reads one response table
+    per target. Its other runs go target by target, so each table is read
+    in one stretch. A method that draws nothing never reads its repeat
+    index, so it runs once per target and initial state and that outcome is
     every repeat's record.
     """
-    cfg, subject, target = unit
+    cfg, subject = unit
     runs = [
         cfg.run_config(method, initial_kind, target, subject.id, repeat)
-        for method, initial_kind in product(cfg.methods, cfg.initial_kinds)
+        for target, method, initial_kind in product(cfg.targets, cfg.methods, cfg.initial_kinds)
         for repeat in (range(cfg.repeats) if SLOTS_PER_ITERATION[method] else (0,))
     ]
     return [
-        RunRecord(rc.method, rc.initial_kind, target, subject.id, repeat,
+        RunRecord(rc.method, rc.initial_kind, rc.target, subject.id, repeat,
                   result.success, result.spiders_presented, result.iterations_used)
         for rc, result in zip(runs, run_sessions(runs, subject))
         for repeat in ((rc.repeat_index,) if SLOTS_PER_ITERATION[rc.method] else range(cfg.repeats))
@@ -192,18 +194,18 @@ def run_grid(
 
     Worker count never changes the records: every run derives its rng from
     its own coordinates, and the output is sorted before returning.
-    ``progress`` gets (runs done, runs) after each unit. The whole
-    configuration is validated before any run.
+    ``progress`` gets (runs done, runs) after each subject. The whole
+    configuration is validated before any run. A grid of one subject runs
+    in this process at any worker count.
     """
     cfg.validate()
     # a unit carries its subject and not the population, so pickling stays linear in subjects
     bare = replace(cfg, population=SubjectPopulation(cfg.population.seed, ()))
-    # a subject's units run back to back, so its stress table is built once
-    units = [(bare, s, t) for s in cfg.population.subjects for t in cfg.targets]
-    runs = len(units) * len(cfg.methods) * len(cfg.initial_kinds) * cfg.repeats
+    units = [(bare, s) for s in cfg.population.subjects]
+    runs = len(units) * len(cfg.methods) * len(cfg.initial_kinds) * len(cfg.targets) * cfg.repeats
     records: list[RunRecord] = []
     with ExitStack() as stack:
-        if cfg.workers == 1:
+        if cfg.workers == 1 or len(units) == 1:
             results = map(_run_unit, units)
         else:
             # a fork pool starts every worker at once, so never ask for more than there is work

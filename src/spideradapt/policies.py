@@ -6,33 +6,39 @@ agent learns online within a single session; the genetic algorithm evolves a
 small population with midpoint crossover; greedy always moves to the best
 neighbour; random search walks uniformly.
 
-Every operation works on ``domain.state_space()`` indices. Fitness comes
-from a per-state rewards table (``rewards[i]`` is the reward of state ``i``
-for one subject and target), so a policy step is only table lookups and
-index arithmetic. This module is the only implementation of each policy;
+Every operation works on ``domain.state_space()`` indices. Random, greedy
+and RL step one run at a time, and read fitness from a per-state rewards
+table (``rewards[i]`` is the reward of state ``i`` for one subject and
+target), so a step is only table lookups and index arithmetic. The GA steps
+a block of runs at once: its functions take numpy arrays with one row per
+run, each population padded with ``PAD`` after its members, and each
+member's reward beside it, so a generation of every run is one set of
+array operations. This module is the only implementation of each policy;
 the session runner calls these functions directly.
 
 Policies draw nothing: each step takes the uniforms in [0, 1) that the
 fixed draw protocol hands it (``SLOTS_PER_ITERATION`` per iteration), so a
 step is a pure function of its inputs. A choice among ``n`` options is
-``int(u * n)``. The Q-learning functions take a flat table of
+``int(u * n)``; a GA block's ``(u * n).astype(int64)`` is the same number.
+The Q-learning functions take a flat table of
 ``N_STATES * N_ACTIONS`` floats, entry (s, a) at ``s * N_ACTIONS + a``,
 which the session builds and, for ``rl_random``, draws.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import itemgetter
 from typing import Sequence
+
+import numpy as np
 
 from .domain import (
     MAX_VALUES,
     MIN_VALUES,
     N_ACTIONS,
     N_ATTRIBUTES,
+    N_STATES,
     STRIDES,
     state_space,
 )
@@ -48,6 +54,16 @@ SLOTS_PER_ITERATION = {"random": 1, "greedy": 0, "ga": 16, "rl_random": 2, "rl_z
 # Midpoint crossover swaps the last N_ATTRIBUTES // 2 attributes, which are
 # the low digits of the mixed-radix index: the index modulo this stride.
 _CROSSOVER_SPLIT = STRIDES[N_ATTRIBUTES // 2 - 1]
+# a GA generation's slots in four groups of four: the parent picks, then each
+# child's mutate test, attribute and value; a child's crossover partner is
+# its sibling's parent
+_GA_SLOTS = np.array([0, 1, 8, 9, 2, 5, 10, 13, 3, 6, 11, 14, 4, 7, 12, 15])
+_PARTNER = np.array([1, 0, 3, 2])
+# per attribute, the number of values it takes and its stride
+_SIZES = np.array([hi - lo + 1 for lo, hi in zip(MIN_VALUES, MAX_VALUES)])
+_STRIDES = np.array(STRIDES)
+# the state index that fills a population's empty slots
+PAD = N_STATES
 
 # The state graph's per-state lists, bound once at import: every policy step reads them.
 _VALID_ACTION_IDS = state_space().valid_action_ids
@@ -142,6 +158,18 @@ def rl_update(
 
 # ---------------------------------------------------------------------------
 # Genetic algorithm
+#
+# The GA works on a block of runs at once: row ``r`` of a population array
+# holds run ``r``'s members, real members first, then ``PAD`` in the slots a
+# population too small for the row leaves empty. Each member's reward sits
+# at the same position of a rewards array of the same shape.
+
+
+def ga_seed_pools(initials: Sequence[int]) -> np.ndarray:
+    """One row per initial state: the state, then its neighbours in action-id order, then pads."""
+    rows = [[s] + _NEIGHBOR_IDS[s] for s in initials]
+    width = max(map(len, rows))
+    return np.array([row + [PAD] * (width - len(row)) for row in rows], dtype=np.int64)
 
 
 def ga_initial_population(initial: int, rewards: Sequence[float], population_size: int) -> list[int]:
@@ -151,64 +179,64 @@ def ga_initial_population(initial: int, rewards: Sequence[float], population_siz
     population is simply smaller; the two 11-neighbour states yield one
     candidate too many, and ``ga_select`` drops the weakest by reward.
     """
-    return ga_select([initial] + _NEIGHBOR_IDS[initial], rewards, population_size)
+    pool = ga_seed_pools([initial])
+    return ga_select(pool, np.asarray(rewards)[pool], population_size)[0][0].tolist()
 
 
-def _mutate(child: int, u_attribute: float, u_value: float) -> int:
-    i = int(u_attribute * N_ATTRIBUTES)
-    size = MAX_VALUES[i] - MIN_VALUES[i] + 1
-    return child + (int(u_value * size) - child // STRIDES[i] % size) * STRIDES[i]
+def ga_generation(population: np.ndarray, rewards: np.ndarray, cfg: GAConfig, u: np.ndarray) -> np.ndarray:
+    """Each run's offspring of one generation, by crossover and mutation: ``(runs, 4)`` state indices.
 
-
-def ga_generation(
-    population: list[int],
-    rewards: Sequence[float],
-    cfg: GAConfig,
-    u: Sequence[float],
-) -> list[int]:
-    """Produce one generation of offspring by crossover and mutation.
-
-    Parents are drawn fitness-proportionally after shifting each member's
-    reward by +1 (rewards lie in [-1, 1]). Two pairs are drawn, and each is
-    crossed at the midpoint: one child takes the first half of the
-    attributes from the first parent and the second half from the other,
-    its sibling the converse; both children are kept. Mutation re-rolls one
-    uniformly chosen attribute to a uniformly chosen valid value with
-    probability ``mutation_prob``. ``u`` holds the generation's 16 uniforms,
-    8 per pair in the order parent 1, parent 2, then the mutate test,
+    Parents are drawn fitness-proportionally, each member weighted by its
+    reward shifted by +1 (rewards lie in [-1, 1]) and each pad by 0, by a
+    roulette pick ``min(bisect_right(cum, u * total), n - 1)`` over the
+    cumulative weights of a run's ``n`` members, or ``int(u * n)`` when
+    every weight is 0. Two pairs are drawn, and each is crossed at the
+    midpoint: one child takes the first half of the attributes from the
+    first parent and the second half from the other, its sibling the
+    converse; both children are kept. Mutation re-rolls one uniformly
+    chosen attribute to a uniformly chosen valid value with probability
+    ``mutation_prob``. Row ``r`` of ``u`` holds run ``r``'s 16 uniforms, 8
+    per pair in the order parent 1, parent 2, then the mutate test,
     attribute and value of the first child and of the second.
     """
-    if not population:
-        raise ValueError("population must be non-empty")
-    if len(u) != SLOTS_PER_ITERATION["ga"]:
-        raise ValueError(f"a generation takes {SLOTS_PER_ITERATION['ga']} uniforms, got {len(u)}")
-    n = len(population)
-    cum = list(accumulate([rewards[p] + 1.0 for p in population]))
-    total = cum[-1]
-    picks = (u[0], u[1], u[8], u[9])
-    if total > 0.0:
-        a, b, c, d = [population[min(bisect_right(cum, x * total), n - 1)] for x in picks]
-    else:  # degenerate: every reward at the -1 floor
-        a, b, c, d = [population[int(x * n)] for x in picks]
-    la, lb, lc, ld = a % _CROSSOVER_SPLIT, b % _CROSSOVER_SPLIT, c % _CROSSOVER_SPLIT, d % _CROSSOVER_SPLIT
-    children = (a - la + lb, b - lb + la, c - lc + ld, d - ld + lc)
-    prob = cfg.mutation_prob
-    return [
-        _mutate(child, u[m + 1], u[m + 2]) if u[m] < prob else child
-        for child, m in zip(children, (2, 5, 10, 13))
-    ]
+    real = population != PAD
+    n = real.sum(axis=1, keepdims=True)
+    if (n == 0).any():
+        raise ValueError("every population must have a member")
+    if u.shape != (len(population), SLOTS_PER_ITERATION["ga"]):
+        raise ValueError(f"a generation takes {SLOTS_PER_ITERATION['ga']} uniforms a run, got shape {u.shape}")
+    # a row-wise cumsum adds left to right, and a pad adds 0 after the members
+    cum = np.where(real, rewards + 1.0, 0.0).cumsum(axis=1)
+    total = cum[:, -1:]
+    picks, tests, attributes, values = u[:, _GA_SLOTS].reshape(-1, 4, 4).transpose(1, 0, 2)
+    # the count of cum <= v is bisect_right(cum, v); a run whose every reward
+    # sits at the -1 floor picks int(u * n) instead
+    roulette = np.minimum((cum[:, None, :] <= (picks * total)[:, :, None]).sum(axis=2), n - 1)
+    rows = np.arange(len(population))[:, None]
+    parents = population[rows, np.where(total > 0.0, roulette, (picks * n).astype(np.int64))]
+    low = parents % _CROSSOVER_SPLIT
+    children = parents - low + low[:, _PARTNER]
+    attribute = (attributes * N_ATTRIBUTES).astype(np.int64)
+    size, stride = _SIZES[attribute], _STRIDES[attribute]
+    digit = children % (stride * size) - children % stride  # the attribute's value, times its stride
+    mutants = children - digit + (values * size).astype(np.int64) * stride
+    return np.where(tests < cfg.mutation_prob, mutants, children)
 
 
-def ga_select(pool: list[int], rewards: Sequence[float], population_size: int) -> list[int]:
-    """Keep the ``population_size`` best chromosomes by reward, in pool order.
+def ga_select(pool: np.ndarray, rewards: np.ndarray, population_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keep each row's ``population_size`` best members by reward, in pool order, and their rewards.
 
-    Ties break toward earlier pool positions (stable sort); duplicates may
-    survive together.
+    Ties break toward earlier pool positions (a stable sort); duplicates may
+    survive together. Pads may sit anywhere in the pool: they rank after
+    every member, and in the kept rows they follow the members.
     """
-    if not pool:
+    if not pool.shape[1]:
         raise ValueError("selection pool must be non-empty")
-    ranked = sorted(range(len(pool)), key=list(map(rewards.__getitem__, pool)).__getitem__, reverse=True)
-    return [pool[i] for i in sorted(ranked[:population_size])]
+    pad, rows = pool == PAD, np.arange(len(pool))[:, None]
+    ranked = np.argsort(np.where(pad, np.inf, -rewards), axis=1, kind="stable")[:, :population_size]
+    # pool order, pads last (ranked holds them in pool order); a float key reuses the first sort's kernel
+    kept = ranked[rows, np.argsort(np.where(pad[rows, ranked], np.inf, ranked), axis=1, kind="stable")]
+    return pool[rows, kept], rewards[rows, kept]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,11 @@ length, and the trace is that record. The engine works on state indices and
 ``policies``. Each iteration presents one batch: a sequential move is a batch
 of one, greedy's ranking is the batch of every neighbour, and a GA generation
 is its offspring. Sequential batches stop at the first success; a GA batch is
-presented whole and checked for success at its end. The GA has its own
-iteration loop; random, greedy and RL share the other.
+presented whole and checked for success at its end. Random, greedy and RL
+runs go one at a time through one iteration loop. GA runs that share an
+iteration cap and GA settings advance together as a block: each generation
+is one set of array operations over every active run, a run leaves the
+block when it ends, and a single GA run is a block of one.
 
 Every run owns an rng stream, ``run_seed_sequence`` of its full coordinates,
 and an RL run builds its own fresh Q-table, so a run depends on nothing but
@@ -22,8 +25,10 @@ read by a fixed draw protocol: an ``rl_random`` table takes the first
 ``i >= 1`` owns the next ``k`` uniforms, ``[k(i-1), k*i)``, with
 ``k = SLOTS_PER_ITERATION[method]``, whether the policy reads them or not.
 Greedy's ``k`` is 0: ``_slots`` then yields empty tuples without touching
-the generator, so greedy draws nothing and opens no stream. ``run_session``
-seeds one run; ``run_sessions`` seeds many in one ``pcg64_states`` pass.
+the generator, so greedy draws nothing and opens no stream. A GA block reads
+each run's slots from that run's own stream, a bounded number of
+generations at a time. ``run_session`` seeds one run; ``run_sessions`` seeds
+many in one ``pcg64_states`` pass.
 """
 
 from __future__ import annotations
@@ -37,12 +42,13 @@ import numpy as np
 from .domain import INITIAL_KINDS, INITIAL_STATES, N_ACTIONS, N_STATES, SpiderState, state_space
 from .policies import (
     GAConfig,
+    PAD,
     POLICY_NAMES,
     RL_METHODS,
     RLConfig,
     SLOTS_PER_ITERATION,
     ga_generation,
-    ga_initial_population,
+    ga_seed_pools,
     ga_select,
     greedy_step,
     random_step,
@@ -224,8 +230,11 @@ def run_session(cfg: RunConfig, subject: VirtualSubject, record_sequence: bool =
 
     Setting ``record_sequence`` to False skips building the presentation
     trace, which large grids use to save memory; the counts are unaffected.
+    A GA run is a block of one.
     """
     cfg.validate()
+    if cfg.method == "ga":
+        return _run_ga([cfg], subject, record_sequence, pcg64_states([cfg]))[0]
     rng = np.random.default_rng(run_seed_sequence(cfg)) if SLOTS_PER_ITERATION[cfg.method] else None
     return _run(cfg, subject, record_sequence, rng)
 
@@ -233,65 +242,66 @@ def run_session(cfg: RunConfig, subject: VirtualSubject, record_sequence: bool =
 def run_sessions(cfgs: Sequence[RunConfig], subject: VirtualSubject) -> Iterator[RunResult]:
     """``run_session(cfg, subject, False)`` for each config, all validated before the first run.
 
-    One ``pcg64_states`` pass derives the streams, and each is assigned in
-    turn to one reused generator, which a run that draws nothing ignores.
+    One ``pcg64_states`` pass derives the streams. The GA configs that share
+    an iteration cap and GA settings run first, as one block each; every
+    other config then runs in turn on one reused generator, assigned its
+    stream, which a run that draws nothing ignores.
     """
     for cfg in cfgs:
         cfg.validate()
+    states = pcg64_states(cfgs)
+    blocks: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        if cfg.method == "ga":
+            blocks.setdefault((cfg.iteration_cap, cfg.ga.population_size, cfg.ga.mutation_prob), []).append(i)
+    done = {}
+    for block in blocks.values():
+        done.update(zip(block, _run_ga([cfgs[i] for i in block], subject, False, [states[i] for i in block])))
     rng = np.random.default_rng(0)  # every run sets its own state first
-    for cfg, state in zip(cfgs, pcg64_states(cfgs)):
-        rng.bit_generator.state = state
-        yield _run(cfg, subject, False, rng)
+    for i, (cfg, state) in enumerate(zip(cfgs, states)):
+        if i in done:
+            yield done.pop(i)
+        else:
+            rng.bit_generator.state = state
+            yield _run(cfg, subject, False, rng)
+
+
+def _check_subject(cfg: RunConfig, subject: VirtualSubject) -> None:
+    if subject.id != cfg.subject_id:
+        raise ValueError(f"subject id {subject.id} does not match config subject_id {cfg.subject_id}")
+
+
+def _presented(states, stresses, rewards, shown) -> list[PresentedSpider]:
+    return [PresentedSpider(states[i], stresses[i], rewards[i], it) for i, it in shown]
 
 
 def _run(cfg: RunConfig, subject: VirtualSubject, record_sequence: bool, rng: np.random.Generator | None) -> RunResult:
-    """The session engine; ``rng`` sits at the start of the run's own stream, or is None if it draws nothing."""
-    if subject.id != cfg.subject_id:
-        raise ValueError(f"subject id {subject.id} does not match config subject_id {cfg.subject_id}")
+    """The engine of random, greedy and RL runs; ``rng`` sits at the start of the run's stream, or is None for greedy."""
+    _check_subject(cfg, subject)
     space = state_space()
     states = space.states
     stresses, rewards, successes = response_tables(subject, cfg.target, cfg.rounded_reward)
     method = cfg.method
-    k = SLOTS_PER_ITERATION[method]
     # every state shown, in the order shown, mapped to the iteration it was first shown at
     shown: dict[int, int] = {}
 
-    def present(batch: Sequence[int], iteration: int, stop_early: bool) -> int | None:
-        """Show the unseen members of ``batch``; return the first success, or None."""
-        hit = None
+    def present(batch: Sequence[int], iteration: int) -> int | None:
+        """Show the unseen members of ``batch`` in order until the first success; return it, or None."""
         for idx in batch:
-            if idx in shown:
-                continue
-            shown[idx] = iteration
-            if hit is None and successes[idx]:
-                hit = idx
-                if stop_early:
-                    break
-        return hit
+            if idx not in shown:
+                shown[idx] = iteration
+                if successes[idx]:
+                    return idx
+        return None
 
     def result(success: bool, iterations: int, final_idx: int) -> RunResult:
-        sequence = [PresentedSpider(states[i], stresses[i], rewards[i], it)
-                    for i, it in shown.items()] if record_sequence else []
+        sequence = _presented(states, stresses, rewards, shown.items()) if record_sequence else []
         return RunResult(success, len(shown), iterations, states[final_idx], sequence)
 
-    start = space.index_of[INITIAL_STATES[cfg.initial_kind]]
-    iterations = range(1, cfg.iteration_cap + 1)
-    # the subject sees the initial spider, or the GA's seed population, first
-    population = ga_initial_population(start, rewards, cfg.ga.population_size) if method == "ga" else (start,)
-    hit = present(population, 0, False)
-    if hit is not None:
-        return result(True, 0, hit)
-
-    if method == "ga":
-        for gen, u in zip(iterations, _slots(rng, k)):
-            offspring = ga_generation(population, rewards, cfg.ga, u)
-            hit = present(offspring, gen, False)
-            if hit is not None:
-                return result(True, gen, hit)
-            population = ga_select(population + offspring, rewards, cfg.ga.population_size)
-        return result(False, cfg.iteration_cap, max(population, key=rewards.__getitem__))
-
-    s = start
+    # the subject sees the initial spider first
+    s = space.index_of[INITIAL_STATES[cfg.initial_kind]]
+    if present((s,), 0) is not None:
+        return result(True, 0, s)
     greedy, learning = method == "greedy", method in RL_METHODS
     if learning:
         # a flat table, entry (s, a) at s * N_ACTIONS + a; an rl_random one
@@ -300,10 +310,10 @@ def _run(cfg: RunConfig, subject: VirtualSubject, record_sequence: bool, rng: np
         q = memoryview(rng.random(size) if method == "rl_random" else np.zeros(size))
         epsilon = cfg.rl.epsilon
         next_state = space.next_state
-    for it, u in zip(iterations, _slots(rng, k)):
+    for it, u in zip(range(1, cfg.iteration_cap + 1), _slots(rng, SLOTS_PER_ITERATION[method])):
         if greedy:
-            # every unseen neighbour is shown, and then greedy moves to the best
-            hit = present(space.neighbor_ids[s], it, True)
+            # every unseen neighbour is shown until the first success, and then greedy moves to the best
+            hit = present(space.neighbor_ids[s], it)
             if hit is not None:
                 return result(True, it, hit)
             t = greedy_step(s, rewards)
@@ -312,7 +322,7 @@ def _run(cfg: RunConfig, subject: VirtualSubject, record_sequence: bool, rng: np
             t = next_state[s][aid]
         else:
             t = random_step(s, u[0])
-        # random and RL show their one spider here, inline; greedy has shown t already
+        # random and RL show their one spider here; greedy has shown t already
         if t not in shown:
             shown[t] = it
             if successes[t]:
@@ -321,3 +331,91 @@ def _run(cfg: RunConfig, subject: VirtualSubject, record_sequence: bool, rng: np
             rl_update(q, s, aid, rewards[t], t, cfg.rl)
         s = t
     return result(False, cfg.iteration_cap, s)
+
+
+# Generations whose uniforms a GA block draws for each run at a time, into
+# one buffer: bounded, so memory does not grow with the cap.
+_GA_REFILL_GENERATIONS = 8
+
+
+def _run_ga(cfgs: Sequence[RunConfig], subject: VirtualSubject, record_sequence: bool,
+            streams: Sequence[dict]) -> list[RunResult]:
+    """The GA engine: runs sharing an iteration cap and GA settings, as one block; ``streams`` are their PCG64 states.
+
+    Each generation is one set of array operations over every active run:
+    its offspring, their presentation, the success test and the survivors.
+    A run that succeeds, or reaches the cap, leaves the arrays. A run's
+    slots are drawn from its own stream ``_GA_REFILL_GENERATIONS``
+    generations at a time: the stream resumes from its state advanced past
+    the slots of every earlier generation, and PCG64 doubles concatenate,
+    so each run reads exactly the uniforms it would read alone.
+    """
+    for cfg in cfgs:
+        _check_subject(cfg, subject)
+    space = state_space()
+    states = space.states
+    ga, cap, k = cfgs[0].ga, cfgs[0].iteration_cap, SLOTS_PER_ITERATION["ga"]
+    # one row per response table the block reads, each with an entry for PAD
+    keys: dict[tuple[int, bool], int] = {}
+    table_of = [keys.setdefault((cfg.target, cfg.rounded_reward), len(keys)) for cfg in cfgs]
+    tables = [response_tables(subject, target, rounded) for target, rounded in keys]
+    reward_of = np.array([table[1] + (0.0,) for table in tables]).ravel()
+    success_of = np.array([table[2] + (False,) for table in tables]).ravel()
+    base = np.array(table_of, dtype=np.int64)[:, None] * (N_STATES + 1)
+    runs = np.arange(len(cfgs))  # the block position of each active run
+    shown = np.zeros((len(cfgs), N_STATES + 1), dtype=bool)
+    traces: list[list[tuple[int, int]]] = [[] for _ in cfgs]
+    results: list[RunResult | None] = [None] * len(cfgs)
+
+    def present(batch: np.ndarray, iteration: int) -> np.ndarray:
+        """Show each active run its batch; return which members succeed."""
+        if record_sequence:  # each run's unseen members, first occurrences only, in batch order
+            width = batch.shape[1]
+            repeated = ((batch[:, :, None] == batch[:, None, :]) & np.tri(width, width, -1, dtype=bool)).any(axis=2)
+            new = ~shown[runs[:, None], batch] & ~repeated & (batch != PAD)
+            for r, b in zip(*np.nonzero(new)):
+                traces[runs[r]].append((int(batch[r, b]), iteration))
+        shown[runs[:, None], batch] = True
+        return success_of[base + batch]
+
+    def finish(done: np.ndarray, success: bool, iteration: int, final: list[int]) -> None:
+        """Record the result of each active run that ``done`` marks; ``final`` holds their final states."""
+        counts = shown[runs[done], :N_STATES].sum(axis=1).tolist()
+        for r, count, idx in zip(runs[done].tolist(), counts, final):
+            stresses, table_rewards, _ = tables[table_of[r]]
+            sequence = _presented(states, stresses, table_rewards, traces[r]) if record_sequence else []
+            results[r] = RunResult(success, count, iteration, states[idx], sequence)
+
+    # the subject sees each run's seed population first
+    seeds = ga_seed_pools([space.index_of[INITIAL_STATES[cfg.initial_kind]] for cfg in cfgs])
+    population, rewards = ga_select(seeds, reward_of[base + seeds], ga.population_size)
+    batch, gen = population, 0
+    buffer = np.empty((len(cfgs), _GA_REFILL_GENERATIONS, k))
+    rng = np.random.default_rng(0)  # every run sets its own state first
+    while True:
+        # a batch is shown whole and succeeds at its first success: no member
+        # shown before is one, or its run would have ended
+        wins = present(batch, gen)
+        hit = wins.any(axis=1)
+        if hit.any():
+            firsts = [row[flags.index(True)] for row, flags in zip(batch[hit].tolist(), wins[hit].tolist())]
+            finish(hit, True, gen, firsts)
+            runs, base, population, rewards = runs[~hit], base[~hit], population[~hit], rewards[~hit]
+        if gen == cap or not len(runs):
+            break
+        gen += 1
+        slot = (gen - 1) % _GA_REFILL_GENERATIONS
+        if not slot:
+            for r in runs.tolist():
+                rng.bit_generator.state = streams[r]
+                rng.bit_generator.advance(k * (gen - 1))
+                rng.random(out=buffer[r])
+        batch = ga_generation(population, rewards, ga, buffer[runs, slot])
+        population, rewards = ga_select(np.concatenate([population, batch], axis=1),
+                                        np.concatenate([rewards, reward_of[base + batch]], axis=1),
+                                        ga.population_size)
+    # a failed run ends on the first best member of its last population
+    finish(np.ones(len(runs), dtype=bool), False, cap,
+           [max(filter(PAD.__ne__, row), key=tables[table_of[r]][1].__getitem__)
+            for r, row in zip(runs.tolist(), population.tolist())])
+    return results

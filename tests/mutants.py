@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 
 _SEQUENTIAL = "tests/test_session.py::test_sequential_runs_equal_the_reference"
 _GA = "tests/test_session.py::test_ga_runs_equal_the_reference"
+_GA_BLOCK = "tests/test_session.py::test_a_ga_block_equals_the_reference_run_by_run"
 _SMALL_GRID = "tests/test_acceptance.py::test_golden_digest_of_a_small_grid_off_the_defaults"
 _GRID_RECORDS = ("tests/test_grid.py::test_run_grid_runs_greedy_once_per_initial_state",)
 _PARSE = "tests/test_grid.py::test_block_parse_agrees_with_the_row_by_row_rules[{}]"
@@ -47,7 +48,7 @@ _ORDER = "tests/test_grid.py::test_a_file_out_of_canonical_order_parses_as_the_r
 _REFERENCE_GRID = "tests/test_grid.py::test_run_grid_equals_the_reference_grid"
 _ROUNDED_TABLE = "tests/test_subjects.py::test_rounded_table_rewards_the_stress_rounded_half_up"
 _SESSION, _GRID, _CLI = "src/spideradapt/session.py", "src/spideradapt/grid.py", "src/spideradapt/cli.py"
-_SUBJECTS = "src/spideradapt/subjects.py"
+_SUBJECTS, _POLICIES = "src/spideradapt/subjects.py", "src/spideradapt/policies.py"
 
 MUTANTS = (
     # the move graph, built from the strides
@@ -63,38 +64,50 @@ MUTANTS = (
            "from .policies import GAConfig, POLICY_NAMES, RLConfig, SLOTS_PER_ITERATION\n",
            "from .policies import GAConfig, POLICY_NAMES, RLConfig, SLOTS_PER_ITERATION\n"
            "SLOTS_PER_ITERATION = {**SLOTS_PER_ITERATION, \"random\": 0}\n", (_REFERENCE_GRID,)),
-    Mutant("grid-writes-greedy-repeats-as-zero", _GRID, "RunRecord(rc.method, rc.initial_kind, target, subject.id, repeat,",
-           "RunRecord(rc.method, rc.initial_kind, target, subject.id, repeat if SLOTS_PER_ITERATION[rc.method] else 0,",
+    Mutant("grid-writes-greedy-repeats-as-zero", _GRID, "RunRecord(rc.method, rc.initial_kind, rc.target, subject.id, repeat,",
+           "RunRecord(rc.method, rc.initial_kind, rc.target, subject.id, repeat if SLOTS_PER_ITERATION[rc.method] else 0,",
            (_REFERENCE_GRID,)),
     # the sequential session loop
-    Mutant("greedy-shows-every-neighbour", _SESSION,
-           "present(space.neighbor_ids[s], it, True)", "present(space.neighbor_ids[s], it, False)", (_SEQUENTIAL,)),
+    Mutant("greedy-shows-every-neighbour", _SESSION, "                    return idx\n",
+           "                    shown.update((b, iteration) for b in batch if b not in shown)\n"
+           "                    return idx\n", (_SEQUENTIAL,)),
     Mutant("greedy-ignores-a-hit", _SESSION,
-           "present(space.neighbor_ids[s], it, True)\n            if hit is not None:",
-           "present(space.neighbor_ids[s], it, True)\n            if False:", (_SEQUENTIAL,)),
+           "present(space.neighbor_ids[s], it)\n            if hit is not None:",
+           "present(space.neighbor_ids[s], it)\n            if False:", (_SEQUENTIAL,)),
     Mutant("no-slots-yield-once", _SESSION, "yield from repeat(())", "yield ()", (_SEQUENTIAL,)),
     Mutant("inline-shows-at-the-previous-iteration", _SESSION, "shown[t] = it", "shown[t] = it - 1", (_SEQUENTIAL,)),
     Mutant("a-reshown-spider-takes-a-later-iteration", _SESSION, "if t not in shown:", "if True:", (_SEQUENTIAL,)),
     Mutant("rl-reads-the-default-epsilon", _SESSION, "epsilon = cfg.rl.epsilon", "epsilon = 0.05",
            (_SEQUENTIAL, _SMALL_GRID)),
-    # the GA's generations
-    Mutant("ga-seed-population-stops-at-its-first-success", _SESSION, "present(population, 0, False)",
-           "present(population, 0, True)", ("tests/test_session.py::test_ga_corner_first_batch_is_seven", _GA)),
-    Mutant("ga-failed-run-ends-on-its-last-member", _SESSION, "max(population, key=rewards.__getitem__))",
-           "population[-1])", (_GA,)),
-    Mutant("ga-selects-from-offspring-first", _SESSION, "ga_select(population + offspring,",
-           "ga_select(offspring + population,", (_GA, _SMALL_GRID)),
-    Mutant("ga-select-ties-toward-later-positions", "src/spideradapt/policies.py",
-           "sorted(range(len(pool)),", "sorted(reversed(range(len(pool))),",
+    # the GA's generations, a block of runs at a time
+    Mutant("ga-seed-population-stops-at-its-first-success", _SESSION, "    batch, gen = population, 0\n",
+           "    batch, gen = np.where(np.cumsum(np.cumsum(success_of[base + population], axis=1), axis=1) > 1, PAD,"
+           " population), 0\n", ("tests/test_session.py::test_ga_corner_first_batch_is_seven", _GA)),
+    Mutant("ga-failed-run-ends-on-its-last-member", _SESSION,
+           "max(filter(PAD.__ne__, row), key=tables[table_of[r]][1].__getitem__)",
+           "[m for m in row if m != PAD][-1]", (_GA,)),
+    Mutant("ga-selects-from-offspring-first", _SESSION,
+           "ga_select(np.concatenate([population, batch], axis=1),\n"
+           "                                        np.concatenate([rewards, reward_of[base + batch]], axis=1),",
+           "ga_select(np.concatenate([batch, population], axis=1),\n"
+           "                                        np.concatenate([reward_of[base + batch], rewards], axis=1),",
+           (_GA, _SMALL_GRID)),
+    Mutant("ga-select-ties-toward-later-positions", _POLICIES,
+           'np.argsort(np.where(pad, np.inf, -rewards), axis=1, kind="stable")',
+           '(pool.shape[1] - 1 - np.argsort(np.where(pad, np.inf, -rewards)[:, ::-1], axis=1, kind="stable"))',
            ("tests/test_policies.py::test_ga_select_rules", _GA)),
-    Mutant("ga-parents-swap-their-slots", "src/spideradapt/policies.py", "picks = (u[0], u[1], u[8], u[9])",
-           "picks = (u[1], u[0], u[8], u[9])", (_GA, _SMALL_GRID)),
+    Mutant("ga-parents-swap-their-slots", _POLICIES, "_GA_SLOTS = np.array([0, 1, 8, 9,",
+           "_GA_SLOTS = np.array([1, 0, 8, 9,", (_GA, _SMALL_GRID)),
+    Mutant("ga-pad-slot-breeds", _POLICIES, "np.where(real, rewards + 1.0, 0.0)", "np.where(real, rewards + 1.0, 1.0)",
+           ("tests/test_policies.py::test_a_pad_never_breeds", _GA)),
+    Mutant("ga-refill-resumes-one-generation-late", _SESSION, "rng.bit_generator.advance(k * (gen - 1))",
+           "rng.bit_generator.advance(k * gen)", (_GA, _GA_BLOCK)),
     # one-pass seeding of a grid unit
     Mutant("seed-hash-multiplier-off-by-two", _SESSION, "_MULT_B = 0x8B51F9DD, 0x58F38DED",
            "_MULT_B = 0x8B51F9DD, 0x58F38DEF",
            ("tests/test_session.py::test_pcg64_states_match_the_seed_sequence", *_GRID_RECORDS)),
-    Mutant("unit-states-in-reverse", _SESSION, "zip(cfgs, pcg64_states(cfgs))",
-           "zip(cfgs, reversed(pcg64_states(cfgs)))",
+    Mutant("unit-states-in-reverse", _SESSION, "states = pcg64_states(cfgs)",
+           "states = pcg64_states(cfgs)[::-1]",
            ("tests/test_session.py::test_run_sessions_equal_one_run_session_each", *_GRID_RECORDS)),
     # README's slot table
     Mutant("readme-random-takes-two-slots", "README.md", "| `random` | 1 |", "| `random` | 2 |",

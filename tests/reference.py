@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import operator
 import statistics
 from bisect import bisect_right
@@ -123,7 +124,9 @@ def reference_session(cfg: RunConfig, subject: VirtualSubject) -> RunResult:
     shown: dict[SpiderState, PresentedSpider] = {}  # in the order shown
 
     def fitness(state):
-        return reward(stress(subject, state), spec)
+        """The reward of ``state``'s stress, rounded half up first in a ``rounded_reward`` run."""
+        x = stress(subject, state)
+        return reward(float(math.floor(x + 0.5)) if cfg.rounded_reward else x, spec)
 
     def show(batch, i):
         """Show ``batch``'s unseen members at iteration ``i``; return the first success, or None."""
@@ -199,8 +202,6 @@ def reference_grid(cfg: GridConfig) -> list[RunRecord]:
     Canonical order is method, initial state, target, subject id and repeat,
     methods and initial states ranked as the package lists them.
     """
-    if cfg.rounded_reward:
-        raise ValueError("the reference session does not round rewards")
     records = []
     for method, initial_kind, target, subject, repeat in product(
         sorted(cfg.methods, key=POLICY_NAMES.index),
@@ -210,7 +211,7 @@ def reference_grid(cfg: GridConfig) -> list[RunRecord]:
         range(cfg.repeats),
     ):
         run = RunConfig(method, subject.id, target, initial_kind, repeat, cfg.iteration_cap, cfg.master_seed,
-                        cfg.rl, cfg.ga)
+                        cfg.rl, cfg.ga, cfg.rounded_reward)
         result = reference_session(run, subject)
         records.append(RunRecord(method, initial_kind, target, subject.id, repeat,
                                  result.success, result.spiders_presented, result.iterations_used))

@@ -631,8 +631,10 @@ def test_run_progress_reports_runs_rate_and_eta(tmp_path, subjects_file, capsys)
     lines = [_PROGRESS.fullmatch(line) for line in err[1:]]
     assert lines and all(lines)
     done, total, percent, rate, eta = zip(*[[int(g) for g in m.groups()] for m in lines])
-    # one line per decile, counted in runs
-    assert percent == tuple(range(0, 101, 10))
+    # progress comes after each subject, a fifth of the runs here, so each
+    # subject completes a new tenth and gets one line, counted in runs
+    assert percent == (20, 40, 60, 80, 100)
+    assert done == (60, 120, 180, 240, 300)
     assert list(done) == sorted(set(done))
     assert set(total) == {300} and done[-1] == 300 and eta[-1] == 0
     assert all(r > 0 for r in rate)

@@ -138,19 +138,19 @@ def test_run_grid_validation(small_population):
 
 
 def test_run_grid_progress_callback(small_population):
-    # progress counts runs after each unit, one subject at one target:
-    # here 2 methods x 1 initial state x 3 repeats
+    # progress counts runs after each unit, one subject: here 2 methods x
+    # 1 initial state x 2 targets x 3 repeats
     two = SubjectPopulation(small_population.seed, small_population.subjects[:2])
     seen = []
     cfg = GridConfig(population=two, master_seed=1, methods=("random", "greedy"),
                      initial_kinds=("min",), targets=(1, 2), repeats=3)
     run_grid(cfg, progress=lambda done, total: seen.append((done, total)))
-    assert seen == [(6, 24), (12, 24), (18, 24), (24, 24)]
+    assert seen == [(12, 24), (24, 24)]
 
 
 def test_run_grid_builds_each_table_once_at_any_cache_size(small_population, monkeypatch):
-    # a unit is one subject at one target, and a subject's units run back to
-    # back, so one-entry caches still build every table only once
+    # a unit is one subject, and its runs other than the GA's go target by
+    # target, so one-entry caches still build every table only once
     responses = functools.lru_cache(maxsize=1)(spideradapt.subjects.response_tables.__wrapped__)
     stresses = functools.lru_cache(maxsize=1)(spideradapt.subjects.stress_table.__wrapped__)
     monkeypatch.setattr(spideradapt.session, "response_tables", responses)
@@ -159,6 +159,21 @@ def test_run_grid_builds_each_table_once_at_any_cache_size(small_population, mon
     run_grid(GridConfig(population=three, master_seed=1, methods=("greedy",),
                         initial_kinds=("min", "max"), repeats=1))
     assert (responses.cache_info().misses, responses.cache_info().hits) == (27, 27)
+    assert stresses.cache_info().misses == 3
+
+
+def test_run_grid_with_ga_builds_each_table_once_with_a_cache_per_target(small_population, monkeypatch):
+    # a unit's GA block reads every target's table at once, so the caches
+    # need an entry per target, and no more
+    targets = (1, 4, 9)
+    responses = functools.lru_cache(maxsize=len(targets))(spideradapt.subjects.response_tables.__wrapped__)
+    stresses = functools.lru_cache(maxsize=1)(spideradapt.subjects.stress_table.__wrapped__)
+    monkeypatch.setattr(spideradapt.session, "response_tables", responses)
+    monkeypatch.setattr(spideradapt.subjects, "stress_table", stresses)
+    three = SubjectPopulation(small_population.seed, small_population.subjects[:3])
+    run_grid(GridConfig(population=three, master_seed=1, methods=("ga", "greedy", "random"),
+                        initial_kinds=("min", "max"), targets=targets, repeats=2, iteration_cap=20))
+    assert responses.cache_info().misses == 3 * len(targets)
     assert stresses.cache_info().misses == 3
 
 
@@ -257,13 +272,25 @@ def test_run_grid_asks_for_no_more_workers_than_units(small_population, monkeypa
             return map(fn, items)
 
     monkeypatch.setattr(spideradapt.grid, "ProcessPoolExecutor", SerialPool)
-    one = SubjectPopulation(small_population.seed, small_population.subjects[:1])
-    cfg = GridConfig(population=one, master_seed=1, methods=("random",),
+    two = SubjectPopulation(small_population.seed, small_population.subjects[:2])
+    cfg = GridConfig(population=two, master_seed=1, methods=("random",),
                      initial_kinds=("min",), targets=(1, 2), repeats=1)
     records = run_grid(dataclasses.replace(cfg, workers=64))
     assert asked == [2]
     assert records == run_grid(cfg)  # the serial branch asks for no pool at all
     assert asked == [2]
+
+
+def test_a_grid_of_one_subject_runs_in_process(small_population, monkeypatch):
+    # one subject is one unit: a pool would only fork a worker for it
+    def no_pool(max_workers):
+        raise AssertionError(f"asked for a pool of {max_workers}")
+
+    one = SubjectPopulation(small_population.seed, small_population.subjects[:1])
+    cfg = GridConfig(population=one, master_seed=1, targets=(1, 2), repeats=2, iteration_cap=30)
+    serial = run_grid(cfg)
+    monkeypatch.setattr(spideradapt.grid, "ProcessPoolExecutor", no_pool)
+    assert run_grid(dataclasses.replace(cfg, workers=4)) == serial
 
 
 def test_run_grid_units_do_not_carry_the_population(small_population, monkeypatch):
@@ -288,7 +315,7 @@ def test_run_grid_units_do_not_carry_the_population(small_population, monkeypatc
             return (pickle.loads(pickle.dumps(fn(unit))) for unit in units)
 
     monkeypatch.setattr(spideradapt.grid, "ProcessPoolExecutor", PicklingPool)
-    for n in (1, 10):
+    for n in (2, 10):  # a grid of one subject asks for no pool
         population = SubjectPopulation(small_population.seed, small_population.subjects[:n])
         cfg = GridConfig(population=population, master_seed=1, methods=("greedy",),
                          initial_kinds=("min",), targets=(1,), repeats=1)

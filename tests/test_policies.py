@@ -16,6 +16,7 @@ from spideradapt.domain import (
 from spideradapt.policies import (
     GAConfig,
     RLConfig,
+    PAD,
     ga_generation,
     ga_initial_population,
     ga_select,
@@ -56,6 +57,18 @@ def _qtable(rng=None):
     """A Q-table of zeros, or of ``rng``'s uniforms, and its flat view as the session passes it."""
     values = np.zeros((N_STATES, N_ACTIONS)) if rng is None else rng.random((N_STATES, N_ACTIONS))
     return values, memoryview(values.reshape(-1))
+
+
+def _generation(population, rewards, cfg, u):
+    """One run's offspring, as a block of one: a population list, a rewards table and 16 uniforms."""
+    block = np.array([population], dtype=np.int64).reshape(1, len(population))
+    return ga_generation(block, np.asarray(rewards)[block], cfg, np.array([u], dtype=float)).tolist()[0]
+
+
+def _select(pool, rewards, population_size):
+    """One run's survivors, as a block of one."""
+    block = np.array([pool], dtype=np.int64).reshape(1, len(pool))
+    return ga_select(block, np.asarray(rewards)[block], population_size)[0].tolist()[0]
 
 
 def test_config_validation():
@@ -226,13 +239,13 @@ def test_ga_crossover_midpoint():
     rewards = _table({MIN_I: 0.5, MAX_I: 0.5})
     # shifted rewards 1.5 and 1.5: a pick below 0.5 takes the first parent,
     # one from 0.5 up the second, so pick uniforms 0.25 and 0.75 fix the order
-    children = ga_generation(population, rewards, cfg, _u((0.25, 0.75, 0.75, 0.25)))
+    children = _generation(population, rewards, cfg, _u((0.25, 0.75, 0.75, 0.25)))
     assert [STATES[c] for c in children] == [
         (0, 0, 0, 2, 1, 2), (2, 2, 2, 0, 0, 0), (2, 2, 2, 0, 0, 0), (0, 0, 0, 2, 1, 2),
     ]
     seen = set()
     for picks in product(_grid(4), repeat=4):
-        children = ga_generation(population, rewards, cfg, _u(picks))
+        children = _generation(population, rewards, cfg, _u(picks))
         assert len(children) == 4
         seen.update(STATES[c] for c in children)
     assert (0, 0, 0, 2, 2, 1) not in seen  # malformed mixtures never appear
@@ -243,7 +256,7 @@ def test_ga_identical_parents_reproduce_without_mutation():
     cfg = GAConfig(mutation_prob=0.0)
     for picks in product((0.0, 0.5, np.nextafter(1.0, 0.0)), repeat=4):
         mutations = ((0.0, 0.5, 0.5),) * 4  # a zero test uniform still never mutates at prob 0
-        assert ga_generation([ELEVEN_I], _table({ELEVEN_I: 1.0}), cfg, _u(picks, mutations)) == [ELEVEN_I] * 4
+        assert _generation([ELEVEN_I], _table({ELEVEN_I: 1.0}), cfg, _u(picks, mutations)) == [ELEVEN_I] * 4
 
 
 def test_ga_generation_output_size_and_validity(small_population):
@@ -252,7 +265,7 @@ def test_ga_generation_output_size_and_validity(small_population):
     rng = np.random.default_rng(13)
     for cfg in (GAConfig(), GAConfig(mutation_prob=1.0)):
         for _ in range(200):
-            children = ga_generation(population, rewards, cfg, rng.random(16).tolist())
+            children = _generation(population, rewards, cfg, rng.random(16).tolist())
             assert len(children) == 4  # two pairs, both crossover children of each
             assert all(0 <= c < len(STATES) and is_valid_state(STATES[c]) for c in children)
 
@@ -260,10 +273,17 @@ def test_ga_generation_output_size_and_validity(small_population):
 def test_ga_generation_alignment_errors():
     rewards = _table({MIN_I: 0.1})
     with pytest.raises(ValueError):
-        ga_generation([], rewards, GAConfig(), [0.5] * 16)
+        _generation([], rewards, GAConfig(), [0.5] * 16)
     for wrong in ([0.5] * 15, [0.5] * 17):
         with pytest.raises(ValueError):
-            ga_generation([MIN_I], rewards, GAConfig(), wrong)
+            _generation([MIN_I], rewards, GAConfig(), wrong)
+    # a row of pads alone has no member to breed
+    padded = np.array([[MIN_I, PAD], [PAD, PAD]])
+    with pytest.raises(ValueError, match="member"):
+        ga_generation(padded, np.zeros(padded.shape), GAConfig(), np.full((2, 16), 0.5))
+    # one row of uniforms per run
+    with pytest.raises(ValueError, match="uniforms"):
+        ga_generation(padded[:1], np.zeros((1, 2)), GAConfig(), np.full((2, 16), 0.5))
 
 
 def test_ga_fitness_proportional_sampling_frequencies():
@@ -276,7 +296,7 @@ def test_ga_fitness_proportional_sampling_frequencies():
     rewards = _table(dict(zip(population, (-0.75, -0.5, 0.25))))
 
     def first_parent(u):
-        children = ga_generation(population, rewards, cfg, _u((u, 0.0, 0.0, 0.0)))
+        children = _generation(population, rewards, cfg, _u((u, 0.0, 0.0, 0.0)))
         # the first pair's first child is first-half parent 1 + second-half parent 2
         return next(p for p in parents if p[:3] == STATES[children[0]][:3])
 
@@ -289,7 +309,7 @@ def test_ga_fitness_proportional_sampling_frequencies():
     counts = Counter(first_parent(u) for u in _grid(800))
     assert counts == {parents[0]: 100, parents[1]: 200, parents[2]: 500}
     # every pick slot follows the same rule: the second parent's halves show in the children
-    children = ga_generation(population, rewards, cfg, _u((0.0, 1 / 8, 3 / 8, 0.0)))
+    children = _generation(population, rewards, cfg, _u((0.0, 1 / 8, 3 / 8, 0.0)))
     assert [STATES[c] for c in children] == [
         ALL_MIN, (1, 0, 0, 0, 0, 0), (2, 2, 2, 0, 0, 0), (0, 0, 0, 2, 1, 2),
     ]
@@ -301,7 +321,7 @@ def test_ga_degenerate_fitness_falls_back_to_uniform():
     # every reward at the -1 floor: the picks are int(u * n), so the two
     # equal halves of [0, 1) take one parent each
     floor = _table({}, default=-1.0)
-    children = ga_generation(population, floor, cfg, _u((0.25, 0.75, np.nextafter(0.5, 0.0), 0.5)))
+    children = _generation(population, floor, cfg, _u((0.25, 0.75, np.nextafter(0.5, 0.0), 0.5)))
     assert len(children) == 4
     assert all(0 <= c < len(STATES) and is_valid_state(STATES[c]) for c in children)
     assert [STATES[c] for c in children] == [
@@ -320,35 +340,35 @@ def test_ga_mutation_slots():
         (np.nextafter(0.5, 0.0), 4.5 / 6, 0.75),  # binary hairiness 0 -> 1
         (0.25, 0.0, 0.0),  # locomotion 1 -> 0
     )
-    children = ga_generation([ELEVEN_I], _table({}), cfg, _u((0.5,) * 4, mutations))
+    children = _generation([ELEVEN_I], _table({}), cfg, _u((0.5,) * 4, mutations))
     assert [STATES[c] for c in children] == [
         (1, 1, 1, 2, 0, 1), ELEVEN, (1, 1, 1, 1, 1, 1), (0, 1, 1, 1, 0, 1),
     ]
     # a re-roll may land on the attribute's current value
-    same = ga_generation([ELEVEN_I], _table({}), cfg, _u((0.5,) * 4, ((0.0, 0.0, 0.5),) * 4))
+    same = _generation([ELEVEN_I], _table({}), cfg, _u((0.5,) * 4, ((0.0, 0.0, 0.5),) * 4))
     assert same == [ELEVEN_I] * 4
 
 
 def test_ga_select_rules():
     rising = [i / N_STATES for i in range(N_STATES)]
     pool7 = _ids(STATES[:7])
-    assert ga_select(pool7, rising, 10) == pool7
+    assert _select(pool7, rising, 10) == pool7
     pool14 = _ids(STATES[:14])
-    best10 = ga_select(pool14, rising, 10)
+    best10 = _select(pool14, rising, 10)
     assert best10 == pool14[4:]
     # all-equal rewards keep the first ten in pool order
-    tied = ga_select(pool14, _table({}), 10)
+    tied = _select(pool14, _table({}), 10)
     assert tied == pool14[:10]
-    assert ga_select(pool14, rising, 3) == pool14[-3:]
+    assert _select(pool14, rising, 3) == pool14[-3:]
     # survivors come back in pool order, not rank order
-    assert ga_select([11, 0, 13, 12], rising, 3) == [11, 13, 12]
+    assert _select([11, 0, 13, 12], rising, 3) == [11, 13, 12]
     with pytest.raises(ValueError):
-        ga_select([], rising, 10)
+        _select([], rising, 10)
 
 
 def test_ga_select_permits_duplicates():
     pool = [MIN_I] * 12
-    kept = ga_select(pool, _table({}), 10)
+    kept = _select(pool, _table({}), 10)
     assert kept == [MIN_I] * 10
 
 
@@ -364,7 +384,72 @@ def test_ga_select_matches_brute_force(rewards, pool, population_size):
     # population_size, return them in pool order.
     ranked = sorted(range(len(pool)), key=lambda i: (-rewards[pool[i]], i))
     expected = [pool[i] for i in sorted(ranked[:population_size])]
-    assert ga_select(pool, rewards, population_size) == expected
+    assert _select(pool, rewards, population_size) == expected
+
+
+def _padded(rows):
+    """A block of populations, each row padded with PAD to the longest."""
+    width = max(map(len, rows))
+    return np.array([row + [PAD] * (width - len(row)) for row in rows], dtype=np.int64)
+
+
+@st.composite
+def _blocks(draw):
+    """Populations of 1-20 members over 24 states, their rewards on a 0.1 grid, 16 uniforms each."""
+    rewards = draw(st.lists(st.integers(-10, 10).map(lambda k: k / 10), min_size=24, max_size=24))
+    rows = draw(st.lists(st.lists(st.integers(0, 23), min_size=1, max_size=20), min_size=1, max_size=6))
+    u = draw(st.lists(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=16, max_size=16),
+                      min_size=len(rows), max_size=len(rows)))
+    return rewards, rows, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocks(), st.floats(0.0, 1.0))
+def test_a_block_generation_is_each_row_alone(block, mutation_prob):
+    # a pad weighs 0 and sits after every member, so no pad is ever a parent,
+    # and a row's offspring do not depend on its pads or on the other rows
+    rewards, rows, u = block
+    cfg = GAConfig(mutation_prob=mutation_prob)
+    population = _padded(rows)
+    table = np.array(rewards + [0.0] * (N_STATES + 1 - len(rewards)))  # any reward at PAD
+    together = ga_generation(population, table[population], cfg, np.array(u)).tolist()
+    assert together == [_generation(row, rewards, cfg, us) for row, us in zip(rows, u)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocks(), st.integers(1, 16), st.randoms(use_true_random=False))
+def test_a_block_selection_is_each_row_alone_with_its_pads_last(block, population_size, random):
+    # pads may sit anywhere in a pool, whatever their reward: they rank after
+    # every member, and the kept row holds its members first
+    rewards, rows, _ = block
+    pools = []
+    for row in rows:
+        pool = row + [PAD] * random.randint(0, 4)
+        random.shuffle(pool)
+        pools.append(pool)
+    width = max(map(len, pools))
+    pool = np.array([p + [PAD] * (width - len(p)) for p in pools], dtype=np.int64)
+    table = np.array(rewards + [0.0] * (N_STATES - len(rewards)) + [random.choice((-1.0, 0.0, 1.0, 2.0))])
+    kept, kept_rewards = ga_select(pool, table[pool], population_size)
+    assert kept.shape == (len(rows), min(population_size, width))
+    assert (kept_rewards == table[kept]).all()
+    for row, members in zip(kept.tolist(), pools):
+        real = [m for m in members if m != PAD]
+        expected = _select(real, rewards, population_size)
+        assert row == expected + [PAD] * (len(row) - len(expected))
+
+
+def test_a_pad_never_breeds():
+    # pads weigh 0 and sit after the members, so a roulette pick, clamped to
+    # the last member, and a degenerate pick, over the members' count, both
+    # pick as they would from the members alone
+    cfg = GAConfig(mutation_prob=0.0)
+    population = np.array([[MIN_I, MAX_I, PAD, PAD]])
+    for floor in (False, True):
+        rewards = np.array([[-1.0] * 4 if floor else [0.5, 0.5, 1.0, 1.0]])
+        for u in [*_grid(20), np.nextafter(1.0, 0.0)]:
+            children = ga_generation(population, rewards, cfg, np.array([_u((u,) * 4)])).tolist()
+            assert children == [[MIN_I if u < 0.5 else MAX_I] * 4], (floor, u)
 
 
 def test_greedy_step_monotone_toward_target(example_subject):
@@ -424,11 +509,11 @@ def test_ga_index_crossover_and_mutation_match_tuple_splices(p1, p2, rest):
     # the other 14 slots are arbitrary
     u = [0.25, 0.75] + rest[2:]
     cfg = GAConfig(mutation_prob=0.0)
-    children = ga_generation(parents, _table({}), cfg, u)
+    children = _generation(parents, _table({}), cfg, u)
     assert children[:2] == _ids(splices)
 
     cfg = GAConfig(mutation_prob=1.0)
-    children = ga_generation(parents, _table({}), cfg, u)
+    children = _generation(parents, _table({}), cfg, u)
     for child, splice, m in zip(children[:2], splices, (2, 5)):
         assert 0 <= child < len(STATES)
         assert sum(a != b for a, b in zip(STATES[child], splice)) <= 1

@@ -137,6 +137,10 @@ def test_run_sessions_equal_one_run_session_each(small_population):
     subject = small_population.subjects[3]
     cfgs = [_cfg(method=m, subject_id=3, target=t, initial_kind=i, repeat_index=r, master_seed=2**40 + 7,
                  iteration_cap=60) for m in POLICY_NAMES for t in (2, 8) for i in ("min", "max") for r in (0, 5)]
+    # GA runs of other caps and settings, interleaved, run as blocks of their own
+    cfgs += [replace(cfgs[i], iteration_cap=cap, ga=ga) for i in range(len(cfgs)) if cfgs[i].method == "ga"
+             for cap, ga in ((60, GAConfig(population_size=4)), (9, GAConfig())) if i % 3]
+    cfgs.sort(key=lambda c: c.target)
     assert list(run_sessions(cfgs, subject)) == [run_session(c, subject, False) for c in cfgs]
     # every config is checked before the first run
     with pytest.raises(ValueError, match="target"):
@@ -318,10 +322,38 @@ def test_sequential_runs_equal_the_reference(rl, **session):
 @example(subject=_SUBJECTS[0], target=6, initial_kind="max", repeat=0, master_seed=42, cap=0,
          ga=GAConfig(mutation_prob=1.0))
 @settings(max_examples=300, deadline=None)
-@given(**_SESSIONS, ga=st.builds(GAConfig, population_size=st.integers(2, 12), mutation_prob=st.floats(0.0, 1.0)))
+# a corner seeds 7 members and each generation adds 4, so population sizes
+# above 11 keep its pads past the first generation
+@given(**_SESSIONS, ga=st.builds(GAConfig, population_size=st.integers(2, 20), mutation_prob=st.floats(0.0, 1.0)))
 def test_ga_runs_equal_the_reference(ga, **session):
     cfg = _session_cfg("ga", **session, ga=ga)
     assert run_session(cfg, session["subject"]) == reference_session(cfg, session["subject"])
+
+
+# every stress is 0, so for a target of 5 or more every reward sits at the -1
+# floor: every pick is degenerate, and no run can succeed
+_FLOOR = VirtualSubject(id=0, weights=(0.0,) * 6, coefficient=1.0)
+
+
+@example(subject=_FLOOR, runs=[(9, "min", 0, False), (5, "avg", 1, True), (7, "max", 2, False)], master_seed=42,
+         cap=12, ga=GAConfig(population_size=20))
+@settings(max_examples=100, deadline=None)
+@given(
+    subject=_subjects(),
+    # target, initial state, repeat and rounded_reward of each run
+    runs=st.lists(st.tuples(st.integers(1, 9), st.sampled_from(INITIAL_KINDS), st.integers(0, 2**32 - 1),
+                            st.booleans()), min_size=1, max_size=40),
+    master_seed=_SESSIONS["master_seed"],
+    cap=_SESSIONS["cap"],
+    ga=st.builds(GAConfig, population_size=st.integers(2, 20),
+                 mutation_prob=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))),
+)
+def test_a_ga_block_equals_the_reference_run_by_run(subject, runs, master_seed, cap, ga):
+    # one block: the runs share the cap and GA settings, and each leaves it when it ends
+    cfgs = [_session_cfg("ga", subject, target, initial_kind, repeat, master_seed, cap, ga=ga, rounded_reward=rounded)
+            for target, initial_kind, repeat, rounded in runs]
+    assert list(run_sessions(cfgs, subject)) == [replace(reference_session(cfg, subject), presented_sequence=[])
+                                                 for cfg in cfgs]
 
 
 def test_random_run_follows_the_draw_protocol(small_population):
