@@ -1,20 +1,20 @@
 """One adaptation session: a policy searches for a subject's target stress.
 
 A session presents spiders to a subject until one lands in the target stress
-band or an iteration cap is hit. Presentations are counted uniquely: showing
-a configuration the subject has already seen is free, because its response is
-already known. A run keeps one ordered record of the spiders it showed, each
-with the iteration it was first shown at: Spiders Presented is that record's
-length, and the trace is that record. The engine works on state indices and
-``subjects.response_tables`` and leaves every decision to the functions in
-``policies``. Each iteration presents one batch: a sequential move is a batch
-of one, greedy's ranking is the batch of every neighbour, and a GA generation
-is its offspring. Sequential batches stop at the first success; a GA batch is
-presented whole and checked for success at its end. Random, greedy and RL
-runs go one at a time through one iteration loop. GA runs that share an
-iteration cap and GA settings advance together as a block: each generation
-is one set of array operations over every active run, a run leaves the
-block when it ends, and a single GA run is a block of one.
+band or an iteration cap is hit. Presentations are counted uniquely: showing a
+configuration the subject has already seen is free, because its response is
+already known. Both engines below keep a traced run's record the same way: a
+map from each spider shown, in the order shown, to the iteration it was first
+shown at. The trace is that record, and Spiders Presented is its size. Each
+engine works on state indices and ``subjects.response_tables`` and leaves
+every decision to the functions in ``policies``. Each iteration presents one
+batch: a sequential move is a batch of one, greedy's ranking is the batch of
+every neighbour, and a GA generation is its offspring. Sequential batches stop
+at the first success; a GA batch is presented whole and checked for success at
+its end. Random, greedy and RL runs go one at a time through one iteration
+loop. GA runs that share an iteration cap and GA settings advance together as
+a block: each generation is one set of array operations over every active run,
+a run leaves the block when it ends, and a single GA run is a block of one.
 
 Every run owns an rng stream, ``run_seed_sequence`` of its full coordinates,
 and an RL run builds its own fresh Q-table, so a run depends on nothing but
@@ -27,8 +27,9 @@ read by a fixed draw protocol: an ``rl_random`` table takes the first
 Greedy's ``k`` is 0: ``_slots`` then yields empty tuples without touching
 the generator, so greedy draws nothing and opens no stream. A GA block reads
 each run's slots from that run's own stream, a bounded number of
-generations at a time. ``run_session`` seeds one run; ``run_sessions`` seeds
-many in one ``pcg64_states`` pass.
+generations at a time. ``run_session`` seeds one run from its sequence and
+``run_sessions`` many in one ``pcg64_states`` pass; both check each config
+and its subject before the first run, so the engines only run.
 """
 
 from __future__ import annotations
@@ -232,15 +233,15 @@ def run_session(cfg: RunConfig, subject: VirtualSubject, record_sequence: bool =
     trace, which large grids use to save memory; the counts are unaffected.
     A GA run is a block of one.
     """
-    cfg.validate()
+    _check(cfg, subject)
     if cfg.method == "ga":
-        return _run_ga([cfg], subject, record_sequence, pcg64_states([cfg]))[0]
+        return _run_ga([cfg], subject, record_sequence, [np.random.PCG64(run_seed_sequence(cfg)).state])[0]
     rng = np.random.default_rng(run_seed_sequence(cfg)) if SLOTS_PER_ITERATION[cfg.method] else None
     return _run(cfg, subject, record_sequence, rng)
 
 
 def run_sessions(cfgs: Sequence[RunConfig], subject: VirtualSubject) -> Iterator[RunResult]:
-    """``run_session(cfg, subject, False)`` for each config, all validated before the first run.
+    """``run_session(cfg, subject, False)`` for each config, all validated, subject included, before the first run.
 
     One ``pcg64_states`` pass derives the streams. The GA configs that share
     an iteration cap and GA settings run first, as one block each; every
@@ -248,7 +249,7 @@ def run_sessions(cfgs: Sequence[RunConfig], subject: VirtualSubject) -> Iterator
     stream, which a run that draws nothing ignores.
     """
     for cfg in cfgs:
-        cfg.validate()
+        _check(cfg, subject)
     states = pcg64_states(cfgs)
     blocks: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
@@ -266,18 +267,18 @@ def run_sessions(cfgs: Sequence[RunConfig], subject: VirtualSubject) -> Iterator
             yield _run(cfg, subject, False, rng)
 
 
-def _check_subject(cfg: RunConfig, subject: VirtualSubject) -> None:
+def _check(cfg: RunConfig, subject: VirtualSubject) -> None:
+    cfg.validate()
     if subject.id != cfg.subject_id:
         raise ValueError(f"subject id {subject.id} does not match config subject_id {cfg.subject_id}")
 
 
-def _presented(states, stresses, rewards, shown) -> list[PresentedSpider]:
-    return [PresentedSpider(states[i], stresses[i], rewards[i], it) for i, it in shown]
+def _presented(states, stresses, rewards, shown: dict[int, int]) -> list[PresentedSpider]:
+    return [PresentedSpider(states[i], stresses[i], rewards[i], it) for i, it in shown.items()]
 
 
 def _run(cfg: RunConfig, subject: VirtualSubject, record_sequence: bool, rng: np.random.Generator | None) -> RunResult:
     """The engine of random, greedy and RL runs; ``rng`` sits at the start of the run's stream, or is None for greedy."""
-    _check_subject(cfg, subject)
     space = state_space()
     states = space.states
     stresses, rewards, successes = response_tables(subject, cfg.target, cfg.rounded_reward)
@@ -295,7 +296,7 @@ def _run(cfg: RunConfig, subject: VirtualSubject, record_sequence: bool, rng: np
         return None
 
     def result(success: bool, iterations: int, final_idx: int) -> RunResult:
-        sequence = _presented(states, stresses, rewards, shown.items()) if record_sequence else []
+        sequence = _presented(states, stresses, rewards, shown) if record_sequence else []
         return RunResult(success, len(shown), iterations, states[final_idx], sequence)
 
     # the subject sees the initial spider first
@@ -350,8 +351,6 @@ def _run_ga(cfgs: Sequence[RunConfig], subject: VirtualSubject, record_sequence:
     the slots of every earlier generation, and PCG64 doubles concatenate,
     so each run reads exactly the uniforms it would read alone.
     """
-    for cfg in cfgs:
-        _check_subject(cfg, subject)
     space = state_space()
     states = space.states
     ga, cap, k = cfgs[0].ga, cfgs[0].iteration_cap, SLOTS_PER_ITERATION["ga"]
@@ -364,17 +363,16 @@ def _run_ga(cfgs: Sequence[RunConfig], subject: VirtualSubject, record_sequence:
     base = np.array(table_of, dtype=np.int64)[:, None] * (N_STATES + 1)
     runs = np.arange(len(cfgs))  # the block position of each active run
     shown = np.zeros((len(cfgs), N_STATES + 1), dtype=bool)
-    traces: list[list[tuple[int, int]]] = [[] for _ in cfgs]
+    # as in ``_run``: each state a traced run shows, mapped to the iteration it was first shown at
+    traces: list[dict[int, int]] = [{} for _ in cfgs]
     results: list[RunResult | None] = [None] * len(cfgs)
 
     def present(batch: np.ndarray, iteration: int) -> np.ndarray:
         """Show each active run its batch; return which members succeed."""
-        if record_sequence:  # each run's unseen members, first occurrences only, in batch order
-            width = batch.shape[1]
-            repeated = ((batch[:, :, None] == batch[:, None, :]) & np.tri(width, width, -1, dtype=bool)).any(axis=2)
-            new = ~shown[runs[:, None], batch] & ~repeated & (batch != PAD)
-            for r, b in zip(*np.nonzero(new)):
-                traces[runs[r]].append((int(batch[r, b]), iteration))
+        if record_sequence:
+            for r, row in zip(runs.tolist(), batch.tolist()):
+                for idx in filter(PAD.__ne__, row):
+                    traces[r].setdefault(idx, iteration)
         shown[runs[:, None], batch] = True
         return success_of[base + batch]
 

@@ -100,6 +100,11 @@ MUTANTS = (
            "_GA_SLOTS = np.array([1, 0, 8, 9,", (_GA, _SMALL_GRID)),
     Mutant("ga-pad-slot-breeds", _POLICIES, "np.where(real, rewards + 1.0, 0.0)", "np.where(real, rewards + 1.0, 1.0)",
            ("tests/test_policies.py::test_a_pad_never_breeds", _GA)),
+    # a traced GA run's record, kept as _run keeps it
+    Mutant("ga-trace-keeps-the-last-showing", _SESSION, "traces[r].setdefault(idx, iteration)",
+           "traces[r][idx] = iteration", (_GA, "tests/test_acceptance.py::test_golden_trace_digests[ga]")),
+    Mutant("ga-trace-shows-pads", _SESSION, "for idx in filter(PAD.__ne__, row):", "for idx in row:",
+           ("tests/test_session.py::test_a_traced_ga_block_records_each_run_as_a_lone_run",)),
     Mutant("ga-refill-resumes-one-generation-late", _SESSION, "rng.bit_generator.advance(k * (gen - 1))",
            "rng.bit_generator.advance(k * gen)", (_GA, _GA_BLOCK)),
     # one-pass seeding of a grid unit
@@ -109,6 +114,10 @@ MUTANTS = (
     Mutant("unit-states-in-reverse", _SESSION, "states = pcg64_states(cfgs)",
            "states = pcg64_states(cfgs)[::-1]",
            ("tests/test_session.py::test_run_sessions_equal_one_run_session_each", *_GRID_RECORDS)),
+    # every config and its subject checked before the first run
+    Mutant("sessions-check-subjects-lazily", _SESSION, "        _check(cfg, subject)\n    states = pcg64_states(cfgs)",
+           "        cfg.validate()\n    states = pcg64_states(cfgs)",
+           ("tests/test_session.py::test_run_sessions_check_every_subject_before_the_first_run",)),
     # README's slot table
     Mutant("readme-random-takes-two-slots", "README.md", "| `random` | 1 |", "| `random` | 2 |",
            ("tests/test_cli.py::test_readme_pins_the_slot_table_and_the_results_header",)),
@@ -156,6 +165,14 @@ MUTANTS = (
     Mutant("run-renames-over-a-fifo", _CLI, "regular = os.path.isfile(args.out) or not os.path.exists(args.out)",
            "regular = True",
            ("tests/test_cli.py::test_run_writes_into_a_fifo_in_place",)),
+    # the CLI: a config's settings reach the grid, and a file's OSError is a data error
+    Mutant("config-checks-its-settings-but-keeps-the-defaults", _CLI, "values[key] = _overlay(path, default, value)",
+           "values[key] = _overlay(path, default, value) and default",
+           ("tests/test_cli.py::test_the_cli_pipeline_equals_the_references",)),
+    Mutant("main-lets-an-oserror-escape", _CLI,
+           "except (ConfigError, SubjectFileError, ResultsFileError, OSError) as exc:",
+           "except (ConfigError, SubjectFileError, ResultsFileError) as exc:",
+           ("tests/test_cli.py::test_every_subcommand_exits_0_1_or_2_without_a_traceback",)),
     # block-wise aggregation
     Mutant("aggregation-keeps-the-last-blocks-successes-only", _GRID,
            "in blocks:\n        cells = ",

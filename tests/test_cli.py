@@ -1,10 +1,13 @@
 import ast
 import codecs
 import contextlib
+import csv
+import functools
 import gc
 import io
 import itertools
 import json
+import operator
 import os
 import re
 import stat
@@ -16,7 +19,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import spideradapt
@@ -47,6 +50,8 @@ from spideradapt.subjects import (
     save_population,
     scale_coefficient,
 )
+from tests.reference import reference_grid, reference_report, reference_results_from_csv
+from tests.test_grid import _subset
 
 
 @pytest.fixture()
@@ -954,3 +959,253 @@ def test_run_config_fuzz_exits_cleanly(one_subject_file, config):
     else:
         text = err.getvalue()
         assert text.startswith("error: ") and text.count("\n") == 1, text
+
+
+# a small grid's --config object: axes drawn as subsets in any order, and every setting drawn
+_GRID_CONFIGS = st.fixed_dictionaries({
+    "master_seed": st.integers(0, 2**40),
+    "methods": _subset(POLICY_NAMES, 5),
+    "initial_kinds": _subset(INITIAL_KINDS, 3),
+    "targets": _subset(range(1, 10), 3),
+    "repeats": st.integers(1, 3),
+    "iteration_cap": st.integers(0, 40),
+    "rl": st.fixed_dictionaries({"epsilon": st.floats(0.0, 1.0), "discount": st.floats(0.0, 1.0),
+                                 "learning_rate": st.floats(0.0, 1.0, exclude_min=True)}),
+    "ga": st.fixed_dictionaries({"population_size": st.integers(2, 12), "mutation_prob": st.floats(0.0, 1.0)}),
+    # a pool only now and then: each one costs a fork per worker
+    "workers": st.sampled_from((1,) * 7 + (2,)),
+})
+
+
+def _renders(text: str, p: float) -> bool:
+    """Whether ``text`` is compare's ``%.6g`` of a value within a relative 1e-9 of ``p``."""
+    return text in {format(p * (1 + e), ".6g") for e in (-1e-9, 0.0, 1e-9)}
+
+
+# one grid of every method, off every RL and GA default, so that a setting the config loses shows
+@example(n=2, seed=7, config={
+    "master_seed": 5, "methods": POLICY_NAMES, "initial_kinds": ("min", "max"), "targets": (3, 8),
+    "repeats": 2, "iteration_cap": 30, "rl": {"epsilon": 0.5, "discount": 0.5, "learning_rate": 0.5},
+    "ga": {"population_size": 4, "mutation_prob": 0.5}, "workers": 1,
+})
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(1, 2), seed=st.integers(0, 2**32 - 1), config=_GRID_CONFIGS)
+def test_the_cli_pipeline_equals_the_references(tmp_path_factory, n, seed, config):
+    # gen-subjects, run --config, summarize --format csv and compare, each output rebuilt by tests/reference.py
+    directory = tmp_path_factory.mktemp("pipeline")
+    subjects, config_path, results, summary, comparisons = (
+        str(directory / name) for name in ("subjects.json", "config.json", "results.csv", "summary.csv", "compare.csv"))
+    Path(config_path).write_text(json.dumps(config))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["gen-subjects", "--n", str(n), "--seed", str(seed), "--out", subjects]) == 0
+        assert main(["run", "--subjects", subjects, "--config", config_path, "--out", results]) == 0
+        assert main(["summarize", "--format", "csv", "--results", results, "--out", summary]) == 0
+        assert main(["compare", "--results", results, "--out", comparisons]) == 0
+    grid = GridConfig(generate_population(n, seed), **{**config, "rl": RLConfig(**config["rl"]),
+                                                       "ga": GAConfig(**config["ga"])})
+    records = reference_grid(grid)
+    assert reference_results_from_csv(Path(results).read_text()) == records
+    cells, comparisons_want = reference_report(records)
+
+    # the summary: every cell's counts, filter and marker exactly, and its statistics at the file's six decimals
+    markers = {(c.initial_kind, c.stress_category, m): mark for c in comparisons_want for m, mark in c.markers.items()}
+    rows = list(csv.DictReader(io.StringIO(Path(summary).read_text())))
+    assert [(r["initial_kind"], r["stress_category"], r["method"], int(r["n_success"]), r["considered"], r["marker"])
+            for r in rows] == [(c.initial_kind, c.stress_category, c.method, c.n_success, str(c.considered).lower(),
+                                markers.get((c.initial_kind, c.stress_category, c.method), "")) for c in cells]
+    for row, cell in zip(rows, cells):
+        for key in ("mean_presented", "std_presented", "accuracy_percent"):
+            want = getattr(cell, key)
+            assert row[key] == "" if want is None else float(row[key]) == pytest.approx(want, abs=1e-6)
+
+    # the comparisons: best methods and markers exactly, p-values to a relative 1e-9
+    want = [(c.initial_kind, c.stress_category, c.best_method, m, c.p_values.get(m), c.markers.get(m, ""))
+            for c in comparisons_want
+            for m in sorted(c.p_values.keys() | c.markers.keys(), key=POLICY_NAMES.index) or [""]]
+    rows = list(csv.reader(io.StringIO(Path(comparisons).read_text())))[1:]
+    assert [row[:4] + row[5:] for row in rows] == [[*w[:4], w[5]] for w in want]
+    for row, w in zip(rows, want):
+        assert row[4] == "" if w[4] is None else _renders(row[4], w[4]), (row, w)
+
+
+# Each flag of each subcommand, with values that run and near-valid ones that should not: zero, negative,
+# just past the range, huge where no work grows with it, non-numeric, empty, and unknown names. A file runs
+# when valid, with a BOM or with CRLF line ends; it fails missing, a directory, empty, truncated, with a
+# flipped byte or with a key deleted. An --out runs new or over a file, and fails as a directory or in a
+# missing one. No value names a device, asks for more than two workers, or makes a grid of more than a few
+# hundred short runs: --n, --repeats and --iteration-cap are small or invalid, and run always gets the last two.
+def _file(kind, variants):
+    return st.tuples(st.just(kind), st.sampled_from(variants), st.floats(0.0, 1.0, exclude_max=True),
+                     st.integers(0, 255))
+
+
+def _values(good, bad):
+    return st.sampled_from(good), st.sampled_from(bad)
+
+
+def _files(kind):
+    return (_file(kind, ("valid", "valid", "bom", "crlf")),
+            _file(kind, ("missing", "directory", "empty", "truncate", "flip", "delete-key")))
+
+
+_OUT = (_file("out", ("new", "existing")), _file("out", ("directory", "missing-directory")))
+_SEED = _values(("0", "7", str(2**70)), ("-1", "x", ""))
+_SUBJECT_ID = _values(("0", "1"), ("2", "-1", str(10**30), "x"))
+_TARGET = _values(("1", "5", "9"), ("0", "10", "-1", "x"))
+_INITIAL = _values(INITIAL_KINDS, ("median", ""))
+_CAP = _values(("0", "1", "5"), ("-1", "x", ""))
+_FLAGS = {
+    "gen-subjects": {"--n": _values(("1", "2"), ("0", "-1", "x", "", "2.0")), "--seed": _SEED, "--out": _OUT},
+    "run": {
+        "--subjects": _files("subjects"), "--out": _OUT, "--seed": _SEED,
+        "--methods": _values(("greedy", "random,ga", ",".join(POLICY_NAMES)), ("mcts", "", ",,")),
+        "--initials": _values(("min", "max,avg"), ("median", "")),
+        "--targets": _values(("3", "2,8"), ("0", "10", "", "x", "3,3")),
+        "--repeats": _values(("1", "2"), ("0", "-1", "x")), "--iteration-cap": _CAP,
+        "--workers": _values(("1", "1", "2"), ("0", "-1", "x")), "--config": _files("config"),
+    },
+    "summarize": {"--results": _files("results"), "--format": _values(("csv", "markdown"), ("html",)),
+                  "--out": _OUT},
+    "compare": {"--results": _files("results"), "--out": _OUT},
+    "oracle": {"--subjects": _files("subjects"), "--subject-id": _SUBJECT_ID, "--target": _TARGET,
+               "--initial": _INITIAL},
+    "trace": {
+        "--subjects": _files("subjects"), "--subject-id": _SUBJECT_ID,
+        "--method": _values(POLICY_NAMES, ("mcts",)), "--target": _TARGET, "--initial": _INITIAL,
+        "--seed": _SEED, "--repeat": _values(("0", "3", str(2**40)), ("-1", "x")), "--iteration-cap": _CAP,
+        "--config": _files("config"), "--out": _OUT,
+    },
+}
+_ALWAYS = ("--repeats", "--iteration-cap")  # run's grid is never left at its defaults
+
+
+@st.composite
+def _invocations(draw):
+    """A subcommand and its argv, file tokens still to be made: every flag valid but up to two.
+
+    Each of those is missing, repeated, or given a value that should not run.
+    """
+    command = draw(st.sampled_from((*_FLAGS, "bench")))
+    flags = _FLAGS.get(command, {})
+    faults = draw(st.lists(st.sampled_from(sorted(flags) or [""]), max_size=2, unique=True))
+    argv = [command]
+    for flag, (good, bad) in flags.items():
+        fault = draw(st.sampled_from(("missing", "repeated", "bad"))) if flag in faults else "none"
+        if fault == "missing" and flag in _ALWAYS:
+            fault = "bad"
+        values = {"none": [good], "missing": [], "repeated": [good, good | bad], "bad": [bad]}[fault]
+        argv += [x for value in values for x in (flag, draw(value))]
+    if draw(st.sampled_from((False,) * 7 + (True,))):
+        argv += ["--bogus", "1"]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """The bytes of a valid subjects, results and config file."""
+    directory = tmp_path_factory.mktemp("valid")
+    subjects, results = directory / "subjects.json", directory / "results.csv"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["gen-subjects", "--n", "2", "--seed", "7", "--out", str(subjects)]) == 0
+        assert main(["run", "--subjects", str(subjects), "--out", str(results), "--seed", "3", "--methods",
+                     "greedy,random", "--targets", "2,8", "--repeats", "2", "--iteration-cap", "20"]) == 0
+    config = {"master_seed": 3, "methods": ["greedy", "ga"], "targets": [2, 8], "ga": {"population_size": 4}}
+    return {"subjects": subjects.read_bytes(), "results": results.read_bytes(),
+            "config": json.dumps(config, indent=1).encode()}
+
+
+def _without_a_key(kind: str, data: bytes, where: float) -> bytes:
+    """``data`` less one JSON key anywhere in it, or one column of every CSV line, picked by ``where``."""
+    if kind == "results":
+        lines = data.decode().splitlines(keepends=True)
+        column = int(where * len(RESULT_COLUMNS))
+        return "".join(",".join(f for i, f in enumerate(line.split(",")) if i != column) for line in lines).encode()
+    value = json.loads(data)
+    paths = list(_key_paths(value))
+    *parents, key = paths[int(where * len(paths))]
+    del functools.reduce(operator.getitem, parents, value)[key]
+    return json.dumps(value, indent=1).encode()
+
+
+def _key_paths(node, path=()):
+    """The path to every key of every JSON object in ``node``."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield path + (key,)
+            yield from _key_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _key_paths(child, path + (i,))
+
+
+def _make(token, directory: Path, valid: dict, names: itertools.count) -> str:
+    """The argv value a token stands for, with any file it names made in ``directory``."""
+    if isinstance(token, str):
+        return token
+    kind, variant, where, byte = token
+    path = directory / f"{kind}-{next(names)}"
+    data = valid.get(kind, b"")
+    if variant in ("directory", "missing", "missing-directory"):
+        return str(directory if variant == "directory" else directory / "missing" / path.name)
+    if variant == "new":
+        return str(path)
+    if variant == "truncate":
+        data = data[:int(where * len(data))]
+    elif variant == "flip":
+        at = int(where * len(data))
+        data = data[:at] + bytes([byte if byte != data[at] else byte ^ 1]) + data[at + 1:]
+    elif variant == "bom":
+        data = codecs.BOM_UTF8 + data
+    elif variant == "crlf":
+        data = data.replace(b"\n", b"\r\n")
+    elif variant == "delete-key":
+        data = _without_a_key(kind, data, where)
+    path.write_bytes(b"" if variant == "empty" else b"old\n" if variant == "existing" else data)
+    return str(path)
+
+
+def _documented_output(argv: list[str], stdout: str) -> None:
+    """Check that the exit-0 invocation ``argv`` wrote what README documents; each flag's last value counts."""
+    command, last = argv[0], dict(zip(argv[1::2], argv[2::2]))
+    out = last.get("--out")
+    text = Path(out).read_text(encoding="utf-8") if out else stdout
+    if command == "gen-subjects":
+        n = last.get("--n", "100")
+        assert len(load_population(out).subjects) == int(n)
+        assert stdout.startswith(f"wrote {n} subjects to {out}\n")
+    elif command == "run":
+        assert text.splitlines()[0] == ",".join(RESULT_COLUMNS)
+        assert stdout.endswith(f" runs to {out}\n")
+    elif command == "summarize":
+        header = "initial_kind,stress_category,method," if last.get("--format") == "csv" else "| Initial |"
+        assert text.startswith(header)
+    elif command == "compare":
+        assert text.startswith("initial_kind,stress_category,best_method,method,p_value,marker\n")
+    elif command == "oracle":
+        assert stdout.startswith(f"subject {int(last['--subject-id'])}, target ")
+    else:
+        assert stdout.startswith("success=")
+        assert all(json.loads(line).keys() == {"state", "stress", "reward", "iteration"} for line in text.splitlines())
+
+
+# a missing results file and an --out that is a directory: each raises an OSError, a data error
+@example(argv=["compare", "--results", ("results", "missing", 0.0, 0)])
+@example(argv=["gen-subjects", "--n", "1", "--seed", "7", "--out", ("out", "directory", 0.0, 0)])
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_invocations())
+def test_every_subcommand_exits_0_1_or_2_without_a_traceback(tmp_path_factory, valid_files, argv):
+    directory = tmp_path_factory.mktemp("exit")
+    names = itertools.count()
+    argv = [_make(token, directory, valid_files, names) for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        _documented_output(argv, out.getvalue())
+    else:
+        assert err.getvalue(), argv

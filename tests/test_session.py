@@ -9,7 +9,7 @@ from spideradapt.domain import state_space
 from spideradapt.policies import GAConfig, POLICY_NAMES, RLConfig
 from spideradapt.reward_model import RewardSpec, is_success
 from spideradapt.session import (
-    INITIAL_KINDS, INITIAL_STATES, RunConfig, pcg64_states, run_seed_sequence, run_session, run_sessions,
+    INITIAL_KINDS, INITIAL_STATES, RunConfig, _run_ga, pcg64_states, run_seed_sequence, run_session, run_sessions,
 )
 from spideradapt.subjects import (
     VirtualSubject,
@@ -145,6 +145,22 @@ def test_run_sessions_equal_one_run_session_each(small_population):
     # every config is checked before the first run
     with pytest.raises(ValueError, match="target"):
         next(run_sessions([cfgs[0], replace(cfgs[1], target=0)], subject))
+
+
+def test_run_sessions_check_every_subject_before_the_first_run():
+    # a config of another subject is refused before any run, whichever engine would run it
+    subject = generate_population(2, 7).subjects[0]
+    for method in ("random", "ga"):
+        runs = run_sessions([_cfg(subject_id=0), _cfg(method=method, subject_id=1)], subject)
+        with pytest.raises(ValueError, match="^subject id 0 does not match config subject_id 1$"):
+            next(runs)
+
+
+def test_a_traced_ga_block_records_each_run_as_a_lone_run(small_population):
+    # the corner's seed pool is narrower than the average spider's, so its rows carry pads, which are never shown
+    subject = small_population.subjects[3]
+    cfgs = [_cfg(method="ga", subject_id=3, target=t, initial_kind=i) for t in (2, 8) for i in INITIAL_KINDS]
+    assert _run_ga(cfgs, subject, True, pcg64_states(cfgs)) == [run_session(c, subject) for c in cfgs]
 
 
 def test_presented_states_are_unique(small_population):
