@@ -26,7 +26,6 @@ from .policies import (
     GAConfig,
     RLConfig,
     ga_generation,
-    ga_initial_population,
     ga_select,
     greedy_step,
     random_step,

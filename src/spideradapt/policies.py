@@ -172,17 +172,6 @@ def ga_seed_pools(initials: Sequence[int]) -> np.ndarray:
     return np.array([row + [PAD] * (width - len(row)) for row in rows], dtype=np.int64)
 
 
-def ga_initial_population(initial: int, rewards: Sequence[float], population_size: int) -> list[int]:
-    """Seed population: the initial state plus its neighbours.
-
-    Corner states yield fewer candidates than the population size and the
-    population is simply smaller; the two 11-neighbour states yield one
-    candidate too many, and ``ga_select`` drops the weakest by reward.
-    """
-    pool = ga_seed_pools([initial])
-    return ga_select(pool, np.asarray(rewards)[pool], population_size)[0][0].tolist()
-
-
 def ga_generation(population: np.ndarray, rewards: np.ndarray, cfg: GAConfig, u: np.ndarray) -> np.ndarray:
     """Each run's offspring of one generation, by crossover and mutation: ``(runs, 4)`` state indices.
 

@@ -109,7 +109,6 @@ class RunResult:
     success: bool
     spiders_presented: int
     iterations_used: int
-    final_state: SpiderState
     presented_sequence: list[PresentedSpider]
 
 
@@ -286,23 +285,23 @@ def _run(cfg: RunConfig, subject: VirtualSubject, record_sequence: bool, rng: np
     # every state shown, in the order shown, mapped to the iteration it was first shown at
     shown: dict[int, int] = {}
 
-    def present(batch: Sequence[int], iteration: int) -> int | None:
-        """Show the unseen members of ``batch`` in order until the first success; return it, or None."""
+    def present(batch: Sequence[int], iteration: int) -> bool:
+        """Show the unseen members of ``batch`` in order until the first success; return whether one was shown."""
         for idx in batch:
             if idx not in shown:
                 shown[idx] = iteration
                 if successes[idx]:
-                    return idx
-        return None
+                    return True
+        return False
 
-    def result(success: bool, iterations: int, final_idx: int) -> RunResult:
+    def result(success: bool, iterations: int) -> RunResult:
         sequence = _presented(states, stresses, rewards, shown) if record_sequence else []
-        return RunResult(success, len(shown), iterations, states[final_idx], sequence)
+        return RunResult(success, len(shown), iterations, sequence)
 
     # the subject sees the initial spider first
     s = space.index_of[INITIAL_STATES[cfg.initial_kind]]
-    if present((s,), 0) is not None:
-        return result(True, 0, s)
+    if present((s,), 0):
+        return result(True, 0)
     greedy, learning = method == "greedy", method in RL_METHODS
     if learning:
         # a flat table, entry (s, a) at s * N_ACTIONS + a; an rl_random one
@@ -314,9 +313,8 @@ def _run(cfg: RunConfig, subject: VirtualSubject, record_sequence: bool, rng: np
     for it, u in zip(range(1, cfg.iteration_cap + 1), _slots(rng, SLOTS_PER_ITERATION[method])):
         if greedy:
             # every unseen neighbour is shown until the first success, and then greedy moves to the best
-            hit = present(space.neighbor_ids[s], it)
-            if hit is not None:
-                return result(True, it, hit)
+            if present(space.neighbor_ids[s], it):
+                return result(True, it)
             t = greedy_step(s, rewards)
         elif learning:
             aid = rl_select_action(q, s, epsilon, u[0], u[1])
@@ -327,11 +325,11 @@ def _run(cfg: RunConfig, subject: VirtualSubject, record_sequence: bool, rng: np
         if t not in shown:
             shown[t] = it
             if successes[t]:
-                return result(True, it, t)
+                return result(True, it)
         if learning:
             rl_update(q, s, aid, rewards[t], t, cfg.rl)
         s = t
-    return result(False, cfg.iteration_cap, s)
+    return result(False, cfg.iteration_cap)
 
 
 # Generations whose uniforms a GA block draws for each run at a time, into
@@ -376,13 +374,13 @@ def _run_ga(cfgs: Sequence[RunConfig], subject: VirtualSubject, record_sequence:
         shown[runs[:, None], batch] = True
         return success_of[base + batch]
 
-    def finish(done: np.ndarray, success: bool, iteration: int, final: list[int]) -> None:
-        """Record the result of each active run that ``done`` marks; ``final`` holds their final states."""
+    def finish(done: np.ndarray, success: bool, iteration: int) -> None:
+        """Record the result of each active run that ``done`` marks."""
         counts = shown[runs[done], :N_STATES].sum(axis=1).tolist()
-        for r, count, idx in zip(runs[done].tolist(), counts, final):
+        for r, count in zip(runs[done].tolist(), counts):
             stresses, table_rewards, _ = tables[table_of[r]]
             sequence = _presented(states, stresses, table_rewards, traces[r]) if record_sequence else []
-            results[r] = RunResult(success, count, iteration, states[idx], sequence)
+            results[r] = RunResult(success, count, iteration, sequence)
 
     # the subject sees each run's seed population first
     seeds = ga_seed_pools([space.index_of[INITIAL_STATES[cfg.initial_kind]] for cfg in cfgs])
@@ -391,13 +389,11 @@ def _run_ga(cfgs: Sequence[RunConfig], subject: VirtualSubject, record_sequence:
     buffer = np.empty((len(cfgs), _GA_REFILL_GENERATIONS, k))
     rng = np.random.default_rng(0)  # every run sets its own state first
     while True:
-        # a batch is shown whole and succeeds at its first success: no member
-        # shown before is one, or its run would have ended
-        wins = present(batch, gen)
-        hit = wins.any(axis=1)
+        # a batch is shown whole and succeeds if a member is a success: no
+        # member shown before is one, or its run would have ended
+        hit = present(batch, gen).any(axis=1)
         if hit.any():
-            firsts = [row[flags.index(True)] for row, flags in zip(batch[hit].tolist(), wins[hit].tolist())]
-            finish(hit, True, gen, firsts)
+            finish(hit, True, gen)
             runs, base, population, rewards = runs[~hit], base[~hit], population[~hit], rewards[~hit]
         if gen == cap or not len(runs):
             break
@@ -412,8 +408,5 @@ def _run_ga(cfgs: Sequence[RunConfig], subject: VirtualSubject, record_sequence:
         population, rewards = ga_select(np.concatenate([population, batch], axis=1),
                                         np.concatenate([rewards, reward_of[base + batch]], axis=1),
                                         ga.population_size)
-    # a failed run ends on the first best member of its last population
-    finish(np.ones(len(runs), dtype=bool), False, cap,
-           [max(filter(PAD.__ne__, row), key=tables[table_of[r]][1].__getitem__)
-            for r, row in zip(runs.tolist(), population.tolist())])
+    finish(np.ones(len(runs), dtype=bool), False, cap)
     return results

@@ -101,6 +101,8 @@ def generate_population(n: int, seed: int) -> SubjectPopulation:
     """
     if n < 1:
         raise ValueError(f"population size must be >= 1, got {n}")
+    if seed < 0:
+        raise ValueError(f"population seed must be non-negative, got {seed}")
     subjects = tuple(
         sample_subject(i, np.random.default_rng(np.random.SeedSequence([seed, i])))
         for i in range(n)

@@ -68,12 +68,11 @@ MUTANTS = (
            "RunRecord(rc.method, rc.initial_kind, rc.target, subject.id, repeat if SLOTS_PER_ITERATION[rc.method] else 0,",
            (_REFERENCE_GRID,)),
     # the sequential session loop
-    Mutant("greedy-shows-every-neighbour", _SESSION, "                    return idx\n",
+    Mutant("greedy-shows-every-neighbour", _SESSION, "                    return True\n",
            "                    shown.update((b, iteration) for b in batch if b not in shown)\n"
-           "                    return idx\n", (_SEQUENTIAL,)),
-    Mutant("greedy-ignores-a-hit", _SESSION,
-           "present(space.neighbor_ids[s], it)\n            if hit is not None:",
-           "present(space.neighbor_ids[s], it)\n            if False:", (_SEQUENTIAL,)),
+           "                    return True\n", (_SEQUENTIAL,)),
+    Mutant("greedy-ignores-a-hit", _SESSION, "if present(space.neighbor_ids[s], it):",
+           "if present(space.neighbor_ids[s], it) and False:", (_SEQUENTIAL,)),
     Mutant("no-slots-yield-once", _SESSION, "yield from repeat(())", "yield ()", (_SEQUENTIAL,)),
     Mutant("inline-shows-at-the-previous-iteration", _SESSION, "shown[t] = it", "shown[t] = it - 1", (_SEQUENTIAL,)),
     Mutant("a-reshown-spider-takes-a-later-iteration", _SESSION, "if t not in shown:", "if True:", (_SEQUENTIAL,)),
@@ -83,9 +82,6 @@ MUTANTS = (
     Mutant("ga-seed-population-stops-at-its-first-success", _SESSION, "    batch, gen = population, 0\n",
            "    batch, gen = np.where(np.cumsum(np.cumsum(success_of[base + population], axis=1), axis=1) > 1, PAD,"
            " population), 0\n", ("tests/test_session.py::test_ga_corner_first_batch_is_seven", _GA)),
-    Mutant("ga-failed-run-ends-on-its-last-member", _SESSION,
-           "max(filter(PAD.__ne__, row), key=tables[table_of[r]][1].__getitem__)",
-           "[m for m in row if m != PAD][-1]", (_GA,)),
     Mutant("ga-selects-from-offspring-first", _SESSION,
            "ga_select(np.concatenate([population, batch], axis=1),\n"
            "                                        np.concatenate([rewards, reward_of[base + batch]], axis=1),",

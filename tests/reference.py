@@ -115,9 +115,9 @@ def reference_session(cfg: RunConfig, subject: VirtualSubject) -> RunResult:
     Iteration ``i >= 1`` shows a batch: a sequential move is a batch of one,
     greedy's is every neighbour, and a GA generation's is its offspring.
     The batch's unseen members are shown in order; a sequential batch stops
-    at its first success, and a GA batch is shown whole and succeeds at its
-    first unseen success. The uniforms are read from the run's stream by
-    README's slot table, one iteration at a time.
+    at its first success, and a GA batch is shown whole and succeeds if an
+    unseen member is a success. The uniforms are read from the run's stream
+    by README's slot table, one iteration at a time.
     """
     spec = RewardSpec(cfg.target)
     rng = np.random.default_rng(run_seed_sequence(cfg))
@@ -129,13 +129,13 @@ def reference_session(cfg: RunConfig, subject: VirtualSubject) -> RunResult:
         return reward(float(math.floor(x + 0.5)) if cfg.rounded_reward else x, spec)
 
     def show(batch, i):
-        """Show ``batch``'s unseen members at iteration ``i``; return the first success, or None."""
-        hit = None
+        """Show ``batch``'s unseen members at iteration ``i``; return whether one was a success."""
+        hit = False
         for state in batch:
             if state not in shown:
                 shown[state] = PresentedSpider(state, stress(subject, state), fitness(state), i)
-                if hit is None and is_success(shown[state].stress, cfg.target):
-                    hit = state
+                if is_success(shown[state].stress, cfg.target):
+                    hit = True
                     if cfg.method != "ga":
                         break
         return hit
@@ -186,14 +186,11 @@ def reference_session(cfg: RunConfig, subject: VirtualSubject) -> RunResult:
     start = INITIAL_STATES[cfg.initial_kind]
     state = best_first([start] + neighbors(start)) if cfg.method == "ga" else start
     i, hit = 0, show(state if cfg.method == "ga" else [start], 0)
-    while hit is None and i < cfg.iteration_cap:
+    while not hit and i < cfg.iteration_cap:
         i += 1
         batch, state = step(state)
         hit = show(batch, i)
-    if hit is not None:
-        return RunResult(True, len(shown), i, hit, list(shown.values()))
-    final = max(state, key=fitness) if cfg.method == "ga" else state  # a GA ends on its first best member
-    return RunResult(False, len(shown), i, final, list(shown.values()))
+    return RunResult(hit, len(shown), i, list(shown.values()))
 
 
 def reference_grid(cfg: GridConfig) -> list[RunRecord]:

@@ -26,7 +26,7 @@ from spideradapt.grid import (
     summary_to_csv,
     summary_to_markdown,
 )
-from spideradapt.policies import GAConfig, RLConfig, ga_initial_population
+from spideradapt.policies import GAConfig, PAD, RLConfig, ga_seed_pools, ga_select
 from spideradapt.reward_model import RewardSpec, reward
 from spideradapt.session import INITIAL_STATES
 from spideradapt.subjects import (
@@ -187,8 +187,9 @@ def test_criterion_5_ga_corner_reproduction(population, grid_serial):
         spec = RewardSpec(1)
         for subject in population.subjects:
             rewards = [reward(x, spec) for x in stress_table(subject)]
-            batch = ga_initial_population(state_index(ALL_MIN), rewards, GAConfig().population_size)
-            assert len(batch) == 7
+            pool = ga_seed_pools([state_index(ALL_MIN)])
+            batch, _ = ga_select(pool, np.asarray(rewards)[pool], GAConfig().population_size)
+            assert (batch != PAD).sum() == 7
         records, _ = grid_serial
         cell = [
             r.spiders_presented
@@ -264,11 +265,15 @@ def test_golden_digests(grid_serial):
     assert hashlib.sha256(summary.encode()).hexdigest() == SUMMARY_SHA256
 
 
+def small_grid() -> GridConfig:
+    """The grid whose results ``SMALL_RESULTS_SHA256`` pins."""
+    return GridConfig(population=generate_population(6, POPULATION_SEED), master_seed=2**40, repeats=2,
+                      iteration_cap=40, rl=RLConfig(epsilon=0.3, learning_rate=0.5, discount=0.5),
+                      ga=GAConfig(population_size=6, mutation_prob=0.6))
+
+
 def test_golden_digest_of_a_small_grid_off_the_defaults():
-    cfg = GridConfig(population=generate_population(6, POPULATION_SEED), master_seed=2**40, repeats=2,
-                     iteration_cap=40, rl=RLConfig(epsilon=0.3, learning_rate=0.5, discount=0.5),
-                     ga=GAConfig(population_size=6, mutation_prob=0.6))
-    assert hashlib.sha256(results_to_csv(run_grid(cfg)).encode()).hexdigest() == SMALL_RESULTS_SHA256
+    assert hashlib.sha256(results_to_csv(run_grid(small_grid())).encode()).hexdigest() == SMALL_RESULTS_SHA256
 
 
 def test_golden_report_and_subjects_digests(grid_serial, tmp_path, capsys):

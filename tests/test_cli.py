@@ -104,6 +104,13 @@ def test_gen_subjects_rejects_zero(tmp_path, capsys):
     assert code == 1
 
 
+def test_gen_subjects_names_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["gen-subjects", "--n", "4", "--seed", "-1", "--out", str(out)]) == 1
+    assert "population seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_row_counts(tmp_path, subjects_file):
     out = _run_results(tmp_path, subjects_file)
     lines = out.read_text().splitlines()
@@ -1030,10 +1037,11 @@ def test_the_cli_pipeline_equals_the_references(tmp_path_factory, n, seed, confi
 
 # Each flag of each subcommand, with values that run and near-valid ones that should not: zero, negative,
 # just past the range, huge where no work grows with it, non-numeric, empty, and unknown names. A file runs
-# when valid, with a BOM or with CRLF line ends; it fails missing, a directory, empty, truncated, with a
-# flipped byte or with a key deleted. An --out runs new or over a file, and fails as a directory or in a
-# missing one. No value names a device, asks for more than two workers, or makes a grid of more than a few
-# hundred short runs: --n, --repeats and --iteration-cap are small or invalid, and run always gets the last two.
+# when valid, with a BOM, with CRLF line ends or as a FIFO a thread writes the valid bytes into; it fails
+# missing, a directory, empty, truncated, with a flipped byte or with a key deleted. An --out runs new, over
+# a file or as a FIFO a thread reads, and fails as a directory or in a missing one. No value names a device,
+# asks for more than two workers, or makes a grid of more than a few hundred short runs: --n, --repeats and
+# --iteration-cap are small or invalid, and run always gets the last two.
 def _file(kind, variants):
     return st.tuples(st.just(kind), st.sampled_from(variants), st.floats(0.0, 1.0, exclude_max=True),
                      st.integers(0, 255))
@@ -1044,11 +1052,11 @@ def _values(good, bad):
 
 
 def _files(kind):
-    return (_file(kind, ("valid", "valid", "bom", "crlf")),
+    return (_file(kind, ("valid", "valid", "bom", "crlf", "fifo")),
             _file(kind, ("missing", "directory", "empty", "truncate", "flip", "delete-key")))
 
 
-_OUT = (_file("out", ("new", "existing")), _file("out", ("directory", "missing-directory")))
+_OUT = (_file("out", ("new", "existing", "fifo")), _file("out", ("directory", "missing-directory")))
 _SEED = _values(("0", "7", str(2**70)), ("-1", "x", ""))
 _SUBJECT_ID = _values(("0", "1"), ("2", "-1", str(10**30), "x"))
 _TARGET = _values(("1", "5", "9"), ("0", "10", "-1", "x"))
@@ -1138,8 +1146,46 @@ def _key_paths(node, path=()):
             yield from _key_paths(child, path + (i,))
 
 
-def _make(token, directory: Path, valid: dict, names: itertools.count) -> str:
-    """The argv value a token stands for, with any file it names made in ``directory``."""
+def _write_in_background(fifo: Path, data: bytes) -> threading.Thread:
+    """A started daemon thread that writes ``data`` into ``fifo`` once a reader opens it."""
+    def write():
+        try:
+            with open(fifo, "wb", buffering=0) as writer:
+                writer.write(data)
+        except BrokenPipeError:  # the reader closed its end before reading everything
+            pass
+
+    thread = threading.Thread(target=write, daemon=True)
+    thread.start()
+    return thread
+
+
+def _release(fifo: Path, thread: threading.Thread, reader: bool) -> None:
+    """Open the end of ``fifo`` that ``thread`` does not hold, without blocking, until ``thread`` has ended.
+
+    A command that never opened the FIFO leaves its thread waiting in ``open``;
+    opening the other end lets that ``open`` return, and closing it ends the
+    thread's read at end of file, or its write at a broken pipe.
+    """
+    for _ in range(1000):
+        if not thread.is_alive():
+            return
+        try:
+            end = os.open(fifo, (os.O_WRONLY if reader else os.O_RDONLY) | os.O_NONBLOCK)
+        except OSError:  # a write end opens only once a reader waits: the thread has not reached its open yet
+            thread.join(0.001)
+            continue
+        thread.join(0.01)
+        os.close(end)
+    raise AssertionError(f"a thread still holds {fifo}")
+
+
+def _make(token, directory: Path, valid: dict, names: itertools.count, fifos: list) -> str:
+    """The argv value a token stands for, with any file it names made in ``directory``.
+
+    A FIFO is appended to ``fifos`` with the thread on its other end and, for
+    an ``--out``, the list that thread appends what it read to.
+    """
     if isinstance(token, str):
         return token
     kind, variant, where, byte = token
@@ -1148,6 +1194,13 @@ def _make(token, directory: Path, valid: dict, names: itertools.count) -> str:
     if variant in ("directory", "missing", "missing-directory"):
         return str(directory if variant == "directory" else directory / "missing" / path.name)
     if variant == "new":
+        return str(path)
+    if variant == "fifo":
+        os.mkfifo(path)
+        if kind == "out":
+            fifos.append((path, *_read_in_background(lambda: open(path, "rb"))))
+        else:
+            fifos.append((path, _write_in_background(path, data), None))
         return str(path)
     if variant == "truncate":
         data = data[:int(where * len(data))]
@@ -1195,14 +1248,22 @@ def _documented_output(argv: list[str], stdout: str) -> None:
 @given(argv=_invocations())
 def test_every_subcommand_exits_0_1_or_2_without_a_traceback(tmp_path_factory, valid_files, argv):
     directory = tmp_path_factory.mktemp("exit")
-    names = itertools.count()
-    argv = [_make(token, directory, valid_files, names) for token in argv]
+    names, fifos = itertools.count(), []
+    argv = [_make(token, directory, valid_files, names, fifos) for token in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    finally:
+        for fifo, thread, received in fifos:
+            _release(fifo, thread, reader=received is not None)
+    for fifo, _, received in fifos:
+        if received is not None:  # what an --out FIFO was sent stands in its place, to be read as a file's bytes
+            fifo.unlink()
+            fifo.write_bytes(b"".join(received))
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code == 0:

@@ -18,7 +18,7 @@ from spideradapt.policies import (
     RLConfig,
     PAD,
     ga_generation,
-    ga_initial_population,
+    ga_seed_pools,
     ga_select,
     greedy_step,
     random_step,
@@ -199,14 +199,14 @@ def test_rl_update_rejects_invalid_action():
         rl_update(q, MIN_I, Action(0, -1).index, 0.0, MIN_I, RLConfig())
 
 
-def test_ga_initial_population_sizes(example_subject):
+def test_ga_seed_population_sizes(example_subject):
     rewards = _rewards(example_subject, RewardSpec(1))
-    corner = ga_initial_population(MIN_I, rewards, 10)
+    corner = _select(ga_seed_pools([MIN_I]).tolist()[0], rewards, 10)
     assert len(corner) == 7
     assert corner[0] == MIN_I
     assert set(corner) == {MIN_I, *_ids(neighbors(ALL_MIN))}
 
-    eleven = ga_initial_population(ELEVEN_I, rewards, 10)
+    eleven = _select(ga_seed_pools([ELEVEN_I]).tolist()[0], rewards, 10)
     assert len(eleven) == 10  # 12 candidates trimmed to the best ten
     candidates = {ELEVEN_I, *_ids(neighbors(ELEVEN))}
     assert set(eleven) <= candidates
@@ -215,14 +215,15 @@ def test_ga_initial_population_sizes(example_subject):
     assert all(rewards[s] <= kept_worst for s in dropped)
 
 
-def test_ga_initial_population_ties_keep_candidate_order():
+def test_ga_seed_population_ties_keep_candidate_order():
     # 12 candidates, the initial state first and then its neighbours in
     # canonical order; tied candidates survive by position
     nbrs = _ids(neighbors(ELEVEN))
     assert len(nbrs) == 11
-    assert ga_initial_population(ELEVEN_I, _table({}), 10) == [ELEVEN_I] + nbrs[:9]
-    assert ga_initial_population(ELEVEN_I, _table({ELEVEN_I: -1.0}), 10) == nbrs[:10]
-    assert ga_initial_population(ELEVEN_I, _table({nbrs[0]: -0.5, nbrs[5]: -0.5}), 10) == (
+    pool = ga_seed_pools([ELEVEN_I]).tolist()[0]
+    assert _select(pool, _table({}), 10) == [ELEVEN_I] + nbrs[:9]
+    assert _select(pool, _table({ELEVEN_I: -1.0}), 10) == nbrs[:10]
+    assert _select(pool, _table({nbrs[0]: -0.5, nbrs[5]: -0.5}), 10) == (
         [ELEVEN_I] + nbrs[1:5] + nbrs[6:]
     )
 
@@ -261,7 +262,7 @@ def test_ga_identical_parents_reproduce_without_mutation():
 
 def test_ga_generation_output_size_and_validity(small_population):
     rewards = _rewards(small_population.subjects[0], RewardSpec(5))
-    population = ga_initial_population(state_index((1, 1, 2, 0, 1, 2)), rewards, 10)
+    population = _select(ga_seed_pools([state_index((1, 1, 2, 0, 1, 2))]).tolist()[0], rewards, 10)
     rng = np.random.default_rng(13)
     for cfg in (GAConfig(), GAConfig(mutation_prob=1.0)):
         for _ in range(200):

@@ -38,8 +38,8 @@ def test_initial_success_counts_one_presentation(example_subject):
     assert result.success
     assert result.spiders_presented == 1
     assert result.iterations_used == 0
-    assert result.final_state == INITIAL_STATES["avg"]
     assert len(result.presented_sequence) == 1
+    assert result.presented_sequence[0].state == INITIAL_STATES["avg"]
     assert result.presented_sequence[0].iteration == 0
 
 
@@ -188,10 +188,11 @@ def test_success_ends_on_a_success_state(small_population):
             cfg = _cfg(method=method, subject_id=subject.id, target=4)
             result = run_session(cfg, subject)
             if result.success:
-                assert is_success(stress(subject, result.final_state), 4)
+                last = [p.state for p in result.presented_sequence if p.iteration == result.iterations_used]
+                assert any(is_success(stress(subject, state), 4) for state in last)
                 if method != "ga":
                     # sequential methods stop on the state they just presented
-                    assert result.presented_sequence[-1].state == result.final_state
+                    assert is_success(stress(subject, result.presented_sequence[-1].state), 4)
 
 
 def _subject_with_an_empty_band():
@@ -217,10 +218,6 @@ def test_ga_corner_first_batch_is_seven(example_subject):
     assert result.success
     assert result.iterations_used == 0
     assert result.spiders_presented == 7
-    # the first succeeding batch member in canonical order is the final state
-    batch = [ALL_MIN] + neighbors(ALL_MIN)
-    first_win = next(s for s in batch if is_success(stress(example_subject, s), 1))
-    assert result.final_state == first_win
 
 
 def test_sequential_presentations_stay_adjacent_to_visited(small_population):
@@ -255,11 +252,10 @@ def test_record_sequence_off_keeps_counts(example_subject):
         full = run_session(cfg, example_subject)
         lean = run_session(cfg, example_subject, record_sequence=False)
         assert lean.presented_sequence == []
-        assert (lean.success, lean.spiders_presented, lean.iterations_used, lean.final_state) == (
+        assert (lean.success, lean.spiders_presented, lean.iterations_used) == (
             full.success,
             full.spiders_presented,
             full.iterations_used,
-            full.final_state,
         ), method
 
 
